@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, LabelError, ShapeError
+from .errors import ContractError, DataError, LabelError, ShapeError
 
 Array = np.ndarray
 
@@ -247,22 +247,10 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _op(y, (x,), bw)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    if x.data.size == 0:
-        raise ContractError("activation input must be non-empty")
-    if kind == "relu":
-        return relu(x)
-    if kind == "leaky_relu":
-        return leaky_relu(x)
-    if kind == "softmax_rows":
-        return softmax_rows(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate) at train time, identity in eval."""
     if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        raise DataError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
@@ -470,9 +458,9 @@ def _max_rel_err(a: Array, b: Array) -> float:
     return float(err.max()) if err.size else 0.0
 
 
-def _check_scalar_deterministic(f, *args) -> Tensor:
-    out1 = f(*args)
-    out2 = f(*args)
+def _check_scalar_deterministic(f) -> Tensor:
+    out1 = f()
+    out2 = f()
     if out1.data.size != 1 or out2.data.size != 1:
         raise ContractError(f"grad check needs a scalar-valued function, got shape {out1.data.shape}")
     if not np.array_equal(out1.data, out2.data):
@@ -480,37 +468,10 @@ def _check_scalar_deterministic(f, *args) -> Tensor:
     return out2
 
 
-def _fd_grad(f, x: Tensor, h: float) -> Array:
-    fd = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    fdf = fd.reshape(-1)
-    was = x.requires_grad
-    x.requires_grad = False  # no need to record graphs during FD sweeps
-    try:
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = f().item()
-            flat[i] = orig - h
-            lo = f().item()
-            flat[i] = orig
-            fdf[i] = (hi - lo) / (2.0 * h)
-    finally:
-        x.requires_grad = was
-    return fd
-
-
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     """Max relative error between analytic and central finite-difference gradients
     of scalar-valued ``f`` with respect to ``x``."""
-    out = _check_scalar_deterministic(f, x)
-    x.grad = None
-    if out._backward_fn is not None:
-        backward(out)
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-    fd = _fd_grad(lambda: f(x), x, h)
-    x.grad = None
-    return _max_rel_err(analytic, fd)
+    return grad_check_params(lambda: f(x), [x], h)
 
 
 def grad_check_params(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
@@ -523,9 +484,9 @@ def grad_check_params(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
     worst = 0.0
     flags = [p.requires_grad for p in params]
     for p in params:
-        p.requires_grad = False
+        p.requires_grad = False  # no need to record graphs during FD sweeps
     try:
-        for p, was in zip(params, flags):
+        for p in params:
             analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
             fd = np.zeros_like(p.data)
             flat = p.data.reshape(-1)

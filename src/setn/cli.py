@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_io
 from . import evaluation as ev
-from .errors import SetnError
+from .errors import DataError, SetnError
 from .text import Vocab
 from .training import (TrainConfig, build_model, load_model, prepare_graph,
                        save_model, split_dataset, train)
@@ -45,7 +45,11 @@ def _resolve_config(args) -> TrainConfig:
     config = TrainConfig()
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            config = TrainConfig.from_dict(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{args.config}: malformed config JSON: {exc}") from exc
+        config = TrainConfig.from_dict(obj)
     overrides = {}
     for flag, fld in _FLAG_TO_FIELD.items():
         value = getattr(args, flag, None)

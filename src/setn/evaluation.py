@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -168,8 +168,7 @@ def theme_metric(emb: EmbeddingMatrix, themes: ThemeSet,
 
 
 def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
-                   ids: Sequence[int], direction: str = "in",
-                   text_cache: Optional[dict] = None) -> EmbeddingMatrix:
+                   ids: Sequence[int], direction: str = "in") -> EmbeddingMatrix:
     """Embedding matrix for the given stocks, sampling each one's subgraph
     on the (already direction-prepared) graph.
 
@@ -182,7 +181,7 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     for sid in ids:
         sub = sample_subgraph(graph, sid, direction)
         recs = [records[m] for m in sub.members]
-        vec = model.embed_stock(sub, recs, text_cache=text_cache)
+        vec = model.embed_stock(sub, recs)
         if not np.any(vec):
             vec = np.full_like(vec, 1.0)
             zero_rows += 1

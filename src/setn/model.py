@@ -87,21 +87,13 @@ class SetnModel:
 
     # ------------------------------------------------------------------
 
-    def encode_text(self, record, training: bool = False,
-                    cache: Optional[dict] = None) -> Tensor:
-        """Pooled text vector [d] for one stock; cache is only sound when the
-        encoder is fully frozen."""
-        if cache is not None and record.stock_id in cache:
-            return Tensor(cache[record.stock_id])
+    def encode_text(self, record, training: bool = False) -> Tensor:
+        """Pooled text vector [d] for one stock."""
         tokens = tokenize(record.text, self.vocab, max_tokens=self.max_tokens)
-        vec = pool(self.encoder.encode(tokens, training), self.pooling)
-        if cache is not None:
-            cache[record.stock_id] = vec.data.copy()
-        return vec
+        return pool(self.encoder.encode(tokens, training), self.pooling)
 
     def forward(self, sub: Subgraph, records: Sequence, training: bool = False,
-                rng: Optional[np.random.Generator] = None,
-                text_cache: Optional[dict] = None) -> ForwardResult:
+                rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """Run the full pipeline for the subgraph target.
 
         ``records`` must align with ``sub.members`` (target first).
@@ -112,12 +104,12 @@ class SetnModel:
             if rec.stock_id != member:
                 raise DataError(f"record {rec.stock_id} misaligned with subgraph member {member}")
 
-        target_text = self.encode_text(records[0], training, text_cache)
+        target_text = self.encode_text(records[0], training)
         if self.gnn_kind == "none":
             h = target_text
         else:
             rows = [target_text]
-            rows += [self.encode_text(r, training, text_cache) for r in records[1:]]
+            rows += [self.encode_text(r, training) for r in records[1:]]
             h_text = ad.stack_rows(rows)
             layer = gcn_layer if self.gnn_kind == "gcn" else gat_layer
             h_gnn = layer(h_text, sub, self.gnn)
@@ -132,10 +124,9 @@ class SetnModel:
                               (self.n_industries,))
         return ForwardResult(embedding=h, logits_sector=logits_s, logits_industry=logits_i)
 
-    def embed_stock(self, sub: Subgraph, records: Sequence,
-                    text_cache: Optional[dict] = None) -> np.ndarray:
+    def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
         """Deterministic embedding vector [d] (dropout off)."""
-        result = self.forward(sub, records, training=False, text_cache=text_cache)
+        result = self.forward(sub, records, training=False)
         return result.embedding.data.copy()
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,6 +150,10 @@ class TextEncoder:
         self.pos_emb = ad.normal_param(rng, (max_len, dim))
         self.blocks = [EncoderBlock(dim, rng) for _ in range(depth)]
         self.embeddings_trainable = True
+        # token sequence -> state entering block ``_prefix_depth``; held only
+        # inside ``frozen_prefix_cache``
+        self._prefix_cache: dict[tuple[int, ...], Tensor] | None = None
+        self._prefix_depth = 0
 
     @property
     def depth(self) -> int:
@@ -164,19 +169,45 @@ class TextEncoder:
         for i in ids:
             if not 0 <= i < self.vocab_size:
                 raise DataError(f"token id {i} outside vocabulary of size {self.vocab_size}")
-        h = ad.take_rows(self.token_emb, ids)
-        if self.blocks:
-            h = ad.add(h, ad.take_rows(self.pos_emb, range(len(ids))))
-            for block in self.blocks:
+        cache = self._prefix_cache
+        start = 0 if cache is None else self._prefix_depth
+        h = None if cache is None else cache.get(tuple(ids))
+        if h is None:
+            h = ad.take_rows(self.token_emb, ids)
+            if self.blocks:
+                h = ad.add(h, ad.take_rows(self.pos_emb, range(len(ids))))
+            for block in self.blocks[:start]:
                 h = block.forward(h)
+            if cache is not None:
+                cache[tuple(ids)] = h
+        for block in self.blocks[start:]:
+            h = block.forward(h)
         return h
+
+    @contextmanager
+    def frozen_prefix_cache(self):
+        """While the context is open, ``encode`` computes the hidden state that
+        enters the first block with trainable parameters once per token
+        sequence and reuses it. Frozen parameters must not change meanwhile.
+        Trainable embedding tables leave no frozen prefix, so then nothing is
+        cached."""
+        if self.token_emb.requires_grad or self.pos_emb.requires_grad:
+            yield
+            return
+        self._prefix_depth = next(
+            (i for i, block in enumerate(self.blocks)
+             if any(p.requires_grad for _, p in block.named_params())), self.depth)
+        self._prefix_cache = {}
+        try:
+            yield
+        finally:
+            self._prefix_cache = None
 
     def set_trainable(self, policy: str) -> None:
         """Apply a training policy: 'all', 'last' (last block only) or 'none'.
 
         The embedding tables follow 'all' only.
         """
-        policy = {"last_block_only": "last"}.get(policy, policy)
         if policy == "all":
             flags = [True] * self.depth
             emb = True
@@ -217,4 +248,4 @@ def pool(h: Tensor, strategy: str) -> Tensor:
         return ad.mean_rows(h)
     if strategy == "max":
         return ad.max_rows(h)
-    raise ValueError(f"unknown pooling strategy {strategy!r}")
+    raise DataError(f"unknown pooling strategy {strategy!r}")

@@ -56,7 +56,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     neighbor_direction: str = "in"
-    frozen_text_cache: bool = False
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -157,55 +156,51 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
     optimizer = Adam(params, lr=config.learning_rate,
                      beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
-    cache = {} if config.frozen_text_cache and not _encoder_has_trainable(model) else None
 
     history = []
-    for epoch in range(config.epochs):
-        losses = []
-        for target in epoch_order(config.seed, epoch, split.train):
-            sub = sample_subgraph(g, target, config.neighbor_direction)
-            recs = [records[m] for m in sub.members]
-            try:
-                result = model.forward(sub, recs, training=True, rng=dropout_rng,
-                                       text_cache=cache)
-                loss = compute_loss(result, records[target].sector, records[target].industry)
-            except SetnError:
-                raise
-            except ValueError as exc:
-                # overflow inside the forward pass surfaces as a finiteness error
-                raise TrainingError(f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingError(f"non-finite loss {value} at epoch {epoch}, stock {target}")
-            backward(loss)
-            optimizer.step()
-            optimizer.zero_grad()
-            losses.append(value)
+    # frozen encoder layers cannot change during this call
+    with model.encoder.frozen_prefix_cache():
+        for epoch in range(config.epochs):
+            losses = []
+            for target in epoch_order(config.seed, epoch, split.train):
+                sub = sample_subgraph(g, target, config.neighbor_direction)
+                recs = [records[m] for m in sub.members]
+                try:
+                    result = model.forward(sub, recs, training=True, rng=dropout_rng)
+                    loss = compute_loss(result, records[target].sector, records[target].industry)
+                except SetnError:
+                    raise
+                except ValueError as exc:
+                    # overflow inside the forward pass surfaces as a finiteness error
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingError(f"non-finite loss {value} at epoch {epoch}, stock {target}")
+                backward(loss)
+                optimizer.step()
+                optimizer.zero_grad()
+                losses.append(value)
 
-        val_emb = embed_universe(model, g, records, split.val,
-                                 direction=config.neighbor_direction, text_cache=cache)
-        val_ids = set(split.val)
-        sector_map = map_at_k(val_emb, {r.stock_id: r.sector for r in records
-                                        if r.stock_id in val_ids}, ks=(5,))
-        industry_map = map_at_k(val_emb, {r.stock_id: r.industry for r in records
-                                          if r.stock_id in val_ids}, ks=(5,))
-        entry = {
-            "epoch": epoch,
-            "mean_train_loss": float(np.mean(losses)),
-            "val_map5_sector": sector_map[5],
-            "val_map5_industry": industry_map[5],
-        }
-        history.append(entry)
-        if log_stream is not None:
-            log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
-        logger.info("epoch %d: mean loss %.4f, val MAP@5 %.3f/%.3f",
-                    epoch, entry["mean_train_loss"],
-                    entry["val_map5_sector"], entry["val_map5_industry"])
+            val_emb = embed_universe(model, g, records, split.val,
+                                     direction=config.neighbor_direction)
+            val_ids = set(split.val)
+            sector_map = map_at_k(val_emb, {r.stock_id: r.sector for r in records
+                                            if r.stock_id in val_ids}, ks=(5,))
+            industry_map = map_at_k(val_emb, {r.stock_id: r.industry for r in records
+                                              if r.stock_id in val_ids}, ks=(5,))
+            entry = {
+                "epoch": epoch,
+                "mean_train_loss": float(np.mean(losses)),
+                "val_map5_sector": sector_map[5],
+                "val_map5_industry": industry_map[5],
+            }
+            history.append(entry)
+            if log_stream is not None:
+                log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
+            logger.info("epoch %d: mean loss %.4f, val MAP@5 %.3f/%.3f",
+                        epoch, entry["mean_train_loss"],
+                        entry["val_map5_sector"], entry["val_map5_industry"])
     return history
-
-
-def _encoder_has_trainable(model: SetnModel) -> bool:
-    return any(p.requires_grad for _, p in model.encoder.named_params())
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,11 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<Q", body[8:16])
     header = json.loads(body[16:16 + header_len].decode("utf-8"))
-    config = TrainConfig.from_dict(header["config"])
+    config_obj = dict(header["config"])
+    # v1 checkpoints may carry this retired key; frozen layers are now cached
+    # automatically during training
+    config_obj.pop("frozen_text_cache", None)
+    config = TrainConfig.from_dict(config_obj)
     if expected_gnn is not None and config.gnn != expected_gnn:
         raise CheckpointError(
             f"{path}: checkpoint was trained with gnn={config.gnn!r}, requested {expected_gnn!r}")

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from setn.autodiff import (Adam, Tensor, activation, backward, cross_entropy,
+from setn.autodiff import (Adam, Tensor, backward, cross_entropy,
                            dropout, grad_check, grad_check_params, leaky_relu,
                            linear, matmul, mean_rows, relu, softmax_rows,
                            stack_rows, sum_all, take_rows)
-from setn.errors import ContractError, LabelError, ShapeError
+from setn.errors import ContractError, DataError, LabelError, ShapeError
 
 
 def test_tensor_rejects_non_finite():
@@ -72,28 +72,21 @@ def test_linear_shape_mismatch_names_both_shapes():
 
 
 def test_relu_negative():
-    assert activation(Tensor([-3.0]), "relu").data[0] == 0.0
+    assert relu(Tensor([-3.0])).data[0] == 0.0
 
 
 def test_leaky_relu_slope():
-    assert activation(Tensor([-1.0]), "leaky_relu").data[0] == pytest.approx(-0.2)
+    assert leaky_relu(Tensor([-1.0])).data[0] == pytest.approx(-0.2)
 
 
 def test_softmax_symmetry():
-    out = activation(Tensor([[0.0, 0.0]]), "softmax_rows")
+    out = softmax_rows(Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]])
 
 
 def test_softmax_requires_rank_2():
     with pytest.raises(ShapeError):
         softmax_rows(Tensor([1.0, 2.0]))
-
-
-def test_activation_rejects_empty_and_unknown():
-    with pytest.raises(ContractError):
-        activation(Tensor(np.zeros((0, 2))), "relu")
-    with pytest.raises(ValueError):
-        activation(Tensor([1.0]), "sigmoid")
 
 
 def test_softmax_rows_sum_to_one_and_lie_in_unit_interval():
@@ -129,7 +122,7 @@ def test_dropout_preserves_mean_at_scale():
 
 def test_dropout_rejects_bad_rate():
     for rate in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             dropout(Tensor([1.0]), rate, training=True, rng=np.random.default_rng(0))
 
 

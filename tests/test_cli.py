@@ -186,3 +186,28 @@ def test_gnn_kind_mismatch_on_eval(dataset_dir, checkpoint, capsys):
         "--gnn", "gat")
     assert code == 1
     assert "gat" in stderr
+
+
+@pytest.mark.parametrize("config_text, expected", [
+    ('{"pooling": "avg"}', "unknown pooling strategy 'avg'"),
+    ('{"dropout": 1.0}', "dropout rate must be in [0, 1)"),
+    ('{bad', "malformed config JSON"),
+    ('{"frozen_text_cache": true}', "unknown config keys"),
+])
+def test_bad_config_is_one_honest_error_line(dataset_dir, tmp_path, capsys,
+                                             config_text, expected):
+    config = tmp_path / "config.json"
+    config.write_text(config_text)
+    code, _, stderr = run_cli(
+        capsys, "train",
+        "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"),
+        "--config", str(config),
+        "--out", str(tmp_path / "m.setn"))
+    assert code == 1
+    lines = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert expected in lines[0]
+    assert "non-finite" not in stderr
+    if config_text == '{bad':
+        assert str(config) in lines[0]

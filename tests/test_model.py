@@ -181,13 +181,15 @@ def test_neighbor_text_changes_target_embedding():
 
 def test_frozen_text_cache_matches_uncached_path(chain):
     records, graph = chain
-    model = make_model(encoder_train="none", depth=1)
-    sub = sample_subgraph(graph, 1)
-    recs = [records[m] for m in sub.members]
-    cache = {}
-    cached = model.embed_stock(sub, recs, text_cache=cache)
-    assert cache  # populated on first use
-    again = model.embed_stock(sub, recs, text_cache=cache)
-    plain = model.embed_stock(sub, recs)
-    assert np.array_equal(cached, plain)
-    assert np.array_equal(again, plain)
+    for policy in ("none", "last"):
+        model = make_model(encoder_train=policy, depth=2)
+        sub = sample_subgraph(graph, 1)
+        recs = [records[m] for m in sub.members]
+        plain = model.embed_stock(sub, recs)
+        with model.encoder.frozen_prefix_cache():
+            cached = model.embed_stock(sub, recs)
+            assert model.encoder._prefix_cache  # populated on first use
+            again = model.embed_stock(sub, recs)
+        assert model.encoder._prefix_cache is None
+        assert np.array_equal(cached, plain)
+        assert np.array_equal(again, plain)

@@ -176,5 +176,5 @@ def test_pool_rejects_empty_and_unknown():
     from setn.autodiff import Tensor
     with pytest.raises(ContractError):
         pool(Tensor(np.zeros((0, 3))), "mean")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         pool(Tensor(np.ones((2, 2))), "median")

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import CheckpointError, DataError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
-from setn.graph import to_undirected
-from setn.text import Vocab
+from setn.graph import sample_subgraph, to_undirected
+from setn.text import Vocab, tokenize
 from setn.training import (TrainConfig, build_model, epoch_order, load_model,
                            prepare_graph, save_model, split_dataset, train)
 
@@ -61,12 +63,12 @@ def test_epoch_order_is_pure_function_of_seed_and_epoch():
 # training runs (small synthetic universes)
 
 
-def _small_setup(seed=0, epochs=3, gnn="gcn", encoder_train="last", n=40):
+def _small_setup(seed=0, epochs=3, gnn="gcn", encoder_train="last", n=40, depth=1):
     spec = GeneratorSpec(n=n, sectors=3, industries=5, vocab_size=80,
                          tokens_per_doc=8, avg_degree=4, graph_signal=0.8,
                          text_signal=0.9, theme_count=2, seed=seed)
     ds = generate_synthetic(spec)
-    cfg = TrainConfig(epochs=epochs, hidden_dim=8, encoder_depth=1, seed=seed,
+    cfg = TrainConfig(epochs=epochs, hidden_dim=8, encoder_depth=depth, seed=seed,
                       gnn=gnn, encoder_train=encoder_train, max_tokens=16)
     vocab = Vocab.build(r.text for r in ds.records)
     split = split_dataset([r.stock_id for r in ds.records], cfg.proportions, cfg.seed)
@@ -130,16 +132,70 @@ def test_loss_reads_only_the_target_row():
         assert np.any(model.gnn.weight.grad != 0.0)
 
 
+# Parameter digests after seeded training, recorded with an encoder that
+# recomputed every layer for every subgraph member; reusing frozen layers
+# must not change a bit.
+_TRAINED_DIGESTS = {
+    "last": "0233d59d90a2bf67e90687629698d6d0e48b0c74c52400e5752f329b2dcdefa9",
+    "none": "48bff8fceb56871693a97ba4ce1596e164f502d373d6bdd0486f5932d780e4e2",
+    "all": "70826c4534657cebac4f4cdab4dc72dfbcec8498b0fca1db6ebfcfe592da62d4",
+}
+
+
 def test_frozen_text_cache_training_is_exact():
-    results = []
-    for use_cache in (False, True):
-        ds, cfg, vocab, split, _ = _small_setup(seed=12, epochs=2, encoder_train="none")
-        cfg = TrainConfig(**{**cfg.to_dict(), "frozen_text_cache": use_cache,
-                             "proportions": tuple(cfg.proportions)})
-        model = build_model(cfg, vocab, n_sectors=3, n_industries=5)
+    for policy, digest in _TRAINED_DIGESTS.items():
+        ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2,
+                                                    encoder_train=policy, depth=2)
         train(model, ds.graph, ds.records, split, cfg)
-        results.append(_param_bytes(model))
-    assert results[0] == results[1]
+        assert _param_bytes(model) == digest, policy
+
+
+def _count_block0_calls(model):
+    block = model.encoder.blocks[0]
+    original = block.forward
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return original(x)
+
+    block.forward = counting
+    return calls
+
+
+def test_frozen_block_runs_once_per_distinct_text_during_training():
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2, depth=2)
+    calls = _count_block0_calls(model)
+    train(model, ds.graph, ds.records, split, cfg)
+    distinct = {tuple(tokenize(r.text, vocab, cfg.max_tokens)) for r in ds.records}
+    assert 0 < len(calls) <= len(distinct)
+
+
+def test_trainable_embeddings_run_block0_per_member_per_step():
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2, encoder_train="all", depth=2)
+    calls = _count_block0_calls(model)
+    train(model, ds.graph, ds.records, split, cfg)
+    g = prepare_graph(ds.graph, cfg)
+    per_epoch = sum(sample_subgraph(g, sid).size for sid in split.train + split.val)
+    assert len(calls) == cfg.epochs * per_epoch
+
+
+def test_no_prefix_cache_held_after_training_returns_or_raises():
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=1, depth=2)
+    train(model, ds.graph, ds.records, split, cfg)
+    assert model.encoder._prefix_cache is None
+
+    original = model.forward
+
+    def failing(*args, **kwargs):
+        original(*args, **kwargs)
+        assert model.encoder._prefix_cache  # live while training runs
+        raise TrainingError("stop")
+
+    model.forward = failing
+    with pytest.raises(TrainingError, match="stop"):
+        train(model, ds.graph, ds.records, split, cfg)
+    assert model.encoder._prefix_cache is None
 
 
 @pytest.mark.parametrize("policy", ["last", "none"])
@@ -208,6 +264,31 @@ def test_checkpoint_roundtrip_is_bit_identical(tmp_path):
     sub = sample_subgraph(g, target)
     recs = [ds.records[m] for m in sub.members]
     assert np.array_equal(model.embed_stock(sub, recs), loaded.embed_stock(sub, recs))
+
+
+def test_checkpoint_with_retired_frozen_text_cache_key_loads(tmp_path):
+    ds, cfg, vocab, split, model = _small_setup(seed=14, epochs=1)
+    train(model, ds.graph, ds.records, split, cfg)
+    path = tmp_path / "model.setn"
+    save_model(model, path, cfg)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + header_len])
+    for value in (False, True):
+        # the header a v1 checkpoint carried while the key existed
+        header["config"]["frozen_text_cache"] = value
+        payload = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = blob[:8] + struct.pack("<Q", len(payload)) + payload + blob[16 + header_len:-8]
+        old = tmp_path / f"old-{value}.setn"
+        old.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        loaded, loaded_cfg = load_model(old)
+        assert loaded_cfg == cfg
+        assert _param_bytes(loaded) == _param_bytes(model)
+        resaved = tmp_path / "resaved.setn"
+        save_model(loaded, resaved, loaded_cfg)
+        assert resaved.read_bytes() == blob
+    with pytest.raises(DataError, match="unknown config keys"):
+        TrainConfig.from_dict({"frozen_text_cache": False})
 
 
 def test_checkpoint_truncation_detected(tmp_path):
