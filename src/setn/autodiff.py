@@ -29,7 +29,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor entries must be finite (NaN/Inf rejected)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -94,8 +94,10 @@ def _accum(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # the same sum as zeros_like + g, without the zero fill
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -125,20 +127,20 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss is not attached to a recorded computation")
 
     topo: list[Tensor] = []
-    finished: set[int] = set()
-    visited: set[int] = set()
+    finished: set[Tensor] = set()
+    visited: set[Tensor] = set()
     stack: list[Tensor] = [loss]
     while stack:
         node = stack[-1]
-        if id(node) in visited:
+        if node in visited:
             stack.pop()
-            if id(node) not in finished:
-                finished.add(id(node))
+            if node not in finished:
+                finished.add(node)
                 topo.append(node)
             continue
-        visited.add(id(node))
+        visited.add(node)
         for p in node._parents:
-            if p._backward_fn is not None and id(p) not in visited:
+            if p._backward_fn is not None and p not in visited:
                 stack.append(p)
 
     loss.grad = np.ones_like(loss.data)
@@ -162,8 +164,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bw(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _op(data, (a, b), bw)
 
@@ -173,8 +177,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bw(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _op(data, (a, b), bw)
 
@@ -187,8 +193,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bw(g: Array) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _op(data, (a, b), bw)
 
@@ -325,7 +333,7 @@ def mean_rows(x: Tensor) -> Tensor:
     def bw(g: Array) -> None:
         _accum(x, np.broadcast_to(g / n, x.data.shape))
 
-    return _op(x.data.mean(axis=0), (x,), bw)
+    return _op(x.data.sum(axis=0) / n, (x,), bw)
 
 
 def max_rows(x: Tensor) -> Tensor:
@@ -364,17 +372,18 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     d = x.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer norm gain/bias must have shape ({d},)")
-    mu = x.data.mean(axis=1, keepdims=True)
+    # sum / d is exactly what ndarray.mean computes, minus its Python overhead
+    mu = x.data.sum(axis=1, keepdims=True) / d
     xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
     xhat = xc * inv
 
     def bw(g: Array) -> None:
         _accum(bias, g.sum(axis=0))
         _accum(gain, (g * xhat).sum(axis=0))
         gh = g * gain.data
-        m1 = gh.mean(axis=1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=1, keepdims=True)
+        m1 = gh.sum(axis=1, keepdims=True) / d
+        m2 = (gh * xhat).sum(axis=1, keepdims=True) / d
         _accum(x, inv * (gh - m1 - xhat * m2))
 
     return _op(xhat * gain.data + bias.data, (x, gain, bias), bw)

@@ -9,7 +9,9 @@ import filecmp
 import itertools
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -63,22 +65,31 @@ def _cfg(seed, **overrides):
     return TrainConfig(**base)
 
 
-def _mean_scores(graph_signal, text_signal, direction_signal, config_overrides):
-    scores = []
-    for seed in SEEDS:
-        spec = _spec(seed, graph_signal, text_signal, direction_signal)
-        scores.append(_train_and_score(spec, _cfg(seed, **config_overrides)))
-    return float(np.mean(scores))
+def _mean_scores(graph_signal, text_signal, direction_signal, *config_variants):
+    """Mean score over SEEDS for each config variant, in order.
+
+    The runs are independent and deterministic, so two worker processes
+    share them; each variant's mean is the same as a sequential loop's.
+    """
+    specs, cfgs = [], []
+    for overrides in config_variants:
+        for seed in SEEDS:
+            specs.append(_spec(seed, graph_signal, text_signal, direction_signal))
+            cfgs.append(_cfg(seed, **overrides))
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        scores = list(pool.map(_train_and_score, specs, cfgs))
+    n = len(SEEDS)
+    return [float(np.mean(scores[i:i + n])) for i in range(0, len(scores), n)]
 
 
 @pytest.fixture(scope="module")
 def joint_runs():
     """Criteria 5 and 6 share the dataset family and the joint-model runs."""
     t0 = time.time()
-    joint = _mean_scores(0.6, 0.6, 0.0, dict(gnn="gcn", residual=True))
-    text_only = _mean_scores(0.6, 0.6, 0.0, dict(gnn="none"))
+    joint, text_only = _mean_scores(0.6, 0.6, 0.0, dict(gnn="gcn", residual=True),
+                                    dict(gnn="none"))
     elapsed_5 = time.time() - t0
-    no_residual = _mean_scores(0.6, 0.6, 0.0, dict(gnn="gcn", residual=False))
+    (no_residual,) = _mean_scores(0.6, 0.6, 0.0, dict(gnn="gcn", residual=False))
     return {"joint": joint, "text_only": text_only, "no_residual": no_residual,
             "elapsed_5": elapsed_5}
 
@@ -281,8 +292,9 @@ def test_criterion_6_residual_beats_no_residual(joint_runs):
 
 
 def test_criterion_7_directed_beats_undirected():
-    directed = _mean_scores(0.9, 0.3, 1.0, dict(gnn="gcn", residual=True, directed=True))
-    undirected = _mean_scores(0.9, 0.3, 1.0, dict(gnn="gcn", residual=True, directed=False))
+    directed, undirected = _mean_scores(0.9, 0.3, 1.0,
+                                        dict(gnn="gcn", residual=True, directed=True),
+                                        dict(gnn="gcn", residual=True, directed=False))
     gap = directed - undirected
     report(7, "directed graph beats undirected by >= 0.03 MAP@5",
            gap >= 0.03,
@@ -290,8 +302,9 @@ def test_criterion_7_directed_beats_undirected():
 
 
 def test_criterion_8_trained_encoder_beats_frozen():
-    trained = _mean_scores(0.3, 0.9, 0.0, dict(gnn="gcn", residual=True, encoder_train="last"))
-    frozen = _mean_scores(0.3, 0.9, 0.0, dict(gnn="gcn", residual=True, encoder_train="none"))
+    trained, frozen = _mean_scores(0.3, 0.9, 0.0,
+                                   dict(gnn="gcn", residual=True, encoder_train="last"),
+                                   dict(gnn="gcn", residual=True, encoder_train="none"))
     gap = trained - frozen
     report(8, "last-block training beats frozen encoder by >= 0.02 MAP@5",
            gap >= 0.02,
