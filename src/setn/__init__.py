@@ -7,7 +7,7 @@ from .data import (Dataset, GeneratorSpec, StockRecord, Taxonomy, ThemeSet,
                    export_embeddings, generate_synthetic, load_edges,
                    load_embeddings, load_nodes, load_themes, validate_taxonomy)
 from .errors import (CheckpointError, ContractError, DataError, LabelError,
-                     SetnError, ShapeError, TrainingError)
+                     NonFiniteError, SetnError, ShapeError, TrainingError)
 from .evaluation import (EmbeddingMatrix, average_precision_at_k, cosine_knn,
                          embed_universe, evaluate_map, map_at_k, run_ablation,
                          theme_metric)

@@ -4,17 +4,24 @@ Define-by-run: an operation records itself on the computation graph only
 when one of its inputs needs gradients. ``backward`` walks the recorded
 graph once in reverse topological order, deposits gradients on the
 participating leaves, and frees the graph, so each recorded forward pass
-supports exactly one backward pass.
+supports exactly one backward pass. Inside ``no_grad()`` nothing is recorded.
+
+Matrix ops take optional leading batch axes: ``matmul`` and ``linear`` accept
+``[..., L, k]`` inputs, ``transpose`` swaps the last two axes, row-wise ops
+work over the last axis and the row reductions over axis -2. A rank-2 input
+takes the same arithmetic as a single slice of a batch.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DataError, LabelError, ShapeError
+from .errors import ContractError, DataError, LabelError, NonFiniteError, ShapeError
 
 Array = np.ndarray
 
@@ -30,7 +37,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if not np.isfinite(arr).all():
-            raise ValueError("tensor entries must be finite (NaN/Inf rejected)")
+            raise NonFiniteError("tensor entries must be finite (NaN/Inf rejected)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
@@ -80,10 +87,45 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+# False while any ``no_grad`` context is open, in any thread. A plain module
+# flag, not a thread-local one: a thread-local lookup in every op slowed the
+# per-member forward pass by about 2%. ``_no_grad_open`` counts the open
+# contexts, so recording resumes only when the last one closes, however the
+# exits of contexts in several threads interleave.
+_recording = True
+_no_grad_open = 0
+_no_grad_lock = threading.Lock()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph while the context is open: op results need no
+    gradients, whatever their inputs. Recording resumes when the last open
+    context exits, also when the block raises. The switch is process-wide:
+    several threads may embed at once, but none may train while another is
+    inside this context."""
+    global _recording, _no_grad_open
+    with _no_grad_lock:
+        _no_grad_open += 1
+        _recording = False
+    try:
+        yield
+    finally:
+        with _no_grad_lock:
+            _no_grad_open -= 1
+            _recording = _no_grad_open == 0
+
+
+def is_recording() -> bool:
+    """Whether ops record their graph (False inside ``no_grad``)."""
+    return _recording
+
+
 def _op(data: Array, parents: tuple[Tensor, ...], backward_fn: Callable[[Array], None]) -> Tensor:
-    """Build an op-result tensor, recording it when any parent needs gradients."""
+    """Build an op-result tensor, recording it when any parent needs gradients
+    and recording is on."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -186,36 +228,45 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    """``a @ b`` for a [..., m, k] and b [k, n] (shared by every slice of a)
+    or b [..., k, n] (one matrix per slice)."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank 2 or more, got {a.data.shape} and {b.data.shape}")
+    if b.data.ndim != 2 and b.data.shape[:-2] != a.data.shape[:-2]:
+        raise ShapeError(f"matmul batch axes differ: {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
 
     def bw(g: Array) -> None:
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            if b.data.ndim == a.data.ndim:
+                _accum(b, a.data.swapaxes(-1, -2) @ g)
+            else:  # one b for every slice: sum the slices' gradients
+                _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _op(data, (a, b), bw)
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got shape {x.data.shape}")
+    """Swap the last two axes."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"transpose needs a tensor of rank 2 or more, got shape {x.data.shape}")
 
     def bw(g: Array) -> None:
-        _accum(x, g.T)
+        _accum(x, g.swapaxes(-1, -2))
 
-    return _op(x.data.T, (x,), bw)
+    return _op(x.data.swapaxes(-1, -2), (x,), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight + bias`` for x [n, d], weight [d, k], bias [k]."""
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ShapeError(f"linear needs rank-2 input/weight, got {x.data.shape} and {weight.data.shape}")
-    if x.data.shape[1] != weight.data.shape[0]:
+    """Affine map ``x @ weight + bias`` for x [..., n, d], weight [d, k], bias [k]."""
+    if x.data.ndim < 2 or weight.data.ndim != 2:
+        raise ShapeError(f"linear needs input of rank 2 or more and a rank-2 weight, "
+                         f"got {x.data.shape} and {weight.data.shape}")
+    if x.data.shape[-1] != weight.data.shape[0]:
         raise ShapeError(f"linear dimension mismatch: input {x.data.shape} vs weight {weight.data.shape}")
     if bias.data.shape != (weight.data.shape[1],):
         raise ShapeError(f"linear bias shape {bias.data.shape} does not match weight {weight.data.shape}")
@@ -241,15 +292,15 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got shape {x.data.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis with per-row max subtraction for overflow safety."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"softmax_rows needs a tensor of rank 2 or more, got shape {x.data.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g: Array) -> None:
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         _accum(x, (g - inner) * y)
 
     return _op(y, (x,), bw)
@@ -294,14 +345,18 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     return _op(np.asarray(loss), (logits,), bw)
 
 
-def take_rows(x: Tensor, indices) -> Tensor:
-    """Gather rows (axis 0); gradients scatter-add back."""
-    idx = np.asarray(list(indices), dtype=np.int64)
-    data = x.data[idx]
+def take_rows(x: Tensor, indices, axis: int = 0) -> Tensor:
+    """Gather entries along ``axis`` (rows by default); an index array of any
+    shape replaces that axis. Gradients scatter-add back."""
+    idx = np.asarray(indices, dtype=np.int64)
+    data = x.data[idx] if axis == 0 else np.take(x.data, idx, axis=axis)
 
     def bw(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if axis == 0:
+            np.add.at(gx, idx, g)
+        else:
+            np.add.at(np.moveaxis(gx, axis, 0), idx, np.moveaxis(g, axis, 0))
         _accum(x, gx)
 
     return _op(data, (x,), bw)
@@ -325,30 +380,29 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
 
 
 def mean_rows(x: Tensor) -> Tensor:
-    """Column-wise mean over rows: [n, d] -> [d]."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_rows needs a rank-2 tensor, got shape {x.data.shape}")
-    n = x.data.shape[0]
+    """Mean over rows (axis -2): [..., n, d] -> [..., d]."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"mean_rows needs a tensor of rank 2 or more, got shape {x.data.shape}")
+    n = x.data.shape[-2]
 
     def bw(g: Array) -> None:
-        _accum(x, np.broadcast_to(g / n, x.data.shape))
+        _accum(x, np.broadcast_to(np.expand_dims(g / n, -2), x.data.shape))
 
-    return _op(x.data.sum(axis=0) / n, (x,), bw)
+    return _op(x.data.sum(axis=-2) / n, (x,), bw)
 
 
 def max_rows(x: Tensor) -> Tensor:
-    """Column-wise max over rows: [n, d] -> [d]. Gradient routes to the argmax row."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_rows needs a rank-2 tensor, got shape {x.data.shape}")
-    am = x.data.argmax(axis=0)
-    cols = np.arange(x.data.shape[1])
+    """Max over rows (axis -2): [..., n, d] -> [..., d]. Gradient routes to the argmax row."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"max_rows needs a tensor of rank 2 or more, got shape {x.data.shape}")
+    am = np.expand_dims(x.data.argmax(axis=-2), -2)
 
     def bw(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        gx[am, cols] = g
+        np.put_along_axis(gx, am, np.expand_dims(g, -2), axis=-2)
         _accum(x, gx)
 
-    return _op(x.data[am, cols], (x,), bw)
+    return _op(np.take_along_axis(x.data, am, axis=-2).squeeze(-2), (x,), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -366,24 +420,25 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then gain and bias."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm_rows needs a rank-2 tensor, got shape {x.data.shape}")
-    d = x.data.shape[1]
+    """Normalization over the last axis to zero mean / unit variance, then gain and bias."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"layer_norm_rows needs a tensor of rank 2 or more, got shape {x.data.shape}")
+    d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer norm gain/bias must have shape ({d},)")
     # sum / d is exactly what ndarray.mean computes, minus its Python overhead
-    mu = x.data.sum(axis=1, keepdims=True) / d
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
 
     def bw(g: Array) -> None:
-        _accum(bias, g.sum(axis=0))
-        _accum(gain, (g * xhat).sum(axis=0))
+        lead = tuple(range(g.ndim - 1))
+        _accum(bias, g.sum(axis=lead))
+        _accum(gain, (g * xhat).sum(axis=lead))
         gh = g * gain.data
-        m1 = gh.sum(axis=1, keepdims=True) / d
-        m2 = (gh * xhat).sum(axis=1, keepdims=True) / d
+        m1 = gh.sum(axis=-1, keepdims=True) / d
+        m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
         _accum(x, inv * (gh - m1 - xhat * m2))
 
     return _op(xhat * gain.data + bias.data, (x, gain, bias), bw)

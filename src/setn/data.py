@@ -152,13 +152,27 @@ class Taxonomy:
         """JSON with "sectors", "industries" and "industry_to_sector"
         (industry name to sector name)."""
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        sectors = list(obj["sectors"])
-        industries = list(obj["industries"])
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: malformed taxonomy JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: expected a JSON object")
+        for key, kind in (("sectors", list), ("industries", list), ("industry_to_sector", dict)):
+            if not isinstance(obj.get(key), kind):
+                raise DataError(f"{path}: key {key!r} missing or not a JSON {kind.__name__}")
+        sectors, industries = obj["sectors"], obj["industries"]
         mapping = {}
         for ind_name, sec_name in obj["industry_to_sector"].items():
+            if ind_name not in industries:
+                raise DataError(f"{path}: unknown industry {ind_name!r} in industry_to_sector")
+            if sec_name not in sectors:
+                raise DataError(f"{path}: unknown sector {sec_name!r} for industry {ind_name!r}")
             mapping[industries.index(ind_name)] = sectors.index(sec_name)
-        return cls(sectors, industries, mapping)
+        try:
+            return cls(sectors, industries, mapping)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def to_file(self, path) -> None:
         obj = {
@@ -324,6 +338,12 @@ class GeneratorSpec:
     ``direction_signal`` routes the uninformative outgoing edges onto a few
     hub nodes, so at 1.0 only the cause side of an edge carries label
     information. ``text_signal`` is the share of class-specific tokens.
+
+    Every text has ``tokens_per_doc`` words unless ``min_tokens_per_doc`` is
+    set. Then each length is drawn uniformly from [``min_tokens_per_doc``,
+    ``tokens_per_doc``] on a stream of its own, so labels, graph and themes
+    are those of the fixed-length universe and each text is a prefix of its
+    fixed-length one.
     """
 
     n: int = 300
@@ -331,6 +351,7 @@ class GeneratorSpec:
     industries: int = 33
     vocab_size: int = 400
     tokens_per_doc: int = 24
+    min_tokens_per_doc: int = 0
     avg_degree: int = 6
     graph_signal: float = 0.6
     direction_signal: float = 0.0
@@ -361,7 +382,14 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
     if per_class < 1:
         raise DataError(f"vocab size {spec.vocab_size} too small for {spec.industries} industries")
 
+    if spec.min_tokens_per_doc and not 1 <= spec.min_tokens_per_doc <= spec.tokens_per_doc:
+        raise DataError(f"min_tokens_per_doc {spec.min_tokens_per_doc} outside "
+                        f"[1, tokens_per_doc={spec.tokens_per_doc}]")
     rng = np.random.default_rng(spec.seed)
+    lengths = [spec.tokens_per_doc] * spec.n
+    if spec.min_tokens_per_doc:
+        lengths = np.random.default_rng([spec.seed, 1]).integers(
+            spec.min_tokens_per_doc, spec.tokens_per_doc + 1, size=spec.n).tolist()
 
     # surjective industry -> sector map
     sector_of = [i if i < spec.sectors else int(rng.integers(spec.sectors))
@@ -392,7 +420,7 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
                 toks.append(pool_c[int(rng.integers(len(pool_c)))])
             else:
                 toks.append(shared[int(rng.integers(len(shared)))])
-        records.append(StockRecord(i, f"S{i:04d}", " ".join(toks),
+        records.append(StockRecord(i, f"S{i:04d}", " ".join(toks[:lengths[i]]),
                                    sector_of[labels[i]], int(labels[i])))
 
     # informative in-edges plus noise out-edges; at direction_signal 1 the
@@ -517,15 +545,24 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _EMB_MAGIC:
-            n, d = struct.unpack("<II", fh.read(8))
+            shape = fh.read(8)
+            if len(shape) != 8:
+                raise DataError(f"{path}: truncated binary embedding header")
+            n, d = struct.unpack("<II", shape)
             raw = fh.read(n * d * 4)
             if len(raw) != n * d * 4:
                 raise DataError(f"{path}: truncated binary embedding block")
             vectors = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
             ids = []
-            for _ in range(n):
-                (length,) = struct.unpack("<I", fh.read(4))
-                ids.append(_parse_id(fh.read(length).decode("utf-8")))
+            for i in range(n):
+                prefix = fh.read(4)
+                if len(prefix) != 4:
+                    raise DataError(f"{path}: truncated id table at id {i} of {n}")
+                (length,) = struct.unpack("<I", prefix)
+                token = fh.read(length)
+                if len(token) != length:
+                    raise DataError(f"{path}: truncated id table at id {i} of {n}")
+                ids.append(_parse_id(token.decode("utf-8")))
             return ids, vectors
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()

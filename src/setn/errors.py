@@ -17,6 +17,10 @@ class DataError(SetnError, ValueError):
     """Malformed or inconsistent input data."""
 
 
+class NonFiniteError(SetnError, ValueError):
+    """A tensor would hold NaN or Inf, e.g. after a float64 overflow."""
+
+
 class LabelError(SetnError, ValueError):
     """A class label is outside the valid range."""
 

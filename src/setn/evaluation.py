@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .autodiff import no_grad, take_rows
 from .data import Dataset, StockRecord, ThemeSet
 from .errors import DataError
 from .graph import StockGraph, sample_subgraph
@@ -172,20 +173,28 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     """Embedding matrix for the given stocks, sampling each one's subgraph
     on the (already direction-prepared) graph.
 
+    Two stages: every distinct member of the sampled subgraphs is encoded
+    once, in batches, then each target's GNN and heads run on its members'
+    rows. The rows equal ``model.embed_stock`` per target, bit for bit.
+
     A model without the residual path can emit an exactly-zero vector (its
     final ReLU saturates); such stocks collapse onto one shared fallback
     direction so cosine ranking stays defined.
     """
+    subs = [sample_subgraph(graph, sid, direction) for sid in ids]
+    members = sorted({m for sub in subs for m in model.text_members(sub)})
+    row_of = {m: i for i, m in enumerate(members)}
     rows = []
     zero_rows = 0
-    for sid in ids:
-        sub = sample_subgraph(graph, sid, direction)
-        recs = [records[m] for m in sub.members]
-        vec = model.embed_stock(sub, recs)
-        if not np.any(vec):
-            vec = np.full_like(vec, 1.0)
-            zero_rows += 1
-        rows.append(vec)
+    with no_grad():
+        text = model.text_stage([records[m] for m in members])
+        for sub in subs:
+            h_text = take_rows(text, [row_of[m] for m in model.text_members(sub)])
+            vec = model.graph_stage(h_text, sub).embedding.data
+            if not np.any(vec):
+                vec = np.full_like(vec, 1.0)
+                zero_rows += 1
+            rows.append(vec)
     if zero_rows:
         logger.debug("%d of %d embeddings were all-zero; using the shared fallback direction",
                      zero_rows, len(ids))

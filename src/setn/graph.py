@@ -17,6 +17,7 @@ from .autodiff import Tensor, _MASK_FILL
 from .errors import DataError, ShapeError
 
 SUBGRAPH_HOPS = 1  # sampling depth is fixed by design
+DIRECTIONS = ("in", "out")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +84,7 @@ def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgra
     """
     if not 0 <= target < g.n_nodes:
         raise DataError(f"target node {target} outside range [0, {g.n_nodes})")
-    if direction not in ("in", "out"):
+    if direction not in DIRECTIONS:
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
     if g.directed:
         neigh = set(g._in[target] if direction == "in" else g._out[target])

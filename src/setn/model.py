@@ -16,11 +16,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, LabelError
+from .errors import ContractError, DataError, LabelError
 from .graph import GnnParams, Subgraph, gat_layer, gcn_layer, init_gnn_params
 from .text import MAX_TOKENS, TextEncoder, Vocab, pool, tokenize
 
 GNN_KINDS = ("gcn", "gat", "none")
+
+# Token budget of one batch in the batched text stage: it bounds the batch's
+# activations whatever the sequence length. A longer sequence runs alone.
+TEXT_BATCH_TOKENS = 512
 
 
 @dataclass
@@ -92,25 +96,46 @@ class SetnModel:
         tokens = tokenize(record.text, self.vocab, max_tokens=self.max_tokens)
         return pool(self.encoder.encode(tokens, training), self.pooling)
 
-    def forward(self, sub: Subgraph, records: Sequence, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> ForwardResult:
-        """Run the full pipeline for the subgraph target.
+    def text_members(self, sub: Subgraph) -> tuple[int, ...]:
+        """The subgraph members whose texts the graph stage reads, target
+        first: all of them, or only the target without a GNN."""
+        return sub.members if self.gnn is not None else sub.members[:1]
 
-        ``records`` must align with ``sub.members`` (target first).
-        """
-        if len(records) != sub.size:
-            raise DataError(f"{len(records)} records for a subgraph of {sub.size} members")
-        for rec, member in zip(records, sub.members):
-            if rec.stock_id != member:
-                raise DataError(f"record {rec.stock_id} misaligned with subgraph member {member}")
+    def text_stage(self, records: Sequence, training: bool = False) -> Tensor:
+        """Tokenize, encode and pool: one text vector per record, [m, d].
 
-        target_text = self.encode_text(records[0], training)
-        if self.gnn_kind == "none":
+        Forward-only, so it runs under ``no_grad``; the rows are constants.
+        Records whose token sequences have one length are encoded together,
+        in batches of at most ``TEXT_BATCH_TOKENS`` tokens, and every row is
+        bit-identical to its own encoding. The batches pay off only where
+        token lengths repeat: texts of many distinct lengths encode one by
+        one."""
+        if ad.is_recording():
+            raise ContractError("text_stage is forward-only; call it under autodiff.no_grad()")
+        tokens = [tokenize(r.text, self.vocab, max_tokens=self.max_tokens) for r in records]
+        by_length: dict[int, list[int]] = {}
+        for i, seq in enumerate(tokens):
+            by_length.setdefault(len(seq), []).append(i)
+        out = np.empty((len(records), self.dim))
+        for length, rows in by_length.items():
+            step = max(1, TEXT_BATCH_TOKENS // length)
+            for lo in range(0, len(rows), step):
+                batch = rows[lo:lo + step]
+                h = self.encoder.encode([tokens[i] for i in batch], training)
+                out[batch] = pool(h, self.pooling).data
+        return Tensor(out)
+
+    def graph_stage(self, h_text: Tensor, sub: Subgraph, training: bool = False,
+                    rng: Optional[np.random.Generator] = None,
+                    target_text: Optional[Tensor] = None) -> ForwardResult:
+        """GNN over the text vectors of ``text_members(sub)`` (target row
+        first), residual fusion and both heads. ``target_text`` is the
+        target's own vector [d]; it defaults to row 0 of ``h_text``."""
+        if target_text is None:
+            target_text = ad.reshape(ad.take_rows(h_text, [0]), (self.dim,))
+        if self.gnn is None:
             h = target_text
         else:
-            rows = [target_text]
-            rows += [self.encode_text(r, training) for r in records[1:]]
-            h_text = ad.stack_rows(rows)
             layer = gcn_layer if self.gnn_kind == "gcn" else gat_layer
             h_gnn = layer(h_text, sub, self.gnn)
             target_gnn = ad.reshape(ad.take_rows(h_gnn, [0]), (self.dim,))
@@ -124,10 +149,30 @@ class SetnModel:
                               (self.n_industries,))
         return ForwardResult(embedding=h, logits_sector=logits_s, logits_industry=logits_i)
 
+    def forward(self, sub: Subgraph, records: Sequence, training: bool = False,
+                rng: Optional[np.random.Generator] = None) -> ForwardResult:
+        """Run the full pipeline for the subgraph target.
+
+        ``records`` must align with ``sub.members`` (target first).
+        """
+        if len(records) != sub.size:
+            raise DataError(f"{len(records)} records for a subgraph of {sub.size} members")
+        for rec, member in zip(records, sub.members):
+            if rec.stock_id != member:
+                raise DataError(f"record {rec.stock_id} misaligned with subgraph member {member}")
+        members = records[:len(self.text_members(sub))]
+        if not ad.is_recording():
+            return self.graph_stage(self.text_stage(members, training), sub, training, rng)
+        # A recorded pass encodes member by member, and the residual reads the
+        # target's own vector, not a row taken back out of the stack: backward
+        # then sums every gradient in the order seeded checkpoints were made.
+        rows = [self.encode_text(r, training) for r in members]
+        return self.graph_stage(ad.stack_rows(rows), sub, training, rng, target_text=rows[0])
+
     def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
         """Deterministic embedding vector [d] (dropout off)."""
-        result = self.forward(sub, records, training=False)
-        return result.embedding.data.copy()
+        with ad.no_grad():
+            return self.forward(sub, records, training=False).embedding.data.copy()
 
 
 def compute_loss(result: ForwardResult, sector_label: int, industry_label: int) -> Tensor:

@@ -23,6 +23,8 @@ UNK_ID = 1
 CLS_ID = 2
 NUM_RESERVED = 3
 MAX_TOKENS = 512
+POOLING_STRATEGIES = ("cls", "mean", "max")
+ENCODER_POLICIES = ("all", "last", "none")
 
 TokenSequence = list[int]
 
@@ -159,28 +161,53 @@ class TextEncoder:
     def depth(self) -> int:
         return len(self.blocks)
 
-    def encode(self, token_ids: Sequence[int], training: bool = False) -> Tensor:
-        """Per-token hidden states, shape [len, dim]."""
-        ids = list(token_ids)
-        if not ids:
-            raise DataError("cannot encode an empty token sequence")
-        if len(ids) > self.max_len:
-            raise DataError(f"sequence of {len(ids)} tokens exceeds max length {self.max_len}")
-        for i in ids:
-            if not 0 <= i < self.vocab_size:
-                raise DataError(f"token id {i} outside vocabulary of size {self.vocab_size}")
+    def encode(self, token_ids, training: bool = False) -> Tensor:
+        """Per-token hidden states: [len, dim] for one token sequence, or
+        [batch, len, dim] for a list of sequences of equal length. A batch
+        runs every block once, with the same arithmetic per sequence."""
+        ids = self._check_tokens(token_ids)
         cache = self._prefix_cache
-        start = 0 if cache is None else self._prefix_depth
-        h = None if cache is None else cache.get(tuple(ids))
-        if h is None:
-            h = ad.take_rows(self.token_emb, ids)
-            if self.blocks:
-                h = ad.add(h, ad.take_rows(self.pos_emb, range(len(ids))))
-            for block in self.blocks[:start]:
-                h = block.forward(h)
-            if cache is not None:
-                cache[tuple(ids)] = h
+        if cache is None:
+            start, h = 0, self._prefix(ids, 0)
+        else:
+            start = self._prefix_depth
+            keys = [tuple(seq) for seq in ids.reshape(-1, ids.shape[-1]).tolist()]
+            missing = [key for key in dict.fromkeys(keys) if key not in cache]
+            if missing:
+                # frozen layers only, so the cached states carry no graph
+                fresh = self._prefix(np.array(missing), start)
+                for key, state in zip(missing, fresh.data):
+                    cache[key] = Tensor(state)
+            h = (cache[keys[0]] if ids.ndim == 1
+                 else Tensor(np.stack([cache[key].data for key in keys])))
         for block in self.blocks[start:]:
+            h = block.forward(h)
+        return h
+
+    def _check_tokens(self, token_ids) -> np.ndarray:
+        """Token ids as an int array [len] or [batch, len], validated."""
+        seqs = list(token_ids)
+        batched = bool(seqs) and not isinstance(seqs[0], (int, np.integer))
+        rows = [list(seq) for seq in seqs] if batched else [seqs]
+        length = len(rows[0])
+        if any(len(row) != length for row in rows):
+            raise DataError("a batch of token sequences must share one length")
+        if length == 0:
+            raise DataError("cannot encode an empty token sequence")
+        if length > self.max_len:
+            raise DataError(f"sequence of {length} tokens exceeds max length {self.max_len}")
+        for row in rows:
+            for i in row:
+                if not 0 <= i < self.vocab_size:
+                    raise DataError(f"token id {i} outside vocabulary of size {self.vocab_size}")
+        return np.asarray(rows if batched else seqs, dtype=np.int64)
+
+    def _prefix(self, ids: np.ndarray, stop: int) -> Tensor:
+        """Embedded tokens run through blocks ``[0, stop)``."""
+        h = ad.take_rows(self.token_emb, ids)
+        if self.blocks:
+            h = ad.add(h, ad.take_rows(self.pos_emb, range(ids.shape[-1])))
+        for block in self.blocks[:stop]:
             h = block.forward(h)
         return h
 
@@ -208,19 +235,12 @@ class TextEncoder:
 
         The embedding tables follow 'all' only.
         """
-        if policy == "all":
-            flags = [True] * self.depth
-            emb = True
-        elif policy == "last":
-            if not self.blocks:
-                raise ValueError("policy 'last' needs at least one encoder block")
-            flags = [False] * (self.depth - 1) + [True]
-            emb = False
-        elif policy == "none":
-            flags = [False] * self.depth
-            emb = False
-        else:
+        if policy not in ENCODER_POLICIES:
             raise ValueError(f"unknown encoder training policy {policy!r}")
+        if policy == "last" and not self.blocks:
+            raise ValueError("policy 'last' needs at least one encoder block")
+        emb = policy == "all"
+        flags = [emb or (policy == "last" and i == self.depth - 1) for i in range(self.depth)]
         self.embeddings_trainable = emb
         self.token_emb.requires_grad = emb
         self.pos_emb.requires_grad = emb
@@ -239,13 +259,13 @@ class TextEncoder:
 
 
 def pool(h: Tensor, strategy: str) -> Tensor:
-    """Collapse per-token states [len, d] to a fixed vector [d]."""
-    if h.data.ndim != 2 or h.data.shape[0] == 0:
-        raise ContractError(f"pool needs a non-empty rank-2 input, got shape {h.data.shape}")
+    """Collapse per-token states [..., len, d] to fixed vectors [..., d]."""
+    if h.data.ndim < 2 or h.data.shape[-2] == 0:
+        raise ContractError(f"pool needs non-empty rows of rank 2 or more, got shape {h.data.shape}")
+    if strategy not in POOLING_STRATEGIES:
+        raise DataError(f"unknown pooling strategy {strategy!r}")
     if strategy == "cls":
-        return ad.reshape(ad.take_rows(h, [0]), (h.data.shape[1],))
+        return ad.reshape(ad.take_rows(h, [0], axis=-2), h.data.shape[:-2] + h.data.shape[-1:])
     if strategy == "mean":
         return ad.mean_rows(h)
-    if strategy == "max":
-        return ad.max_rows(h)
-    raise DataError(f"unknown pooling strategy {strategy!r}")
+    return ad.max_rows(h)

@@ -20,10 +20,10 @@ import numpy as np
 
 from .autodiff import Adam, backward
 from .data import StockRecord
-from .errors import CheckpointError, DataError, SetnError, TrainingError
-from .graph import StockGraph, sample_subgraph, to_undirected
-from .model import SetnModel, compute_loss
-from .text import Vocab
+from .errors import CheckpointError, DataError, NonFiniteError, TrainingError
+from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
+from .model import GNN_KINDS, SetnModel, compute_loss
+from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
 
 logger = logging.getLogger(__name__)
 
@@ -57,21 +57,69 @@ class TrainConfig:
     adam_eps: float = 1e-8
     neighbor_direction: str = "in"
 
+    def __post_init__(self):
+        """Reject a wrong type, a value out of range or an unknown choice,
+        naming the field."""
+        def fail(name: str, why: str):
+            raise DataError(f"config field {name!r}: {why}")
+
+        def number(value) -> bool:
+            return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+        for name in ("epochs", "hidden_dim", "encoder_depth", "seed", "max_tokens"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                fail(name, f"expected an integer, got {value!r}")
+        for name in ("learning_rate", "dropout", "adam_beta1", "adam_beta2", "adam_eps"):
+            value = getattr(self, name)
+            if not number(value) or not math.isfinite(value):
+                fail(name, f"expected a finite number, got {value!r}")
+        for name in ("residual", "directed"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                fail(name, f"expected true or false, got {value!r}")
+        for name, what, choices in (("pooling", "pooling strategy", POOLING_STRATEGIES),
+                                    ("gnn", "GNN kind", GNN_KINDS),
+                                    ("encoder_train", "encoder training policy", ENCODER_POLICIES),
+                                    ("neighbor_direction", "neighbor direction", DIRECTIONS)):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in choices:
+                fail(name, f"unknown {what} {value!r}; choose from {list(choices)}")
+        for name, ok, rule in (
+                ("epochs", self.epochs >= 1, "must be at least 1"),
+                ("hidden_dim", self.hidden_dim >= 1, "must be at least 1"),
+                ("encoder_depth", self.encoder_depth >= 0, "must be at least 0"),
+                ("seed", self.seed >= 0, "must be at least 0"),
+                ("max_tokens", self.max_tokens >= 1, "must be at least 1"),
+                ("learning_rate", self.learning_rate > 0, "must be positive"),
+                ("dropout", 0 <= self.dropout < 1, "dropout rate must be in [0, 1)"),
+                ("adam_beta1", 0 <= self.adam_beta1 < 1, "must be in [0, 1)"),
+                ("adam_beta2", 0 <= self.adam_beta2 < 1, "must be in [0, 1)"),
+                ("adam_eps", self.adam_eps > 0, "must be positive")):
+            if not ok:
+                fail(name, f"{rule}, got {getattr(self, name)!r}")
+        if self.encoder_train == "last" and self.encoder_depth == 0:
+            fail("encoder_train", "policy 'last' needs encoder_depth of at least 1")
+        props = self.proportions
+        if (not isinstance(props, (list, tuple)) or len(props) != 3
+                or not all(number(p) and p > 0 for p in props)
+                or abs(sum(props) - 1.0) > 1e-9):
+            fail("proportions", f"expected three positive numbers summing to 1, got {props!r}")
+        self.proportions = tuple(props)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["proportions"] = list(self.proportions)
         return d
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+    def from_dict(cls, obj) -> "TrainConfig":
+        if not isinstance(obj, dict):
+            raise DataError(f"config must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(obj)
-        if "proportions" in merged:
-            merged["proportions"] = tuple(merged["proportions"])
-        return cls(**merged)
+        return cls(**obj)
 
 
 @dataclass
@@ -168,9 +216,7 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                 try:
                     result = model.forward(sub, recs, training=True, rng=dropout_rng)
                     loss = compute_loss(result, records[target].sector, records[target].industry)
-                except SetnError:
-                    raise
-                except ValueError as exc:
+                except NonFiniteError as exc:
                     # overflow inside the forward pass surfaces as a finiteness error
                     raise TrainingError(f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
                 value = loss.item()

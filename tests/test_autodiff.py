@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from setn.autodiff import (Adam, Tensor, backward, cross_entropy,
-                           dropout, grad_check, grad_check_params, leaky_relu,
-                           linear, matmul, mean_rows, relu, softmax_rows,
-                           stack_rows, sum_all, take_rows)
+                           dropout, grad_check, grad_check_params, is_recording,
+                           layer_norm_rows, leaky_relu, linear, matmul, max_rows,
+                           mean_rows, mul, no_grad, relu, softmax_rows,
+                           stack_rows, sum_all, take_rows, transpose)
 from setn.errors import ContractError, DataError, LabelError, ShapeError
 
 
@@ -305,3 +306,89 @@ def test_grad_check_rejects_nondeterministic_function():
 
     with pytest.raises(ContractError):
         grad_check(noisy, x)
+
+
+# ---------------------------------------------------------------------------
+# leading batch axes
+
+
+def _probe(t):
+    """A scalar with a different upstream gradient for every entry of ``t``."""
+    weights = np.random.default_rng(0).normal(size=t.data.shape)
+    return sum_all(mul(t, Tensor(weights)))
+
+
+_rng = np.random.default_rng(21)
+_W = Tensor(_rng.normal(size=(4, 3)), requires_grad=True)
+_BIAS = Tensor(_rng.normal(size=3), requires_grad=True)
+_GAIN = Tensor(_rng.normal(size=4), requires_grad=True)
+_SHIFT = Tensor(_rng.normal(size=4), requires_grad=True)
+_OTHER = Tensor(_rng.normal(size=(2, 4, 5)), requires_grad=True)
+
+# name -> (op on one tensor, the parameters it reads besides its input)
+BATCHED_OPS = {
+    "matmul_shared": (lambda x: matmul(x, _W), [_W]),
+    "matmul_batched": (lambda x: matmul(x, _OTHER), [_OTHER]),
+    "linear": (lambda x: linear(x, _W, _BIAS), [_W, _BIAS]),
+    "transpose": (transpose, []),
+    "softmax_rows": (softmax_rows, []),
+    "layer_norm_rows": (lambda x: layer_norm_rows(x, _GAIN, _SHIFT), [_GAIN, _SHIFT]),
+    "mean_rows": (mean_rows, []),
+    "max_rows": (max_rows, []),
+    "take_rows_axis_-2": (lambda x: take_rows(x, [2, 0, 2], axis=-2), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_OPS))
+def test_rank3_ops_match_finite_differences(name):
+    op, params = BATCHED_OPS[name]
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)), requires_grad=True)
+    assert grad_check_params(lambda: _probe(op(x)), [x, *params]) < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_OPS))
+def test_rank3_ops_equal_their_rank2_slices(name):
+    op, _ = BATCHED_OPS[name]
+    x = np.random.default_rng(6).normal(size=(2, 3, 4))
+    batched = op(Tensor(x)).data
+    if name == "matmul_batched":
+        slices = [matmul(Tensor(x[i]), Tensor(_OTHER.data[i])).data for i in range(2)]
+    else:
+        slices = [op(Tensor(x[i])).data for i in range(2)]
+    assert np.array_equal(batched, np.stack(slices))
+
+
+def test_matmul_rejects_mismatched_batch_axes():
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+
+
+def test_no_grad_records_nothing_and_restores_after_exception():
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    with no_grad():
+        assert not is_recording()
+        out = relu(x)
+    assert not out.requires_grad and out._backward_fn is None
+    assert is_recording()
+    with pytest.raises(DataError):
+        with no_grad():
+            raise DataError("boom")
+    assert is_recording()
+    assert relu(x).requires_grad
+
+
+
+def test_no_grad_resumes_recording_only_when_the_last_context_exits():
+    # two contexts whose exits interleave, as when two threads embed at once
+    first, second = no_grad(), no_grad()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert not is_recording()
+    second.__exit__(None, None, None)
+    assert is_recording()
+    with no_grad():
+        with no_grad():
+            pass
+        assert not is_recording()
+    assert is_recording()

@@ -193,6 +193,12 @@ def test_gnn_kind_mismatch_on_eval(dataset_dir, checkpoint, capsys):
     ('{"dropout": 1.0}', "dropout rate must be in [0, 1)"),
     ('{bad', "malformed config JSON"),
     ('{"frozen_text_cache": true}', "unknown config keys"),
+    ('5', "config must be a JSON object"),
+    ('{"epochs": "x"}', "config field 'epochs': expected an integer"),
+    ('{"hidden_dim": 0}', "config field 'hidden_dim': must be at least 1"),
+    ('{"neighbor_direction": "sideways"}', "unknown neighbor direction 'sideways'"),
+    ('{"encoder_train": "most"}', "unknown encoder training policy 'most'"),
+    ('{"gnn": "gin"}', "unknown GNN kind 'gin'"),
 ])
 def test_bad_config_is_one_honest_error_line(dataset_dir, tmp_path, capsys,
                                              config_text, expected):
@@ -209,5 +215,6 @@ def test_bad_config_is_one_honest_error_line(dataset_dir, tmp_path, capsys,
     assert len(lines) == 1
     assert expected in lines[0]
     assert "non-finite" not in stderr
+    assert "Traceback" not in stderr
     if config_text == '{bad':
         assert str(config) in lines[0]

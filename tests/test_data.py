@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, StockRecord,
+from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, StockRecord, Taxonomy,
                        export_embeddings,
                        generate_synthetic, load_edges, load_embeddings,
                        load_nodes, load_themes, validate_taxonomy,
@@ -38,6 +39,35 @@ def test_taxonomy_accepts_normalized_aliases():
 def test_taxonomy_rejects_unknown_label():
     with pytest.raises(DataError):
         DEFAULT_TAXONOMY.industry_id("Spacecraft")
+
+
+def test_taxonomy_file_roundtrip(tmp_path):
+    path = tmp_path / "taxonomy.json"
+    DEFAULT_TAXONOMY.to_file(path)
+    loaded = Taxonomy.from_file(path)
+    assert loaded.sectors == DEFAULT_TAXONOMY.sectors
+    assert loaded.industry_to_sector == DEFAULT_TAXONOMY.industry_to_sector
+
+
+@pytest.mark.parametrize("content, expected", [
+    ('{"sectors": [', "malformed taxonomy JSON"),
+    ('["A"]', "expected a JSON object"),
+    ('{"sectors": ["A"], "industries": ["X"]}', "'industry_to_sector' missing"),
+    ('{"sectors": ["A"], "industries": "X", "industry_to_sector": {}}', "'industries' missing"),
+    ('{"sectors": ["A"], "industries": ["X"], "industry_to_sector": {"NoSuchIndustry": "A"}}',
+     "unknown industry 'NoSuchIndustry'"),
+    ('{"sectors": ["A"], "industries": ["X"], "industry_to_sector": {"X": "B"}}',
+     "unknown sector 'B'"),
+    ('{"sectors": ["A"], "industries": ["X", "Y"], "industry_to_sector": {"X": "A"}}',
+     "industries without a sector"),
+])
+def test_taxonomy_file_errors_name_the_path(tmp_path, content, expected):
+    path = tmp_path / "taxonomy.json"
+    path.write_text(content)
+    with pytest.raises(DataError) as exc:
+        Taxonomy.from_file(path)
+    assert str(path) in str(exc.value)
+    assert expected in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +218,23 @@ def test_generator_rejects_infeasible_specs():
         generate_synthetic(GeneratorSpec(sectors=5, industries=3))
 
 
+def test_generator_varied_lengths_truncate_the_fixed_length_universe():
+    base = GeneratorSpec(n=60, sectors=3, industries=5, vocab_size=80,
+                         tokens_per_doc=20, theme_count=4, seed=3)
+    fixed = generate_synthetic(base)
+    varied = generate_synthetic(dataclasses.replace(base, min_tokens_per_doc=4))
+    lengths = [len(r.text.split()) for r in varied.records]
+    assert min(lengths) >= 4 and max(lengths) <= 20 and len(set(lengths)) > 5
+    for a, b in zip(fixed.records, varied.records):
+        assert a.text.split()[:len(b.text.split())] == b.text.split()
+        assert (a.sector, a.industry) == (b.sector, b.industry)
+    assert fixed.graph.edges == varied.graph.edges
+    assert fixed.themes.themes == varied.themes.themes
+    for bad in (21, -1):
+        with pytest.raises(DataError, match="min_tokens_per_doc"):
+            generate_synthetic(dataclasses.replace(base, min_tokens_per_doc=bad))
+
+
 def test_pure_text_signal_supports_centroid_classifier():
     spec = GeneratorSpec(n=120, sectors=4, industries=6, vocab_size=200,
                          tokens_per_doc=16, text_signal=1.0, graph_signal=0.0,
@@ -290,6 +337,17 @@ def test_binary_roundtrip_within_float32(tmp_path):
     ids, loaded = load_embeddings(path)
     assert ids == ["S1", "S2", "S3", "S4"]
     assert np.max(np.abs(loaded - vectors)) < 1e-6  # float32 rounding
+
+
+def test_binary_truncated_anywhere_is_data_error(tmp_path):
+    path = tmp_path / "emb.bin"
+    export_embeddings(["S1", "S22"], np.ones((2, 3)), path, "binary")
+    blob = path.read_bytes()
+    # cut inside the shape, the vectors, an id length and an id's bytes
+    for cut in (6, 20, len(blob) - 6, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError, match="truncated"):
+            load_embeddings(path)
 
 
 def test_reimported_tsv_preserves_knn_ranking(tmp_path):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from setn.autodiff import grad_check_params
+from setn.autodiff import grad_check_params, no_grad
 from setn.data import StockRecord
-from setn.errors import DataError, LabelError
+from setn.errors import ContractError, DataError, LabelError
+from setn.evaluation import embed_universe
 from setn.graph import StockGraph, sample_subgraph
+from setn import model as model_module
 from setn.model import SetnModel, compute_loss
 from setn.text import Vocab
 
@@ -26,10 +28,11 @@ def make_records(n=5):
 
 
 def make_model(gnn="gcn", residual=True, depth=1, dim=6, seed=0, dropout=0.2,
-               encoder_train="last", n_sectors=3, n_industries=5):
+               encoder_train="last", n_sectors=3, n_industries=5, pooling="mean"):
     vocab = Vocab.build(TEXTS)
     return SetnModel(vocab, dim=dim, depth=depth, gnn=gnn, residual=residual,
-                     dropout=dropout, n_sectors=n_sectors, n_industries=n_industries,
+                     pooling=pooling, dropout=dropout,
+                     n_sectors=n_sectors, n_industries=n_industries,
                      max_tokens=16, encoder_train=encoder_train,
                      rng=np.random.default_rng(seed))
 
@@ -193,3 +196,55 @@ def test_frozen_text_cache_matches_uncached_path(chain):
         assert model.encoder._prefix_cache is None
         assert np.array_equal(cached, plain)
         assert np.array_equal(again, plain)
+
+
+WORDS = ("alpha", "beta", "gamma", "delta")
+# words per text; with the CLS id, 13 tokens exceed the 8-token budget below
+TEXT_LENGTHS = (0, 3, 3, 1, 12, 3, 2, 3, 3, 5, 3, 2)
+
+
+def _mixed_length_universe():
+    records = [StockRecord(i, f"S{i:04d}",
+                           " ".join(WORDS[(i + j) % 4] for j in range(length)), i % 3, i % 5)
+               for i, length in enumerate(TEXT_LENGTHS)]
+    edges = ((1, 0), (2, 0), (3, 0), (4, 0), (0, 5), (4, 5), (6, 5), (7, 8), (9, 8),
+             (10, 8), (11, 8), (2, 1), (5, 3), (8, 6), (11, 10))
+    return records, StockGraph(len(records), edges)
+
+
+@pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
+@pytest.mark.parametrize("pooling", ["mean", "max", "cls"])
+def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling):
+    monkeypatch.setattr(model_module, "TEXT_BATCH_TOKENS", 8)
+    records, graph = _mixed_length_universe()
+    ids = list(range(len(records)))
+    for policy in ("last", "none", "all"):
+        for residual in (True, False):
+            model = make_model(gnn=gnn, residual=residual, depth=2, encoder_train=policy,
+                               pooling=pooling)
+            emb = embed_universe(model, graph, records, ids)
+            for sid in ids:
+                sub = sample_subgraph(graph, sid)
+                recs = [records[m] for m in sub.members]
+                # recording on: the member-by-member path training takes
+                expected = model.forward(sub, recs).embedding.data
+                if not np.any(expected):
+                    expected = np.ones_like(expected)  # embed_universe's fallback
+                assert np.array_equal(emb.vectors[sid], expected), (policy, residual, sid)
+                assert np.array_equal(model.embed_stock(sub, recs),
+                                      model.forward(sub, recs).embedding.data)
+            with model.encoder.frozen_prefix_cache():
+                sub = sample_subgraph(graph, 0)
+                model.forward(sub, [records[m] for m in sub.members])  # fills part of it
+                cached = embed_universe(model, graph, records, ids)
+            assert np.array_equal(cached.vectors, emb.vectors), (policy, residual)
+
+
+def test_text_stage_is_forward_only():
+    records, _ = _mixed_length_universe()
+    model = make_model()
+    with pytest.raises(ContractError):
+        model.text_stage(records[:2])
+    with no_grad():
+        rows = model.text_stage(records[:2])
+    assert rows.shape == (2, model.dim) and not rows.requires_grad

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setn.autodiff import Adam, backward, sum_all
+from setn.autodiff import Adam, Tensor, backward, grad_check_params, mul, sum_all
 from setn.errors import ContractError, DataError
 from setn.text import (CLS_ID, UNK_ID, MAX_TOKENS, TextEncoder, Vocab, pool,
                        tokenize)
@@ -86,6 +86,12 @@ def test_encode_rejects_bad_ids_and_lengths():
         enc.encode([2, 99])
     with pytest.raises(DataError):
         enc.encode([2, 3, 4, 5, 6])
+    with pytest.raises(DataError):
+        enc.encode([[2, 3], [2, 3, 4]])
+    with pytest.raises(DataError):
+        enc.encode([[2, 3], [2, 99]])
+    with pytest.raises(DataError):
+        enc.encode([[], []])
 
 
 def test_encode_is_deterministic():
@@ -93,6 +99,40 @@ def test_encode_is_deterministic():
     a = enc.encode([2, 4, 6], training=False).data
     b = enc.encode([2, 4, 6], training=False).data
     assert np.array_equal(a, b)
+
+
+def test_encode_batch_equals_each_sequence():
+    enc = _encoder(depth=2)
+    seqs = [[2, 5, 7], [3, 3, 9], [2, 4, 6]]
+    batch = enc.encode(seqs).data
+    assert batch.shape == (3, 3, 6)
+    for row, seq in zip(batch, seqs):
+        assert np.array_equal(row, enc.encode(seq).data)
+
+
+def test_encode_batch_reads_and_fills_the_prefix_cache():
+    enc = _encoder(depth=2)
+    enc.set_trainable("last")
+    seqs = [[2, 5, 7], [3, 3, 9], [2, 5, 7]]
+    plain = [enc.encode(seq).data for seq in seqs]
+    with enc.frozen_prefix_cache():
+        enc.encode(seqs[1])  # cached by the one-sequence path
+        batch = enc.encode(seqs).data
+        assert set(enc._prefix_cache) == {tuple(seq) for seq in seqs}
+        again = enc.encode(seqs[0]).data  # cached by the batch
+    for row, expected in zip(batch, plain):
+        assert np.array_equal(row, expected)
+    assert np.array_equal(again, plain[0])
+
+
+def test_block_gradients_on_a_batch_match_finite_differences():
+    block = _encoder(depth=1, dim=4).blocks[0]
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 4)), requires_grad=True)
+    weights = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4)))
+    # the key bias shifts each row of scores by a constant, which softmax
+    # ignores: its true gradient is zero and only finite-difference noise is left
+    params = [x] + [p for name, p in block.named_params() if name != "attn_k_b"]
+    assert grad_check_params(lambda: sum_all(mul(block.forward(x), weights)), params) < 1e-6
 
 
 def test_frozen_block_gets_no_gradient():
@@ -118,6 +158,9 @@ def test_set_trainable_policies():
     enc.set_trainable("all")
     assert enc.trainable_flags() == [True, True]
     assert enc.token_emb.requires_grad
+
+    with pytest.raises(ValueError, match="most"):
+        enc.set_trainable("most")
 
 
 def test_set_trainable_last_requires_a_block():
@@ -170,6 +213,13 @@ def test_pool_mean_permutation_invariant_cls_not():
     swapped = Tensor([[3.0, 5.0], [1.0, 3.0]])
     assert np.array_equal(pool(h, "mean").data, pool(swapped, "mean").data)
     assert not np.array_equal(pool(h, "cls").data, pool(swapped, "cls").data)
+
+
+def test_pool_over_a_batch_pools_each_sequence():
+    h = np.random.default_rng(1).normal(size=(3, 4, 2))
+    for strategy in ("mean", "max", "cls"):
+        batched = pool(Tensor(h), strategy).data
+        assert np.array_equal(batched, np.stack([pool(Tensor(x), strategy).data for x in h]))
 
 
 def test_pool_rejects_empty_and_unknown():

@@ -134,20 +134,25 @@ def test_loss_reads_only_the_target_row():
 
 # Parameter digests after seeded training, recorded with an encoder that
 # recomputed every layer for every subgraph member; reusing frozen layers
-# must not change a bit.
+# must not change a bit. GAT reads the text rows twice and the residual reads
+# the target's vector a third time, so its digests also pin the order in which
+# backward sums those gradients.
 _TRAINED_DIGESTS = {
-    "last": "0233d59d90a2bf67e90687629698d6d0e48b0c74c52400e5752f329b2dcdefa9",
-    "none": "48bff8fceb56871693a97ba4ce1596e164f502d373d6bdd0486f5932d780e4e2",
-    "all": "70826c4534657cebac4f4cdab4dc72dfbcec8498b0fca1db6ebfcfe592da62d4",
+    ("gcn", "last"): "0233d59d90a2bf67e90687629698d6d0e48b0c74c52400e5752f329b2dcdefa9",
+    ("gcn", "none"): "48bff8fceb56871693a97ba4ce1596e164f502d373d6bdd0486f5932d780e4e2",
+    ("gcn", "all"): "70826c4534657cebac4f4cdab4dc72dfbcec8498b0fca1db6ebfcfe592da62d4",
+    ("gat", "last"): "fff87f17f39206c8ba246c45fe944a7f1523a91862bb626189bcf1bbd4c1ad37",
+    ("gat", "none"): "82d6879627871fe41635205dd3f6191baab9639917685d3af7ad7740421ea436",
+    ("gat", "all"): "aff04f5814899aff7fe59fa16c37362c400910b0ced7acaa6a642a3d4af7b174",
 }
 
 
 def test_frozen_text_cache_training_is_exact():
-    for policy, digest in _TRAINED_DIGESTS.items():
-        ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2,
+    for (gnn, policy), digest in _TRAINED_DIGESTS.items():
+        ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2, gnn=gnn,
                                                     encoder_train=policy, depth=2)
         train(model, ds.graph, ds.records, split, cfg)
-        assert _param_bytes(model) == digest, policy
+        assert _param_bytes(model) == digest, (gnn, policy)
 
 
 def _count_block0_calls(model):
@@ -176,8 +181,12 @@ def test_trainable_embeddings_run_block0_per_member_per_step():
     calls = _count_block0_calls(model)
     train(model, ds.graph, ds.records, split, cfg)
     g = prepare_graph(ds.graph, cfg)
-    per_epoch = sum(sample_subgraph(g, sid).size for sid in split.train + split.val)
-    assert len(calls) == cfg.epochs * per_epoch
+    steps = sum(sample_subgraph(g, sid).size for sid in split.train)
+    # validation encodes each distinct member once, one batch per token length
+    val_members = {m for sid in split.val for m in sample_subgraph(g, sid).members}
+    val_batches = len({len(tokenize(ds.records[m].text, vocab, cfg.max_tokens))
+                       for m in val_members})
+    assert len(calls) == cfg.epochs * (steps + val_batches)
 
 
 def test_no_prefix_cache_held_after_training_returns_or_raises():
@@ -241,6 +250,34 @@ def test_non_finite_loss_aborts_with_diagnostics():
 def test_config_rejects_unknown_keys():
     with pytest.raises(DataError):
         TrainConfig.from_dict({"epochs": 5, "warp_factor": 9})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", "x"), ("epochs", 0), ("epochs", 2.0), ("epochs", True),
+    ("hidden_dim", 0), ("encoder_depth", -1), ("seed", -1), ("max_tokens", 0),
+    ("learning_rate", 0.0), ("learning_rate", float("nan")), ("learning_rate", "fast"),
+    ("dropout", 1.0), ("dropout", -0.1), ("adam_beta1", 1.0), ("adam_beta2", -0.5),
+    ("adam_eps", 0.0), ("residual", 1), ("directed", "yes"),
+    ("pooling", "avg"), ("gnn", "gin"), ("encoder_train", "most"),
+    ("neighbor_direction", "sideways"), ("gnn", ["gcn"]),
+    ("proportions", 5), ("proportions", [0.5, 0.5]), ("proportions", [0.5, 0.5, 0.5]),
+    ("proportions", [0.7, 0.3, 0.0]),
+])
+def test_config_rejects_bad_values_naming_the_field(field, value):
+    with pytest.raises(DataError, match=f"config field '{field}'"):
+        TrainConfig.from_dict({field: value})
+
+
+def test_config_rejects_last_block_policy_without_blocks():
+    with pytest.raises(DataError, match="encoder_train"):
+        TrainConfig(encoder_depth=0, encoder_train="last")
+    TrainConfig(encoder_depth=0, encoder_train="all")
+
+
+def test_config_from_dict_rejects_non_objects():
+    for obj in (5, [1, 2], "epochs", None):
+        with pytest.raises(DataError, match="JSON object"):
+            TrainConfig.from_dict(obj)
 
 
 # ---------------------------------------------------------------------------
