@@ -69,6 +69,9 @@ def _parse_ks(text: str) -> list[int]:
         raise SetnError(f"--k expects a comma-separated integer list, got {text!r}")
     if not ks:
         raise SetnError("--k list is empty")
+    bad = [k for k in ks if k < 1]
+    if bad:
+        raise SetnError(f"--k values must be at least 1, got {bad[0]}")
     return ks
 
 
@@ -127,17 +130,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _eval_universe(args, config: TrainConfig, records):
-    split = split_dataset([r.stock_id for r in records], config.proportions, config.seed)
-    return split.test
+def _eval_universe(config: TrainConfig, records) -> list:
+    return split_dataset([r.stock_id for r in records], config.proportions, config.seed).test
 
 
 def _cmd_eval_map(args) -> int:
+    ks = _parse_ks(args.k)
     model, config = load_model(args.model, expected_gnn=args.gnn)
     records, _, graph, _ = _load_dataset(args, config)
     g = prepare_graph(graph, config)
-    test_ids = _eval_universe(args, config, records)
-    ks = _parse_ks(args.k)
+    test_ids = _eval_universe(config, records)
     metrics = ev.evaluate_map(model, g, records, test_ids, ks, config.neighbor_direction)
     payload = {
         "config": config.to_dict(),
@@ -154,7 +156,7 @@ def _cmd_eval_theme(args) -> int:
     model, config = load_model(args.model, expected_gnn=args.gnn)
     records, id_map, graph, _ = _load_dataset(args, config)
     g = prepare_graph(graph, config)
-    test_ids = _eval_universe(args, config, records)
+    test_ids = _eval_universe(config, records)
     themes = data_io.load_themes(args.themes, id_map, universe=test_ids,
                                  min_size=args.min_theme_size)
     if not len(themes):
@@ -201,11 +203,11 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    ks = _parse_ks(args.k)
     config = _resolve_config(args)
     records, id_map, graph, taxonomy = _load_dataset(args, config)
     dataset = data_io.Dataset(records, graph, data_io.ThemeSet({}), taxonomy)
     axes = [a.strip() for a in args.axes.split(",") if a.strip()]
-    ks = _parse_ks(args.k)
     rows = ev.run_ablation(dataset, config, axes, ks)
     _emit({"config": config.to_dict(), "axes": axes, "rows": rows},
           ev.format_map_table(rows))

@@ -30,6 +30,11 @@ AXIS_VALUES = {
 }
 
 
+# Ranking fills and ranks similarity rows this many bytes at a time, so it
+# never holds an n x n array.
+_RANK_BLOCK_BYTES = 1 << 20
+
+
 @dataclass
 class EmbeddingMatrix:
     """Stock ids paired with their embedding rows."""
@@ -53,8 +58,12 @@ class EmbeddingMatrix:
             raise DataError("non-finite embedding entries")
         self._index = {sid: i for i, sid in enumerate(self.ids)}
         self._unit = self.vectors / norms[:, None]
-        # stable id-ascending base order makes similarity ties deterministic
-        self._base = sorted(range(len(self.ids)), key=lambda i: self.ids[i])
+        # each row's place in ascending id order breaks similarity ties
+        self._id_rank = np.empty(len(self.ids), dtype=np.intp)
+        self._id_rank[sorted(range(len(self.ids)), key=lambda i: self.ids[i])] = \
+            np.arange(len(self.ids))
+        # nearest-neighbour rows of every row, widened on demand
+        self._prefix = np.empty((len(self.ids), 0), dtype=np.intp)
         self._ranked_cache: dict = {}
 
     def __len__(self) -> int:
@@ -65,20 +74,62 @@ class EmbeddingMatrix:
             raise DataError(f"unknown stock id {stock_id!r}")
         return self._index[stock_id]
 
-    def ranked_neighbors(self, stock_id) -> list:
-        """All other ids, most similar first, ties by ascending id.
+    def neighbor_rows(self, k: int, rows=None) -> np.ndarray:
+        """Rows of the k most similar other stocks of each given row (every
+        row by default), most similar first, ties by ascending id; k is
+        capped at n - 1.
 
-        Rankings are memoized; the matrix is immutable by convention.
+        A ranking of every row is cached and then serves any smaller k for
+        any rows; the matrix is immutable by convention.
         """
-        if stock_id in self._ranked_cache:
-            return self._ranked_cache[stock_id]
-        row = self.row_of(stock_id)
-        sims = self._unit @ self._unit[row]
-        base = [i for i in self._base if i != row]
-        order = np.argsort(-sims[base], kind="stable")
-        ranked = [self.ids[base[j]] for j in order]
-        self._ranked_cache[stock_id] = ranked
-        return ranked
+        k = min(k, len(self) - 1)
+        if k <= self._prefix.shape[1]:
+            top = self._prefix[:, :k]
+            return top if rows is None else top[rows]
+        if rows is not None:
+            return self._rank(np.asarray(rows, dtype=np.intp), k)
+        self._prefix = self._rank(np.arange(len(self)), k)
+        return self._prefix
+
+    def ranked_neighbors(self, stock_id) -> list:
+        """All other ids, most similar first, ties by ascending id (memoized)."""
+        if stock_id not in self._ranked_cache:
+            top = self.neighbor_rows(len(self) - 1, [self.row_of(stock_id)])[0]
+            self._ranked_cache[stock_id] = [self.ids[i] for i in top]
+        return self._ranked_cache[stock_id]
+
+    def _rank(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Top-k neighbour rows of the given rows, a block of rows at a time."""
+        n = len(self)
+        top = np.empty((len(rows), k), dtype=np.intp)
+        if k == 0:
+            return top
+        step = max(1, _RANK_BLOCK_BYTES // (8 * n))
+        block = np.empty((min(step, len(rows)), n))
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            sims = block[:len(chunk)]
+            for i, r in enumerate(chunk):
+                # one gemv per row gives the bits of unit @ unit[r]; a gemm
+                # over the block rounds differently and can flip near-ties
+                np.dot(self._unit, self._unit[r], out=sims[i])
+            sims[np.arange(len(chunk)), chunk] = -np.inf
+            top[start:start + len(chunk)] = _top_k(sims, k, self._id_rank)
+        return top
+
+
+def _top_k(sims: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
+    """Columns of each row's k largest entries, largest first, ties by id_rank."""
+    n = sims.shape[1]
+    cand = np.argpartition(sims, n - k, axis=1)[:, n - k:]
+    kth = sims[np.arange(len(sims)), cand[:, 0]]
+    cand_sims = np.take_along_axis(sims, cand, axis=1)
+    top = np.take_along_axis(cand, np.lexsort((id_rank[cand], -cand_sims), axis=1), axis=1)
+    # a row whose k-th value is tied beyond the partition ranks every tied column
+    for i in np.flatnonzero(np.count_nonzero(sims >= kth[:, None], axis=1) > k):
+        tied = np.flatnonzero(sims[i] >= kth[i])
+        top[i] = tied[np.lexsort((id_rank[tied], -sims[i, tied]))[:k]]
+    return top
 
 
 def cosine_knn(emb: EmbeddingMatrix, query_id, k: int) -> list:
@@ -87,7 +138,7 @@ def cosine_knn(emb: EmbeddingMatrix, query_id, k: int) -> list:
         raise ValueError(f"k={k} must be smaller than the universe size {len(emb)}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    return emb.ranked_neighbors(query_id)[:k]
+    return [emb.ids[i] for i in emb.neighbor_rows(k, [emb.row_of(query_id)])[0]]
 
 
 def average_precision_at_k(relevance: Sequence[int], total_relevant: int, k: int) -> float:
@@ -118,49 +169,64 @@ def average_precision_at_k(relevance: Sequence[int], total_relevant: int, k: int
 
 
 def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[int, float]:
-    """Mean AP@k over every stock in the universe; relevance = same label."""
+    """Mean AP@k over every stock in the universe; relevance = same label.
+
+    Computes what ``average_precision_at_k`` does for every query at once,
+    adding in the same order, so the values are bit-identical to that loop.
+    """
     for sid in emb.ids:
         if sid not in labels:
             raise DataError(f"missing label for stock id {sid!r}")
-    totals = {k: 0.0 for k in ks}
-    max_k = max(ks)
-    for sid in emb.ids:
-        label = labels[sid]
-        ranked = emb.ranked_neighbors(sid)
-        total_relevant = sum(1 for other in emb.ids if other != sid and labels[other] == label)
-        rel = [1 if labels[other] == label else 0 for other in ranked[:max_k]]
-        for k in ks:
-            totals[k] += average_precision_at_k(rel, total_relevant, k)
+    if min(ks) < 1:
+        raise ValueError(f"k must be at least 1, got {min(ks)}")
+    codes: dict = {}
+    code = np.array([codes.setdefault(labels[sid], len(codes)) for sid in emb.ids],
+                    dtype=np.intp)
+    relevant = np.bincount(code)[code] - 1
+    top = emb.neighbor_rows(max(ks))
+    rel = code[top] == code[:, None]
+    # running sums add one precision per relevant rank, in rank order
+    precision = np.where(rel, np.cumsum(rel, axis=1) / np.arange(1, top.shape[1] + 1), 0.0)
+    score = np.cumsum(np.concatenate([np.zeros((len(emb), 1)), precision], axis=1), axis=1)
     n = len(emb)
-    return {k: totals[k] / n for k in ks}
+    result = {}
+    for k in ks:
+        ap = np.where(relevant > 0,
+                      score[:, min(k, top.shape[1])] / np.minimum(k, np.maximum(relevant, 1)),
+                      0.0)
+        result[k] = float(np.cumsum(ap)[-1]) / n  # summed in query order
+    return result
 
 
-def theme_metric(emb: EmbeddingMatrix, themes: ThemeSet,
-                 exclude_self: bool = True) -> tuple[float, dict[str, float]]:
+def theme_metric(emb: EmbeddingMatrix, themes: ThemeSet) -> tuple[float, dict[str, float]]:
     """Fraction of each member's size-of-theme nearest stocks that share its
     theme, averaged per theme and over themes.
 
-    With the query excluded from retrieval a perfectly clustered theme of m
-    members tops out at (m - 1) / m.
+    The query is excluded from retrieval, so a perfectly clustered theme of
+    m members tops out at (m - 1) / m.
     """
-    per_theme: dict[str, float] = {}
+    theme_rows = []
     for name, members in themes.items():
-        m = len(members)
-        if m < 2:
+        if len(members) < 2:
             raise DataError(f"theme {name!r} needs at least 2 members")
-        member_set = set(members)
         missing = [sid for sid in members if sid not in emb._index]
         if missing:
             raise DataError(f"theme {name!r} members missing from embeddings: {missing}")
-        hits = 0
-        for sid in members:
-            if exclude_self:
-                retrieved = emb.ranked_neighbors(sid)[:m]
-            else:
-                retrieved = [sid] + emb.ranked_neighbors(sid)[:m - 1]
-            hits += sum(1 for r in retrieved if r in member_set and r != sid)
-        per_theme[name] = hits / (m * m)
-    overall = float(np.mean(list(per_theme.values()))) if per_theme else 0.0
+        theme_rows.append((name, np.array([emb.row_of(sid) for sid in members])))
+    if not theme_rows:
+        return 0.0, {}
+    top = emb.neighbor_rows(max(len(rows) for _, rows in theme_rows),
+                            np.concatenate([rows for _, rows in theme_rows]))
+    per_theme: dict[str, float] = {}
+    is_member = np.zeros(len(emb), dtype=bool)
+    start = 0
+    for name, rows in theme_rows:
+        m = len(rows)
+        is_member[rows] = True
+        per_theme[name] = np.count_nonzero(is_member[top[start:start + m, :m]]) / (m * m)
+        is_member[rows] = False
+        start += m
+    overall = float(np.mean(list(per_theme.values())))
     return overall, per_theme
 
 

@@ -165,6 +165,27 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "error" in stderr.lower()
 
 
+@pytest.mark.parametrize("command, k, bad", [
+    ("eval-map", "0", "0"),
+    ("eval-map", "3,-1", "-1"),
+    ("ablate", "5,0", "0"),
+])
+def test_k_below_one_is_one_error_line_before_any_model_work(tmp_path, capsys,
+                                                             command, k, bad):
+    # none of the files exist: the --k check must come first to be reported
+    extra = (["--model", str(tmp_path / "missing.setn")] if command == "eval-map"
+             else ["--axes", "residual"])
+    code, _, stderr = run_cli(
+        capsys, command, *extra,
+        "--nodes", str(tmp_path / "missing.jsonl"),
+        "--edges", str(tmp_path / "missing.tsv"),
+        "--k", k)
+    assert code == 1
+    lines = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert lines == [f"error: --k values must be at least 1, got {bad}"]
+    assert "Traceback" not in stderr
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from setn import evaluation
 from setn.data import GeneratorSpec, ThemeSet, generate_synthetic
 from setn.errors import DataError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k,
@@ -47,6 +49,15 @@ def brute_map(ids, vectors, labels, k):
         relevant = sum(1 for other in ids if other != q and labels[other] == labels[q])
         total += brute_ap(rel, relevant, k)
     return total / len(ids)
+
+
+def brute_theme(ids, vectors, themes):
+    per_theme = {}
+    for name, members in themes.items():
+        m = len(members)
+        hits = sum(1 for q in members for r in brute_knn(ids, vectors, q, m) if r in members)
+        per_theme[name] = hits / (m * m)
+    return per_theme
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +262,105 @@ def test_theme_metric_missing_member_is_error():
         theme_metric(emb, ThemeSet({"t": (0, 99)}))
 
 
-def test_theme_metric_include_self_variant():
-    rng = np.random.default_rng(8)
-    m, n = 6, 50
-    vectors = rng.normal(size=(n, 4))
-    direction = rng.normal(size=4)
-    for i in range(m):
-        vectors[i] = direction + rng.normal(scale=1e-3, size=4)
-    emb = EmbeddingMatrix(list(range(n)), vectors)
-    _, per_theme = theme_metric(emb, ThemeSet({"t": tuple(range(m))}), exclude_self=False)
-    # retrieval keeps the query itself, which never counts as a hit, so the
-    # ceiling drops to (m - 1) / m as well but via a different route
-    assert per_theme["t"] == pytest.approx((m - 1) / m)
+# ---------------------------------------------------------------------------
+# blocked ranking against the oracles
+
+
+def _tied_universe(rng, n, d, duplicates, fallbacks):
+    """Random rows where some rows copy others and some are the all-ones
+    fallback direction, so exact similarity ties are common."""
+    vectors = rng.normal(size=(n, d))
+    for _ in range(duplicates):
+        vectors[rng.integers(n)] = vectors[rng.integers(n)]
+    vectors[rng.choice(n, size=min(fallbacks, n), replace=False)] = 1.0
+    return vectors
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), d=st.integers(1, 5), duplicates=st.integers(0, 12),
+       fallbacks=st.integers(0, 6), string_labels=st.booleans(),
+       n_labels=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       ks=st.lists(st.integers(1, 45), min_size=1, max_size=3, unique=True))
+def test_blocked_ranking_matches_brute_force_oracles(n, d, duplicates, fallbacks,
+                                                     string_labels, n_labels, seed, ks):
+    rng = np.random.default_rng(seed)
+    vectors = _tied_universe(rng, n, d, duplicates, fallbacks)
+    ids = [int(i) for i in rng.permutation(3 * n)[:n]]
+    labels = {sid: int(rng.integers(n_labels)) for sid in ids}
+    if string_labels:
+        labels = {sid: f"label-{v}" for sid, v in labels.items()}
+    emb = EmbeddingMatrix(ids, vectors)
+    got = map_at_k(emb, labels, ks)
+    for k in ks:
+        assert abs(got[k] - brute_map(ids, vectors, labels, k)) < 1e-12
+    for q in ids:
+        for k in {0, min(3, n - 1), n - 1}:
+            assert cosine_knn(emb, q, k) == brute_knn(ids, vectors, q, k)
+    if n >= 2:
+        themes = ThemeSet({"a": tuple(ids[:max(2, n // 2)]), "b": tuple(ids[-2:])})
+        expected = brute_theme(ids, vectors, themes)
+        # served by the cached prefix of map_at_k and ranked afresh
+        assert theme_metric(emb, themes)[1] == expected
+        assert theme_metric(EmbeddingMatrix(ids, vectors), themes)[1] == expected
+
+
+def _per_query_map(ids, vectors, labels, ks):
+    """The per-query MAP@K this module computed before ranking in blocks:
+    a stable argsort over id-ascending rows, then AP by a Python loop."""
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    base_order = sorted(range(len(ids)), key=lambda i: ids[i])
+    rankings = []
+    totals = {k: 0.0 for k in ks}
+    for row, sid in enumerate(ids):
+        sims = unit @ unit[row]
+        base = [i for i in base_order if i != row]
+        ranked = [ids[base[j]] for j in np.argsort(-sims[base], kind="stable")]
+        rankings.append(ranked)
+        total_relevant = sum(1 for other in ids if other != sid and labels[other] == labels[sid])
+        rel = [1 if labels[other] == labels[sid] else 0 for other in ranked[:max(ks)]]
+        for k in ks:
+            totals[k] += average_precision_at_k(rel, total_relevant, k)
+    return {k: totals[k] / len(ids) for k in ks}, rankings
+
+
+def test_blocked_map_equals_per_query_map_exactly():
+    n = 600
+    step = evaluation._RANK_BLOCK_BYTES // (8 * n)
+    assert 1 < step < n and n % step, "want several blocks and a ragged last one"
+    rng = np.random.default_rng(11)
+    vectors = _tied_universe(rng, n, 16, duplicates=120, fallbacks=20)
+    # near-copies whose similarities differ only in the last bits, so the
+    # ranking must round exactly as the per-query product did
+    for row in rng.choice(n, size=120, replace=False):
+        vectors[row] = vectors[rng.integers(n)] * (1 + 1e-15 * rng.normal(size=16))
+    ids = [int(i) for i in rng.permutation(5 * n)[:n]]
+    sectors = {sid: int(rng.integers(17)) for sid in ids}
+    industries = {sid: f"industry-{rng.integers(33)}" for sid in ids}
+    emb = EmbeddingMatrix(ids, vectors)
+    for labels in (sectors, industries):
+        expected, rankings = _per_query_map(ids, vectors, labels, (5, 10, 50))
+        assert map_at_k(emb, labels, (5, 10, 50)) == expected
+    top = emb.neighbor_rows(50)
+    assert [[ids[i] for i in row] for row in top] == [ranked[:50] for ranked in rankings]
+
+
+def test_ranked_neighbors_lists_every_other_id_after_a_short_prefix_is_cached():
+    rng = np.random.default_rng(12)
+    n = 30
+    vectors = _tied_universe(rng, n, 4, duplicates=5, fallbacks=3)
+    ids = list(range(n))
+    emb = EmbeddingMatrix(ids, vectors)
+    map_at_k(emb, {i: i % 3 for i in ids}, ks=(5,))
+    for q in ids:
+        assert emb.ranked_neighbors(q) == brute_knn(ids, vectors, q, n - 1)
+
+
+def test_map_rejects_k_below_one():
+    emb = EmbeddingMatrix([0, 1], np.eye(2))
+    with pytest.raises(ValueError):
+        map_at_k(emb, {0: "A", 1: "A"}, ks=(0,))
+    with pytest.raises(ValueError):
+        map_at_k(emb, {0: "A", 1: "A"}, ks=(3, -1))
 
 
 # ---------------------------------------------------------------------------
