@@ -12,25 +12,35 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import data as data_io
 from . import evaluation as ev
-from .errors import DataError, SetnError
-from .text import Vocab
-from .training import (TrainConfig, build_model, load_model, prepare_graph,
-                       save_model, split_dataset, train)
+from .errors import DataError, SetnError, open_text
+from .model import GNN_KINDS
+from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
+from .training import (AXIS_VALUES, TrainConfig, ablation_axes, build_model,
+                       load_model, prepare_graph, run_ablation, save_model,
+                       split_records, train)
 
 logger = logging.getLogger("setn")
 
-_FLAG_TO_FIELD = {
-    "seed": "seed",
-    "gnn": "gnn",
-    "pooling": "pooling",
-    "encoder_train": "encoder_train",
+# Each config flag: the TrainConfig field it sets and the value of each of
+# its choices; a flag without choices takes an integer as given.
+_CONFIG_FLAGS = {
+    "seed": ("seed", None),
+    "gnn": ("gnn", {kind: kind for kind in GNN_KINDS}),
+    "residual": ("residual", {"on": True, "off": False}),
+    "graph": ("directed", {"directed": True, "undirected": False}),
+    "encoder-train": ("encoder_train", {policy: policy for policy in ENCODER_POLICIES}),
+    "pooling": ("pooling", {strategy: strategy for strategy in POOLING_STRATEGIES}),
 }
+
+# One synth flag per GeneratorSpec field, except the text-length spread,
+# which only library callers set
+_SYNTH_FIELDS = [f for f in fields(data_io.GeneratorSpec) if f.name != "min_tokens_per_doc"]
 
 
 def _setup_logging() -> None:
@@ -43,23 +53,17 @@ def _setup_logging() -> None:
 def _resolve_config(args) -> TrainConfig:
     """Config-file keys under flag overrides under dataclass defaults."""
     config = TrainConfig()
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
+    if args.config:
+        with open_text(args.config) as fh:
             try:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{args.config}: malformed config JSON: {exc}") from exc
         config = TrainConfig.from_dict(obj)
-    overrides = {}
-    for flag, fld in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[fld] = value
-    if getattr(args, "residual", None) is not None:
-        overrides["residual"] = args.residual == "on"
-    if getattr(args, "graph", None) is not None:
-        overrides["directed"] = args.graph == "directed"
-    return replace(config, **overrides) if overrides else config
+    return replace(config, **{
+        field: value if labels is None else labels[value]
+        for field, labels in _CONFIG_FLAGS.values()
+        if (value := getattr(args, field)) is not None})
 
 
 def _parse_ks(text: str) -> list[int]:
@@ -85,11 +89,19 @@ def _resolve_taxonomy(args) -> data_io.Taxonomy:
     return data_io.DEFAULT_TAXONOMY
 
 
-def _load_dataset(args, config: TrainConfig):
+def _load_dataset(args):
     taxonomy = _resolve_taxonomy(args)
     records, id_map = data_io.load_nodes(args.nodes, taxonomy)
     graph = data_io.load_edges(args.edges, len(records))
     return records, id_map, graph, taxonomy
+
+
+def _load_for_eval(args):
+    """The checkpoint, then the dataset with its graph prepared as the
+    checkpoint was trained."""
+    model, config = load_model(args.model, expected_gnn=args.gnn)
+    records, id_map, graph, _ = _load_dataset(args)
+    return model, config, records, id_map, prepare_graph(graph, config)
 
 
 def _emit(payload: dict, table: str | None = None) -> None:
@@ -99,13 +111,7 @@ def _emit(payload: dict, table: str | None = None) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec = data_io.GeneratorSpec(
-        n=args.n, sectors=args.sectors, industries=args.industries,
-        vocab_size=args.vocab_size, tokens_per_doc=args.tokens_per_doc,
-        avg_degree=args.avg_degree, graph_signal=args.graph_signal,
-        direction_signal=args.direction_signal, text_signal=args.text_signal,
-        theme_count=args.theme_count, seed=args.seed if args.seed is not None else 0,
-    )
+    spec = data_io.GeneratorSpec(**{f.name: getattr(args, f.name) for f in _SYNTH_FIELDS})
     dataset = data_io.generate_synthetic(spec)
     files = data_io.write_dataset(dataset, args.out)
     _emit({"config": spec.__dict__, "files": files, "out": args.out})
@@ -114,32 +120,24 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _resolve_config(args)
-    records, _, graph, taxonomy = _load_dataset(args, config)
+    records, _, graph, taxonomy = _load_dataset(args)
     if args.vocab:
         vocab = Vocab.from_file(args.vocab)
     else:
         vocab = Vocab.build(r.text for r in records)
-    n_sectors = taxonomy.n_sectors
-    n_industries = taxonomy.n_industries
-    split = split_dataset([r.stock_id for r in records], config.proportions, config.seed)
-    model = build_model(config, vocab, n_sectors=n_sectors, n_industries=n_industries)
-    history = train(model, graph, records, split, config,
+    model = build_model(config, vocab, n_sectors=taxonomy.n_sectors,
+                        n_industries=taxonomy.n_industries)
+    history = train(model, graph, records, split_records(records, config), config,
                     log_stream=sys.stderr if logger.isEnabledFor(logging.INFO) else None)
     save_model(model, args.out, config)
     _emit({"config": config.to_dict(), "checkpoint": args.out, "epochs": history})
     return 0
 
 
-def _eval_universe(config: TrainConfig, records) -> list:
-    return split_dataset([r.stock_id for r in records], config.proportions, config.seed).test
-
-
 def _cmd_eval_map(args) -> int:
     ks = _parse_ks(args.k)
-    model, config = load_model(args.model, expected_gnn=args.gnn)
-    records, _, graph, _ = _load_dataset(args, config)
-    g = prepare_graph(graph, config)
-    test_ids = _eval_universe(config, records)
+    model, config, records, _, g = _load_for_eval(args)
+    test_ids = split_records(records, config).test
     metrics = ev.evaluate_map(model, g, records, test_ids, ks, config.neighbor_direction)
     payload = {
         "config": config.to_dict(),
@@ -153,10 +151,8 @@ def _cmd_eval_map(args) -> int:
 
 
 def _cmd_eval_theme(args) -> int:
-    model, config = load_model(args.model, expected_gnn=args.gnn)
-    records, id_map, graph, _ = _load_dataset(args, config)
-    g = prepare_graph(graph, config)
-    test_ids = _eval_universe(config, records)
+    model, config, records, id_map, g = _load_for_eval(args)
+    test_ids = split_records(records, config).test
     themes = data_io.load_themes(args.themes, id_map, universe=test_ids,
                                  min_size=args.min_theme_size)
     if not len(themes):
@@ -186,14 +182,11 @@ def _cmd_eval_theme(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    model, config = load_model(args.model, expected_gnn=args.gnn)
-    records, _, graph, _ = _load_dataset(args, config)
-    g = prepare_graph(graph, config)
+    model, config, records, _, g = _load_for_eval(args)
     if args.split == "all":
         ids = [r.stock_id for r in records]
     else:
-        split = split_dataset([r.stock_id for r in records], config.proportions, config.seed)
-        ids = getattr(split, args.split)
+        ids = getattr(split_records(records, config), args.split)
     emb = ev.embed_universe(model, g, records, ids, config.neighbor_direction)
     tickers = {r.stock_id: r.ticker for r in records}
     data_io.export_embeddings([tickers[i] for i in emb.ids], emb.vectors, args.out, args.format)
@@ -204,11 +197,11 @@ def _cmd_embed(args) -> int:
 
 def _cmd_ablate(args) -> int:
     ks = _parse_ks(args.k)
+    axes = ablation_axes(a.strip() for a in args.axes.split(",") if a.strip())
     config = _resolve_config(args)
-    records, id_map, graph, taxonomy = _load_dataset(args, config)
+    records, _, graph, taxonomy = _load_dataset(args)
     dataset = data_io.Dataset(records, graph, data_io.ThemeSet({}), taxonomy)
-    axes = [a.strip() for a in args.axes.split(",") if a.strip()]
-    rows = ev.run_ablation(dataset, config, axes, ks)
+    rows = run_ablation(dataset, config, axes, ks)
     _emit({"config": config.to_dict(), "axes": axes, "rows": rows},
           ev.format_map_table(rows))
     return 0
@@ -216,13 +209,11 @@ def _cmd_ablate(args) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring the training settings")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--gnn", choices=["gcn", "gat", "none"], default=None)
-    p.add_argument("--residual", choices=["on", "off"], default=None)
-    p.add_argument("--graph", choices=["directed", "undirected"], default=None)
-    p.add_argument("--encoder-train", dest="encoder_train",
-                   choices=["all", "last", "none"], default=None)
-    p.add_argument("--pooling", choices=["cls", "mean", "max"], default=None)
+    for flag, (field, labels) in _CONFIG_FLAGS.items():
+        if labels is None:
+            p.add_argument(f"--{flag}", dest=field, type=int)
+        else:
+            p.add_argument(f"--{flag}", dest=field, choices=list(labels))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,67 +221,48 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Stock embeddings from text and relation graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--nodes", required=True)
+    dataset.add_argument("--edges", required=True)
+    dataset.add_argument("--taxonomy",
+                         help="taxonomy JSON (default: taxonomy.json beside nodes, else built-in)")
+    checkpoint = argparse.ArgumentParser(add_help=False, parents=[dataset])
+    checkpoint.add_argument("--model", required=True)
+    checkpoint.add_argument("--gnn", choices=GNN_KINDS, help="assert the checkpoint's GNN kind")
+
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--sectors", type=int, default=17)
-    p.add_argument("--industries", type=int, default=33)
-    p.add_argument("--vocab-size", type=int, default=400)
-    p.add_argument("--tokens-per-doc", type=int, default=24)
-    p.add_argument("--avg-degree", type=int, default=6)
-    p.add_argument("--graph-signal", type=float, default=0.6)
-    p.add_argument("--direction-signal", type=float, default=0.0)
-    p.add_argument("--text-signal", type=float, default=0.6)
-    p.add_argument("--theme-count", type=int, default=8)
+    for f in _SYNTH_FIELDS:
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="fit a model and write a checkpoint")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--taxonomy", help="taxonomy JSON (default: taxonomy.json beside nodes, else built-in)")
+    p = sub.add_parser("train", parents=[dataset], help="fit a model and write a checkpoint")
     p.add_argument("--vocab")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval-map", help="related-company MAP@K on the test split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--taxonomy")
+    p = sub.add_parser("eval-map", parents=[checkpoint],
+                       help="related-company MAP@K on the test split")
     p.add_argument("--k", default="5,10,50")
-    p.add_argument("--gnn", choices=["gcn", "gat", "none"], default=None,
-                   help="assert the checkpoint's GNN kind")
     p.set_defaults(func=_cmd_eval_map)
 
-    p = sub.add_parser("eval-theme", help="thematic-fund metric on the test split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
+    p = sub.add_parser("eval-theme", parents=[checkpoint],
+                       help="thematic-fund metric on the test split")
     p.add_argument("--themes", required=True)
-    p.add_argument("--taxonomy")
     p.add_argument("--min-theme-size", type=int, default=16)
-    p.add_argument("--gnn", choices=["gcn", "gat", "none"], default=None)
     p.set_defaults(func=_cmd_eval_theme)
 
-    p = sub.add_parser("embed", help="export stock embeddings")
-    p.add_argument("--model", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--taxonomy")
+    p = sub.add_parser("embed", parents=[checkpoint], help="export stock embeddings")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["tsv", "binary"], default="tsv")
     p.add_argument("--split", choices=["all", "train", "val", "test"], default="all")
-    p.add_argument("--gnn", choices=["gcn", "gat", "none"], default=None)
     p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("ablate", help="train and evaluate a configuration grid")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--taxonomy")
+    p = sub.add_parser("ablate", parents=[dataset],
+                       help="train and evaluate a configuration grid")
     p.add_argument("--axes", required=True,
-                   help="comma list from graph_type,encoder_policy,gnn_kind,residual")
+                   help=f"comma list from {','.join(AXIS_VALUES)}")
     p.add_argument("--k", default="5,10,50")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_ablate)
@@ -304,10 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SetnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SetnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .graph import StockGraph
 from .text import Vocab
 
@@ -151,7 +151,7 @@ class Taxonomy:
     def from_file(cls, path) -> "Taxonomy":
         """JSON with "sectors", "industries" and "industry_to_sector"
         (industry name to sector name)."""
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             try:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -207,7 +207,7 @@ class ThemeSet:
 
 
 def _iter_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -267,7 +267,7 @@ def load_edges(path, n_nodes: int) -> StockGraph:
     edges: list[tuple[int, int]] = []
     seen = set()
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -562,9 +562,12 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
                 token = fh.read(length)
                 if len(token) != length:
                     raise DataError(f"{path}: truncated id table at id {i} of {n}")
-                ids.append(_parse_id(token.decode("utf-8")))
+                try:
+                    ids.append(_parse_id(token.decode("utf-8")))
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}: id {i} is not UTF-8 ({exc.reason})") from exc
             return ids, vectors
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         m = re.fullmatch(r"id\tdim=(\d+)", header)
         if not m:

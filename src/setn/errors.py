@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that reports undecodable input as one of them."""
+
+from contextlib import contextmanager
 
 
 class SetnError(Exception):
@@ -31,3 +34,14 @@ class CheckpointError(SetnError, RuntimeError):
 
 class TrainingError(SetnError, RuntimeError):
     """Training aborted, e.g. on a non-finite loss."""
+
+
+@contextmanager
+def open_text(path):
+    """``open(path)`` for reading UTF-8 text; a byte sequence that is not
+    UTF-8 raises DataError naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -1,5 +1,5 @@
 """Retrieval evaluation: related-company MAP@K, the thematic-fund metric,
-and the ablation grid runner.
+and the table that renders their rows.
 
 All metrics are pure functions over an immutable embedding matrix. Nearest
 neighbors use cosine similarity with the query excluded and ties broken by
@@ -9,26 +9,17 @@ ascending stock id.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import no_grad, take_rows
-from .data import Dataset, StockRecord, ThemeSet
+from .data import StockRecord, ThemeSet
 from .errors import DataError
 from .graph import StockGraph, sample_subgraph
 
 logger = logging.getLogger(__name__)
-
-AXIS_VALUES = {
-    "graph_type": ("directed", "undirected"),
-    "encoder_policy": ("last", "none"),
-    "gnn_kind": ("gcn", "gat"),
-    "residual": (True, False),
-}
-
 
 # Ranking fills and ranks similarity rows this many bytes at a time, so it
 # never holds an n x n array.
@@ -48,6 +39,8 @@ class EmbeddingMatrix:
             raise DataError(f"expected [n, d] embeddings, got shape {self.vectors.shape}")
         if len(self.ids) != self.vectors.shape[0]:
             raise DataError(f"{len(self.ids)} ids for {self.vectors.shape[0]} rows")
+        if not len(self.ids):
+            raise DataError("embedding matrix has no rows")
         if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate stock ids in embedding matrix")
         norms = np.linalg.norm(self.vectors, axis=1)
@@ -278,58 +271,6 @@ def evaluate_map(model, graph: StockGraph, records: Sequence[StockRecord],
         "topix17": map_at_k(emb, sector_labels, ks),
         "topix33": map_at_k(emb, industry_labels, ks),
     }
-
-
-def run_ablation(dataset: Dataset, base_config, axes: Sequence[str],
-                 ks: Sequence[int] = (5, 10, 50)) -> list[dict]:
-    """Train one model per configuration cell (shared seed and split) and
-    report test MAP@k for both taxonomies, one row per cell."""
-    from .training import build_model, prepare_graph, split_dataset, train
-    from .text import Vocab
-    from .errors import SetnError
-
-    axes = list(axes)
-    if not axes:
-        raise ValueError("ablation needs at least one axis")
-    for axis in axes:
-        if axis not in AXIS_VALUES:
-            raise ValueError(f"unknown ablation axis {axis!r}; choose from {sorted(AXIS_VALUES)}")
-
-    records = dataset.records
-    vocab = Vocab.build(r.text for r in records)
-    ids = [r.stock_id for r in records]
-    split = split_dataset(ids, base_config.proportions, base_config.seed)
-
-    rows = []
-    for values in product(*(AXIS_VALUES[a] for a in axes)):
-        overrides = {}
-        cell = {}
-        for axis, value in zip(axes, values):
-            cell[axis] = value
-            if axis == "graph_type":
-                overrides["directed"] = value == "directed"
-            elif axis == "encoder_policy":
-                overrides["encoder_train"] = value
-            elif axis == "gnn_kind":
-                overrides["gnn"] = value
-            elif axis == "residual":
-                overrides["residual"] = value
-        config = replace(base_config, **overrides)
-        row = dict(cell)
-        try:
-            model = build_model(config, vocab,
-                                n_sectors=dataset.taxonomy.n_sectors,
-                                n_industries=dataset.taxonomy.n_industries)
-            train(model, dataset.graph, records, split, config)
-            g = prepare_graph(dataset.graph, config)
-            metrics = evaluate_map(model, g, records, split.test, ks,
-                                   direction=config.neighbor_direction)
-            row["topix17"] = {f"map@{k}": v for k, v in metrics["topix17"].items()}
-            row["topix33"] = {f"map@{k}": v for k, v in metrics["topix33"].items()}
-        except SetnError as exc:
-            row["error"] = str(exc)
-        rows.append(row)
-    return rows
 
 
 def format_map_table(rows: list[dict]) -> str:

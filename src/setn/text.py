@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, open_text
 
 PAD_ID = 0
 UNK_ID = 1
@@ -62,7 +62,7 @@ class Vocab:
     @classmethod
     def from_file(cls, path) -> "Vocab":
         """Read one token per line; line k holds the token with id k + 3."""
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
         return cls(tokens)
 

@@ -1,4 +1,4 @@
-"""Training loop, dataset splitting, and checkpoint I/O.
+"""Training loop, dataset splitting, the ablation grid, and checkpoint I/O.
 
 Each step samples the target's 1-hop subgraph, runs the model forward, and
 backpropagates the loss of the target node only; one optimizer step per
@@ -13,14 +13,16 @@ import json
 import logging
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import product
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .autodiff import Adam, backward
-from .data import StockRecord
-from .errors import CheckpointError, DataError, NonFiniteError, TrainingError
+from .data import Dataset, StockRecord
+from .errors import CheckpointError, DataError, NonFiniteError, SetnError, TrainingError
+from .evaluation import embed_universe, evaluate_map, map_at_k
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
@@ -161,6 +163,11 @@ def split_dataset(ids: Sequence[int], proportions=(0.7, 0.1, 0.2), seed: int = 0
     )
 
 
+def split_records(records: Sequence[StockRecord], config: TrainConfig) -> Split:
+    """The split of these records under the config's proportions and seed."""
+    return split_dataset([r.stock_id for r in records], config.proportions, config.seed)
+
+
 def build_model(config: TrainConfig, vocab: Vocab,
                 n_sectors: int = 17, n_industries: int = 33) -> SetnModel:
     """Fresh model whose initialization derives from the config seed."""
@@ -195,8 +202,6 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
           split: Split, config: TrainConfig,
           log_stream: Optional[TextIO] = None) -> list[dict]:
     """Fit the model in place; returns one log entry per epoch."""
-    from .evaluation import embed_universe, map_at_k  # local import, no cycle at module load
-
     g = prepare_graph(graph, config)
     params = model.trainable_params()
     if not params:
@@ -247,6 +252,63 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                         epoch, entry["mean_train_loss"],
                         entry["val_map5_sector"], entry["val_map5_industry"])
     return history
+
+
+# ---------------------------------------------------------------------------
+# ablation grid
+
+# Each axis: the TrainConfig field it sets and the value of each of its
+# labels, in grid order.
+AXIS_VALUES = {
+    "graph_type": ("directed", {"directed": True, "undirected": False}),
+    "encoder_policy": ("encoder_train", {"last": "last", "none": "none"}),
+    "gnn_kind": ("gnn", {"gcn": "gcn", "gat": "gat"}),
+    "residual": ("residual", {True: True, False: False}),
+}
+
+
+def ablation_axes(axes: Sequence[str]) -> list[str]:
+    """The axes as a list; DataError if there are none, or one is unknown
+    or repeated."""
+    axes = list(axes)
+    if not axes:
+        raise DataError("ablation needs at least one axis")
+    for i, axis in enumerate(axes):
+        if axis not in AXIS_VALUES:
+            raise DataError(f"unknown ablation axis {axis!r}; choose from {sorted(AXIS_VALUES)}")
+        if axis in axes[:i]:
+            raise DataError(f"repeated ablation axis {axis!r}")
+    return axes
+
+
+def run_ablation(dataset: Dataset, base_config: TrainConfig, axes: Sequence[str],
+                 ks: Sequence[int] = (5, 10, 50)) -> list[dict]:
+    """Train one model per configuration cell (shared seed and split) and
+    report test MAP@k for both taxonomies, one row per cell."""
+    axes = ablation_axes(axes)
+    records = dataset.records
+    vocab = Vocab.build(r.text for r in records)
+    split = split_records(records, base_config)
+
+    rows = []
+    for labels in product(*(AXIS_VALUES[a][1] for a in axes)):
+        row = dict(zip(axes, labels))
+        config = replace(base_config, **{AXIS_VALUES[a][0]: AXIS_VALUES[a][1][label]
+                                         for a, label in row.items()})
+        try:
+            model = build_model(config, vocab,
+                                n_sectors=dataset.taxonomy.n_sectors,
+                                n_industries=dataset.taxonomy.n_industries)
+            train(model, dataset.graph, records, split, config)
+            g = prepare_graph(dataset.graph, config)
+            metrics = evaluate_map(model, g, records, split.test, ks,
+                                   direction=config.neighbor_direction)
+            row["topix17"] = {f"map@{k}": v for k, v in metrics["topix17"].items()}
+            row["topix33"] = {f"map@{k}": v for k, v in metrics["topix33"].items()}
+        except SetnError as exc:
+            row["error"] = str(exc)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

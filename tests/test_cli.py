@@ -1,9 +1,11 @@
+import argparse
 import json
 import filecmp
 
 import pytest
 
-from setn.cli import main
+from setn.cli import build_parser, main
+from setn.training import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -239,3 +241,155 @@ def test_bad_config_is_one_honest_error_line(dataset_dir, tmp_path, capsys,
     assert "Traceback" not in stderr
     if config_text == '{bad':
         assert str(config) in lines[0]
+
+
+@pytest.mark.parametrize("flag, choice, field, expected, in_file", [
+    ("--seed", "5", "seed", 5, 1),
+    ("--gnn", "gat", "gnn", "gat", "gcn"),
+    ("--gnn", "none", "gnn", "none", "gcn"),
+    ("--residual", "off", "residual", False, True),
+    ("--residual", "on", "residual", True, False),
+    ("--graph", "undirected", "directed", False, True),
+    ("--graph", "directed", "directed", True, False),
+    ("--encoder-train", "all", "encoder_train", "all", "last"),
+    ("--encoder-train", "none", "encoder_train", "none", "last"),
+    ("--pooling", "cls", "pooling", "cls", "mean"),
+    ("--pooling", "max", "pooling", "max", "mean"),
+])
+def test_each_config_flag_sets_its_field_over_the_file(dataset_dir, tmp_path, capsys, flag,
+                                                       choice, field, expected, in_file):
+    base = {"epochs": 1, "hidden_dim": 8, "encoder_depth": 1, "max_tokens": 16,
+            field: in_file}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base))
+    code, stdout, _ = run_cli(
+        capsys, "train",
+        "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"),
+        "--config", str(config),
+        flag, choice,
+        "--out", str(tmp_path / "m.setn"))
+    assert code == 0
+    assert json.loads(stdout)["config"] == {**TrainConfig().to_dict(), **base, field: expected}
+
+
+_REQUIRED = (None, None, True, None)
+_OPTIONAL = (None, None, False, None)
+_DATASET = {"--nodes": _REQUIRED, "--edges": _REQUIRED, "--taxonomy": _OPTIONAL}
+_GNN = (["gcn", "gat", "none"], None, False, None)
+_CONFIG = {
+    "--config": _OPTIONAL,
+    "--seed": (None, None, False, int),
+    "--gnn": _GNN,
+    "--residual": (["on", "off"], None, False, None),
+    "--graph": (["directed", "undirected"], None, False, None),
+    "--encoder-train": (["all", "last", "none"], None, False, None),
+    "--pooling": (["cls", "mean", "max"], None, False, None),
+}
+_CHECKPOINT = {**_DATASET, "--model": _REQUIRED, "--gnn": _GNN}
+_KS = (None, "5,10,50", False, None)
+
+# (choices, default, required, type) of every option of every subcommand
+_OPTIONS = {
+    "synth": {
+        "--out": _REQUIRED,
+        "--seed": (None, 0, False, int),
+        "--n": (None, 300, False, int),
+        "--sectors": (None, 17, False, int),
+        "--industries": (None, 33, False, int),
+        "--vocab-size": (None, 400, False, int),
+        "--tokens-per-doc": (None, 24, False, int),
+        "--avg-degree": (None, 6, False, int),
+        "--graph-signal": (None, 0.6, False, float),
+        "--direction-signal": (None, 0.0, False, float),
+        "--text-signal": (None, 0.6, False, float),
+        "--theme-count": (None, 8, False, int),
+    },
+    "train": {**_DATASET, "--vocab": _OPTIONAL, "--out": _REQUIRED, **_CONFIG},
+    "eval-map": {**_CHECKPOINT, "--k": _KS},
+    "eval-theme": {**_CHECKPOINT, "--themes": _REQUIRED,
+                   "--min-theme-size": (None, 16, False, int)},
+    "embed": {**_CHECKPOINT, "--out": _REQUIRED,
+              "--format": (["tsv", "binary"], "tsv", False, None),
+              "--split": (["all", "train", "val", "test"], "all", False, None)},
+    "ablate": {**_DATASET, "--axes": _REQUIRED, "--k": _KS, **_CONFIG},
+}
+
+
+def test_every_subcommand_keeps_its_options_and_choices():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(_OPTIONS)
+    for name, sub in commands.items():
+        options = {opt: (list(a.choices) if a.choices else None, a.default, a.required, a.type)
+                   for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                   for opt in a.option_strings}
+        assert options == _OPTIONS[name], name
+
+
+def _error_lines(stderr):
+    assert "Traceback" not in stderr
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("command, directory_arg", [
+    ("embed", "--model"),
+    ("train", "--nodes"),
+    ("train", "--config"),
+])
+def test_directory_in_place_of_a_file_is_one_error_line(dataset_dir, tmp_path, capsys,
+                                                        command, directory_arg):
+    args = {"--nodes": str(dataset_dir / "nodes.jsonl"),
+            "--edges": str(dataset_dir / "edges.tsv"),
+            "--out": str(tmp_path / "out")}
+    if command == "embed":
+        args["--model"] = str(tmp_path / "missing.setn")
+    args[directory_arg] = str(tmp_path)
+    code, _, stderr = run_cli(capsys, command, *[x for pair in args.items() for x in pair])
+    assert code == 1
+    lines = _error_lines(stderr)
+    assert len(lines) == 1 and str(tmp_path) in lines[0]
+
+
+@pytest.mark.parametrize("axes, expected", [
+    ("phase_of_moon", "unknown ablation axis 'phase_of_moon'"),
+    ("residual,bogus", "unknown ablation axis 'bogus'"),
+    (",", "ablation needs at least one axis"),
+    ("residual,gnn_kind,residual", "repeated ablation axis 'residual'"),
+])
+def test_bad_axes_are_one_error_line_before_any_file_is_read(tmp_path, capsys, axes, expected):
+    code, _, stderr = run_cli(
+        capsys, "ablate", "--axes", axes,
+        "--nodes", str(tmp_path / "missing.jsonl"),
+        "--edges", str(tmp_path / "missing.tsv"),
+        "--config", str(tmp_path / "missing.json"))
+    assert code == 1
+    lines = _error_lines(stderr)
+    assert len(lines) == 1 and expected in lines[0]
+
+
+@pytest.mark.parametrize("which", ["nodes", "edges", "themes", "vocab", "taxonomy", "config"])
+def test_non_utf8_input_is_one_error_line_naming_the_file(dataset_dir, tmp_path, capsys,
+                                                         request, which):
+    files = {"nodes": dataset_dir / "nodes.jsonl", "edges": dataset_dir / "edges.tsv",
+             "themes": dataset_dir / "themes.jsonl", "vocab": dataset_dir / "vocab.txt",
+             "taxonomy": dataset_dir / "taxonomy.json", "config": tmp_path / "config.json"}
+    files["config"].write_text(json.dumps({"epochs": 1, "hidden_dim": 8, "encoder_depth": 1,
+                                           "max_tokens": 16}))
+    checkpoint = request.getfixturevalue("checkpoint") if which == "themes" else None
+    bad = files[which]
+    bad.write_bytes(b"caf\xe9\n" + bad.read_bytes())  # a Latin-1 byte
+    data = ["--nodes", str(files["nodes"]), "--edges", str(files["edges"])]
+    if which == "themes":
+        argv = ["eval-theme", "--model", str(checkpoint), *data,
+                "--themes", str(files["themes"]), "--min-theme-size", "2"]
+    else:
+        argv = ["train", *data, "--out", str(tmp_path / "m.setn"),
+                "--config", str(files["config"]), "--vocab", str(files["vocab"]),
+                "--taxonomy", str(files["taxonomy"])]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    lines = _error_lines(stderr)
+    assert len(lines) == 1
+    assert f"{bad}: not UTF-8 text" in lines[0]

@@ -350,6 +350,16 @@ def test_binary_truncated_anywhere_is_data_error(tmp_path):
             load_embeddings(path)
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "binary"])
+def test_non_utf8_embedding_id_is_data_error(tmp_path, fmt):
+    path = tmp_path / "emb"
+    export_embeddings(["S1", "S2"], np.ones((2, 3)), path, fmt)
+    path.write_bytes(path.read_bytes().replace(b"S2", b"S\xe9"))  # a Latin-1 byte
+    with pytest.raises(DataError, match="not UTF-8") as exc:
+        load_embeddings(path)
+    assert str(path) in str(exc.value)
+
+
 def test_reimported_tsv_preserves_knn_ranking(tmp_path):
     from setn.evaluation import EmbeddingMatrix, cosine_knn
     rng = np.random.default_rng(2)

@@ -9,8 +9,8 @@ from setn.data import GeneratorSpec, ThemeSet, generate_synthetic
 from setn.errors import DataError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k,
                              cosine_knn, format_map_table, map_at_k,
-                             run_ablation, theme_metric)
-from setn.training import TrainConfig
+                             theme_metric)
+from setn.training import TrainConfig, run_ablation
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,8 @@ def test_embedding_matrix_validation():
         EmbeddingMatrix([0, 0], np.eye(2))
     with pytest.raises(DataError):
         EmbeddingMatrix([0, 1], np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DataError, match="no rows"):
+        EmbeddingMatrix([], np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +396,10 @@ def test_train_config_defaults_match_reference_recipe():
     assert cfg.encoder_train == "last"
     assert cfg.directed is True
     assert cfg.proportions == (0.7, 0.1, 0.2)
+
+
+def test_readme_library_surface_import_line_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library surface", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    start = block.index("from setn import")
+    exec(block[start:block.index(")", start) + 1], {})
