@@ -9,7 +9,9 @@ supports exactly one backward pass. Inside ``no_grad()`` nothing is recorded.
 Matrix ops take optional leading batch axes: ``matmul`` and ``linear`` accept
 ``[..., L, k]`` inputs, ``transpose`` swaps the last two axes, row-wise ops
 work over the last axis and the row reductions over axis -2. A rank-2 input
-takes the same arithmetic as a single slice of a batch.
+takes the same arithmetic as a single slice of a batch, and the gradient to an
+operand that every slice shares is the slices' own gradients added in slice
+order, bit for bit what a loop over the slices accumulates.
 """
 
 from __future__ import annotations
@@ -143,12 +145,14 @@ def _accum(t: Tensor, g: Array) -> None:
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
+    """Sum a gradient back down to ``shape`` after numpy broadcasting. Extra
+    leading axes are summed innermost first, so a batch's slices are each
+    reduced on their own and then added in slice order, as a loop over the
+    slices would add them."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
+    for axis in reversed(range(g.ndim - len(shape))):
+        g = g.sum(axis=axis)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -242,10 +246,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accum(a, g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            if b.data.ndim == a.data.ndim:
-                _accum(b, a.data.swapaxes(-1, -2) @ g)
-            else:  # one b for every slice: sum the slices' gradients
-                _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            # one b for every slice: sum the slices' gradients in slice order
+            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _op(data, (a, b), bw)
 
@@ -347,13 +349,19 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
 
 def take_rows(x: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather entries along ``axis`` (rows by default); an index array of any
-    shape replaces that axis. Gradients scatter-add back."""
+    shape replaces that axis. Gradients scatter-add back; with one index row
+    per slice, each slice scatters on its own and the slices add in order."""
     idx = np.asarray(indices, dtype=np.int64)
     data = x.data[idx] if axis == 0 else np.take(x.data, idx, axis=axis)
 
     def bw(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        if axis == 0:
+        if axis == 0 and idx.ndim > 1:
+            for rows, g_rows in zip(idx, g):
+                part = np.zeros_like(x.data)
+                np.add.at(part, rows, g_rows)
+                gx += part
+        elif axis == 0:
             np.add.at(gx, idx, g)
         else:
             np.add.at(np.moveaxis(gx, axis, 0), idx, np.moveaxis(g, axis, 0))
@@ -377,6 +385,28 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
             _accum(r, g[i])
 
     return _op(data, tuple(rows), bw)
+
+
+def place_rows(parts: Sequence[Tensor], rows: Sequence[Sequence[int]]) -> Tensor:
+    """Interleave matrices into one: row ``rows[i][j]`` of the result is row
+    ``j`` of ``parts[i]``. The row lists must cover ``0..n-1`` once each."""
+    parts = list(parts)
+    index = [np.asarray(r, dtype=np.int64) for r in rows]
+    if not parts or len(index) != len(parts) or any(
+            p.data.ndim != 2 or len(p.data) != len(r) for p, r in zip(parts, index)):
+        raise ShapeError("place_rows needs one row list per matrix, as long as the matrix")
+    n = sum(len(r) for r in index)
+    if not np.array_equal(np.sort(np.concatenate(index)), np.arange(n)):
+        raise ShapeError(f"place_rows row lists must cover 0..{n - 1} once each")
+    data = np.empty((n, parts[0].data.shape[1]))
+    for p, r in zip(parts, index):
+        data[r] = p.data
+
+    def bw(g: Array) -> None:
+        for p, r in zip(parts, index):
+            _accum(p, g[r])
+
+    return _op(data, tuple(parts), bw)
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -433,9 +463,8 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     xhat = xc * inv
 
     def bw(g: Array) -> None:
-        lead = tuple(range(g.ndim - 1))
-        _accum(bias, g.sum(axis=lead))
-        _accum(gain, (g * xhat).sum(axis=lead))
+        _accum(bias, _unbroadcast(g, bias.data.shape))
+        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         gh = g * gain.data
         m1 = gh.sum(axis=-1, keepdims=True) / d
         m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -549,9 +550,14 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
             if len(shape) != 8:
                 raise DataError(f"{path}: truncated binary embedding header")
             n, d = struct.unpack("<II", shape)
+            # every row takes 4 bytes per value and at least a 4-byte id
+            # length; check that against the file before reading the block
+            need, left = n * (d + 1) * 4, os.fstat(fh.fileno()).st_size - fh.tell()
+            if need > left:
+                raise DataError(f"{path}: truncated binary embedding block: the header claims "
+                                f"{n} vectors of {d} values, {need} bytes or more, "
+                                f"but {left} bytes follow")
             raw = fh.read(n * d * 4)
-            if len(raw) != n * d * 4:
-                raise DataError(f"{path}: truncated binary embedding block")
             vectors = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
             ids = []
             for i in range(n):
@@ -582,5 +588,8 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
             if len(parts) != d + 1:
                 raise DataError(f"{path}:{lineno}: expected {d + 1} columns, got {len(parts)}")
             ids.append(_parse_id(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
     return ids, np.asarray(rows, dtype=np.float64)

@@ -16,14 +16,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DataError, LabelError
+from .errors import DataError, LabelError
 from .graph import GnnParams, Subgraph, gat_layer, gcn_layer, init_gnn_params
 from .text import MAX_TOKENS, TextEncoder, Vocab, pool, tokenize
 
 GNN_KINDS = ("gcn", "gat", "none")
 
-# Token budget of one batch in the batched text stage: it bounds the batch's
-# activations whatever the sequence length. A longer sequence runs alone.
+# Token budget of one batch in the text stage under ``no_grad``: it bounds the
+# batch's activations whatever the sequence length. A longer sequence runs
+# alone. A recorded pass holds every activation until backward, so there the
+# budget would bound nothing.
 TEXT_BATCH_TOKENS = 512
 
 
@@ -104,40 +106,41 @@ class SetnModel:
     def text_stage(self, records: Sequence, training: bool = False) -> Tensor:
         """Tokenize, encode and pool: one text vector per record, [m, d].
 
-        Forward-only, so it runs under ``no_grad``; the rows are constants.
         Records whose token sequences have one length are encoded together,
-        in batches of at most ``TEXT_BATCH_TOKENS`` tokens, and every row is
-        bit-identical to its own encoding. The batches pay off only where
-        token lengths repeat: texts of many distinct lengths encode one by
-        one."""
-        if ad.is_recording():
-            raise ContractError("text_stage is forward-only; call it under autodiff.no_grad()")
+        and every row equals its own encoding bit for bit. Under ``no_grad``
+        a batch holds at most ``TEXT_BATCH_TOKENS`` tokens. A recorded pass
+        keeps every activation until ``backward`` whatever the batching, so
+        there one batch holds every record of a length. The batches pay off
+        only where token lengths repeat: texts of many distinct lengths
+        encode one by one."""
         tokens = [tokenize(r.text, self.vocab, max_tokens=self.max_tokens) for r in records]
         by_length: dict[int, list[int]] = {}
         for i, seq in enumerate(tokens):
             by_length.setdefault(len(seq), []).append(i)
-        out = np.empty((len(records), self.dim))
+        recording = ad.is_recording()
+        parts, placed = [], []
         for length, rows in by_length.items():
-            step = max(1, TEXT_BATCH_TOKENS // length)
+            step = len(rows) if recording else max(1, TEXT_BATCH_TOKENS // length)
             for lo in range(0, len(rows), step):
                 batch = rows[lo:lo + step]
-                h = self.encoder.encode([tokens[i] for i in batch], training)
-                out[batch] = pool(h, self.pooling).data
-        return Tensor(out)
+                parts.append(pool(self.encoder.encode([tokens[i] for i in batch], training),
+                                  self.pooling))
+                placed.append(batch)
+        return ad.place_rows(parts, placed)
 
     def graph_stage(self, h_text: Tensor, sub: Subgraph, training: bool = False,
-                    rng: Optional[np.random.Generator] = None,
-                    target_text: Optional[Tensor] = None) -> ForwardResult:
+                    rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """GNN over the text vectors of ``text_members(sub)`` (target row
-        first), residual fusion and both heads. ``target_text`` is the
-        target's own vector [d]; it defaults to row 0 of ``h_text``."""
-        if target_text is None:
-            target_text = ad.reshape(ad.take_rows(h_text, [0]), (self.dim,))
+        first), residual fusion with the target's row, and both heads."""
+        target_text = ad.reshape(ad.take_rows(h_text, [0]), (self.dim,))
         if self.gnn is None:
             h = target_text
         else:
             layer = gcn_layer if self.gnn_kind == "gcn" else gat_layer
-            h_gnn = layer(h_text, sub, self.gnn)
+            # The GNN reads the rows through a node of its own, so backward
+            # sums its reads first and then adds the residual's: the order
+            # of a loop that encodes member by member.
+            h_gnn = layer(ad.reshape(h_text, h_text.shape), sub, self.gnn)
             target_gnn = ad.reshape(ad.take_rows(h_gnn, [0]), (self.dim,))
             h = ad.add(target_text, target_gnn) if self.residual else target_gnn
 
@@ -161,13 +164,7 @@ class SetnModel:
             if rec.stock_id != member:
                 raise DataError(f"record {rec.stock_id} misaligned with subgraph member {member}")
         members = records[:len(self.text_members(sub))]
-        if not ad.is_recording():
-            return self.graph_stage(self.text_stage(members, training), sub, training, rng)
-        # A recorded pass encodes member by member, and the residual reads the
-        # target's own vector, not a row taken back out of the stack: backward
-        # then sums every gradient in the order seeded checkpoints were made.
-        rows = [self.encode_text(r, training) for r in members]
-        return self.graph_stage(ad.stack_rows(rows), sub, training, rng, target_text=rows[0])
+        return self.graph_stage(self.text_stage(members, training), sub, training, rng)
 
     def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
         """Deterministic embedding vector [d] (dropout off)."""

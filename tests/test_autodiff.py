@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from setn.autodiff import (Adam, Tensor, backward, cross_entropy,
+from setn.autodiff import (Adam, Tensor, add, backward, cross_entropy,
                            dropout, grad_check, grad_check_params, is_recording,
                            layer_norm_rows, leaky_relu, linear, matmul, max_rows,
-                           mean_rows, mul, no_grad, relu, softmax_rows,
+                           mean_rows, mul, no_grad, place_rows, relu, softmax_rows,
                            stack_rows, sum_all, take_rows, transpose)
 from setn.errors import ContractError, DataError, LabelError, ShapeError
 
@@ -238,6 +238,21 @@ def test_take_and_stack_roundtrip_gradients():
     assert np.array_equal(x.grad, expected)
 
 
+def test_place_rows_interleaves_and_routes_gradients_back():
+    a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    b = Tensor(-np.arange(4.0).reshape(2, 2), requires_grad=True)
+    out = place_rows([a, b], [[0, 3, 4], [2, 1]])
+    assert np.array_equal(out.data, [a.data[0], b.data[1], b.data[0], a.data[1], a.data[2]])
+    upstream = np.arange(10.0).reshape(5, 2)
+    backward(sum_all(mul(out, Tensor(upstream))))
+    assert np.array_equal(a.grad, upstream[[0, 3, 4]])
+    assert np.array_equal(b.grad, upstream[[2, 1]])
+    for parts, rows in (([], []), ([a], [[0, 1]]), ([a, b], [[0, 1, 2]]),
+                        ([a, b], [[0, 1, 2], [3, 3]]), ([a, b], [[0, 1, 2], [3, 5]])):
+        with pytest.raises(ShapeError):
+            place_rows(parts, rows)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -356,6 +371,46 @@ def test_rank3_ops_equal_their_rank2_slices(name):
     else:
         slices = [op(Tensor(x[i])).data for i in range(2)]
     assert np.array_equal(batched, np.stack(slices))
+
+
+_TABLE = Tensor(_rng.normal(size=(6, 4)), requires_grad=True)
+_ROWS = Tensor(_rng.normal(size=(7, 4)), requires_grad=True)
+# one index row per slice, with repeats inside a row and across rows
+_INDEX = np.random.default_rng(23).integers(0, 6, size=(5, 7))
+
+# name -> (op on x [5, 7, 4] or on its slice x[s] [7, 4], its shared operands)
+SHARED_OPERAND_OPS = {
+    "matmul": (lambda x, s: matmul(x, _W), [_W]),
+    "linear": (lambda x, s: linear(x, _W, _BIAS), [_W, _BIAS]),
+    "add": (lambda x, s: add(x, _ROWS), [_ROWS]),
+    "mul": (lambda x, s: mul(x, _GAIN), [_GAIN]),
+    "layer_norm_rows": (lambda x, s: layer_norm_rows(x, _GAIN, _SHIFT), [_GAIN, _SHIFT]),
+    "take_rows": (lambda x, s: add(x, take_rows(_TABLE, _INDEX[s])), [_TABLE]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_OPERAND_OPS))
+def test_rank3_gradient_to_a_shared_operand_sums_its_slices_in_order(name):
+    """A batch's gradient to an operand every slice shares is, bit for bit,
+    the sum of the slices' own gradients taken in slice order, as a loop
+    over the slices would accumulate it."""
+    op, shared = SHARED_OPERAND_OPS[name]
+    x = np.random.default_rng(7).normal(size=(5, 7, 4))
+    upstream = np.random.default_rng(8).normal(size=op(Tensor(x), slice(None)).shape)
+
+    def grads(s):
+        backward(sum_all(mul(op(Tensor(x[s]), s), Tensor(upstream[s]))))
+        out = [p.grad for p in shared]
+        for p in shared:
+            p.grad = None
+        return out
+
+    batched = grads(slice(None))
+    looped = grads(0)
+    for i in range(1, len(x)):
+        looped = [total + g for total, g in zip(looped, grads(i))]
+    for g, expected in zip(batched, looped):
+        assert np.array_equal(g, expected)
 
 
 def test_matmul_rejects_mismatched_batch_axes():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -348,6 +349,31 @@ def test_binary_truncated_anywhere_is_data_error(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(DataError, match="truncated"):
             load_embeddings(path)
+
+
+def test_binary_header_claiming_more_than_the_file_is_data_error(tmp_path):
+    path = tmp_path / "emb.bin"
+    export_embeddings(["S1", "S22"], np.ones((2, 3)), path, "binary")
+    blob = bytearray(path.read_bytes())
+    # 2**32 - 1 vectors of 2**24 values: 2**58 bytes, far more than any
+    # address space, so nothing can allocate the block before the check
+    blob[4:12] = struct.pack("<II", 2**32 - 1, 2**24)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="truncated binary embedding block") as exc:
+        load_embeddings(path)
+    assert str(path) in str(exc.value)
+    blob[4:12] = struct.pack("<II", 3, 3)  # one row more than the file holds
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="truncated binary embedding block"):
+        load_embeddings(path)
+
+
+def test_non_numeric_tsv_value_is_data_error_naming_path_and_line(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("id\tdim=2\nA\t1.0\t2.0\n\nB\t0.5\tx\n", encoding="utf-8")
+    with pytest.raises(DataError, match="could not convert") as exc:
+        load_embeddings(path)
+    assert f"{path}:4:" in str(exc.value)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "binary"])

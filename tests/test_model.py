@@ -1,16 +1,18 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from setn.autodiff import grad_check_params, no_grad
-from setn.data import StockRecord
-from setn.errors import ContractError, DataError, LabelError
+from setn.autodiff import (add, backward, dropout, grad_check_params, linear, no_grad,
+                           relu, reshape, stack_rows, take_rows)
+from setn.data import GeneratorSpec, StockRecord, generate_synthetic
+from setn.errors import DataError, LabelError
 from setn.evaluation import embed_universe
-from setn.graph import StockGraph, sample_subgraph
+from setn.graph import StockGraph, gat_layer, gcn_layer, sample_subgraph
 from setn import model as model_module
-from setn.model import SetnModel, compute_loss
-from setn.text import Vocab
+from setn.model import ForwardResult, SetnModel, compute_loss
+from setn.text import Vocab, tokenize
 
 
 TEXTS = [
@@ -226,7 +228,7 @@ def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling)
             for sid in ids:
                 sub = sample_subgraph(graph, sid)
                 recs = [records[m] for m in sub.members]
-                # recording on: the member-by-member path training takes
+                # recording on: the path training takes
                 expected = model.forward(sub, recs).embedding.data
                 if not np.any(expected):
                     expected = np.ones_like(expected)  # embed_universe's fallback
@@ -240,11 +242,87 @@ def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling)
             assert np.array_equal(cached.vectors, emb.vectors), (policy, residual)
 
 
-def test_text_stage_is_forward_only():
+def test_recorded_text_stage_rows_require_grad_and_equal_no_grad_rows(monkeypatch):
+    monkeypatch.setattr(model_module, "TEXT_BATCH_TOKENS", 8)
     records, _ = _mixed_length_universe()
-    model = make_model()
-    with pytest.raises(ContractError):
-        model.text_stage(records[:2])
+    model = make_model(depth=2)
+    encode = model.encoder.encode
+    calls = []
+    monkeypatch.setattr(model.encoder, "encode",
+                        lambda ids, training=False: calls.append(1) or encode(ids, training))
+    recorded = model.text_stage(records)
+    # recording ignores the token budget: one batch per distinct length
+    assert len(calls) == len(set(TEXT_LENGTHS))
     with no_grad():
-        rows = model.text_stage(records[:2])
-    assert rows.shape == (2, model.dim) and not rows.requires_grad
+        rows = model.text_stage(records)
+    assert len(calls) > 2 * len(set(TEXT_LENGTHS))  # the budget splits batches here
+    assert recorded.requires_grad and not rows.requires_grad
+    assert recorded.shape == (len(records), model.dim)
+    assert np.array_equal(recorded.data, rows.data)
+
+
+def per_member_forward(model, sub, recs, training=False, rng=None):
+    """The recorded forward pass before batching, kept as the reference:
+    every member encoded on its own, the rows stacked for the GNN, and the
+    residual reading the target's own vector."""
+    rows = [model.encode_text(r, training) for r in recs[:len(model.text_members(sub))]]
+    h = rows[0]
+    if model.gnn is not None:
+        layer = gcn_layer if model.gnn_kind == "gcn" else gat_layer
+        h_gnn = layer(stack_rows(rows), sub, model.gnn)
+        target_gnn = reshape(take_rows(h_gnn, [0]), (model.dim,))
+        h = add(h, target_gnn) if model.residual else target_gnn
+    z = reshape(dropout(relu(h), model.dropout_rate, training, rng), (1, model.dim))
+    logits = [reshape(linear(z, head.weight, head.bias), (n,))
+              for head, n in ((model.head_sector, model.n_sectors),
+                              (model.head_industry, model.n_industries))]
+    return ForwardResult(h, *logits)
+
+
+def _loss_and_grads(model, forward, sub, recs):
+    result = forward(model, sub, recs, training=True, rng=np.random.default_rng(sub.target))
+    loss = compute_loss(result, recs[0].sector, recs[0].industry)
+    backward(loss)
+    params = model.trainable_params()
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return loss.item(), grads
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal-lengths", "mixed-lengths"])
+@pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
+def test_batched_training_pass_matches_per_member_reference(gnn, mixed):
+    """A training pass gives the loss of the member-by-member reference bit
+    for bit, and its gradients too when every text has one length. With
+    mixed lengths the slices of a shared weight add up by length group, not
+    by member, so the gradients agree within 1e-12 of the pass's largest
+    gradient entry (some gradients, such as an attention key bias's, are
+    rounding noise around zero and have no scale of their own)."""
+    spec = GeneratorSpec(n=40, sectors=3, industries=5, vocab_size=60, tokens_per_doc=8,
+                         min_tokens_per_doc=4 if mixed else 0, avg_degree=6, seed=5)
+    ds = generate_synthetic(spec)
+    vocab = Vocab.build(r.text for r in ds.records)
+    lengths = [len(tokenize(r.text, vocab)) for r in ds.records]
+    subs = [sample_subgraph(ds.graph, target) for target in range(20)]
+    mixed_subs = sum(len({lengths[m] for m in sub.members}) > 1 for sub in subs)
+    assert (mixed_subs >= 10) if mixed else (mixed_subs == 0)
+    for policy in ("last", "none", "all"):
+        for residual in (True, False):
+            model = SetnModel(vocab, dim=6, depth=2, gnn=gnn, residual=residual,
+                              n_sectors=3, n_industries=5, max_tokens=16,
+                              encoder_train=policy, rng=np.random.default_rng(1))
+            for cached in (False, True):
+                with model.encoder.frozen_prefix_cache() if cached else nullcontext():
+                    for sub in subs:
+                        recs = [ds.records[m] for m in sub.members]
+                        ref_loss, ref_grads = _loss_and_grads(model, per_member_forward, sub, recs)
+                        loss, grads = _loss_and_grads(model, SetnModel.forward, sub, recs)
+                        where = (policy, residual, cached, sub.target)
+                        assert loss == ref_loss, where
+                        if not mixed:
+                            assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads)), where
+                            continue
+                        scale = max(np.max(np.abs(b)) for b in ref_grads)
+                        for a, b in zip(grads, ref_grads):
+                            assert np.max(np.abs(a - b)) <= 1e-12 * scale, where

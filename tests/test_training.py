@@ -177,16 +177,19 @@ def test_frozen_block_runs_once_per_distinct_text_during_training():
     assert 0 < len(calls) <= len(distinct)
 
 
-def test_trainable_embeddings_run_block0_per_member_per_step():
+def test_trainable_embeddings_run_block0_once_per_token_length_per_step():
     ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2, encoder_train="all", depth=2)
     calls = _count_block0_calls(model)
     train(model, ds.graph, ds.records, split, cfg)
     g = prepare_graph(ds.graph, cfg)
-    steps = sum(sample_subgraph(g, sid).size for sid in split.train)
+
+    def lengths(members):
+        return {len(tokenize(ds.records[m].text, vocab, cfg.max_tokens)) for m in members}
+
+    # a step encodes its subgraph in one batch per token length, and
     # validation encodes each distinct member once, one batch per token length
-    val_members = {m for sid in split.val for m in sample_subgraph(g, sid).members}
-    val_batches = len({len(tokenize(ds.records[m].text, vocab, cfg.max_tokens))
-                       for m in val_members})
+    steps = sum(len(lengths(sample_subgraph(g, sid).members)) for sid in split.train)
+    val_batches = len(lengths({m for sid in split.val for m in sample_subgraph(g, sid).members}))
     assert len(calls) == cfg.epochs * (steps + val_batches)
 
 
