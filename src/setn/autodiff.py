@@ -56,37 +56,8 @@ class Tensor:
             raise ShapeError(f"item() expects a single element, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 # False while any ``no_grad`` context is open, in any thread. A plain module
@@ -206,7 +177,6 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
 
     def bw(g: Array) -> None:
@@ -219,7 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
 
     def bw(g: Array) -> None:
@@ -499,42 +468,33 @@ def ones_param(*shape: int) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected Adam; updates parameters in place."""
+    """Bias-corrected Adam; updates parameters in place. Only the learning
+    rate is a setting: the moment decays and epsilon are the usual constants."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads: Sequence[Array | None] | None = None) -> None:
-        """Apply one update. ``grads`` defaults to each parameter's ``.grad``;
-        a missing gradient counts as zero."""
-        if grads is None:
-            grads = [p.grad for p in self.params]
-        grads = list(grads)
-        if len(grads) != len(self.params):
-            raise ShapeError(f"{len(grads)} gradients for {len(self.params)} parameters")
+    def step(self) -> None:
+        """Apply one update from each parameter's ``.grad``; a missing
+        gradient counts as zero."""
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            if g is None:
-                g = np.zeros_like(p.data)
-            else:
-                g = np.asarray(g, dtype=np.float64)
-                if g.shape != p.data.shape:
-                    raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        bc1 = 1.0 - self.BETA1 ** self.step_count
+        bc2 = 1.0 - self.BETA2 ** self.step_count
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -240,6 +240,9 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     final ReLU saturates); such stocks collapse onto one shared fallback
     direction so cosine ranking stays defined.
     """
+    ids = list(ids)
+    if not ids:
+        raise DataError("embed_universe needs at least one stock id, got an empty list")
     subs = [sample_subgraph(graph, sid, direction) for sid in ids]
     members = sorted({m for sub in subs for m in model.text_members(sub)})
     row_of = {m: i for i, m in enumerate(members)}
@@ -257,7 +260,7 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     if zero_rows:
         logger.debug("%d of %d embeddings were all-zero; using the shared fallback direction",
                      zero_rows, len(ids))
-    return EmbeddingMatrix(list(ids), np.stack(rows))
+    return EmbeddingMatrix(ids, np.stack(rows))
 
 
 def evaluate_map(model, graph: StockGraph, records: Sequence[StockRecord],

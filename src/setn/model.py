@@ -95,8 +95,7 @@ class SetnModel:
 
     def encode_text(self, record, training: bool = False) -> Tensor:
         """Pooled text vector [d] for one stock."""
-        tokens = tokenize(record.text, self.vocab, max_tokens=self.max_tokens)
-        return pool(self.encoder.encode(tokens, training), self.pooling)
+        return ad.reshape(self.text_stage([record], training), (self.dim,))
 
     def text_members(self, sub: Subgraph) -> tuple[int, ...]:
         """The subgraph members whose texts the graph stage reads, target

@@ -47,17 +47,14 @@ class Vocab:
         return self._ids.get(token, UNK_ID)
 
     @classmethod
-    def build(cls, texts: Iterable[str], max_size: int | None = None) -> "Vocab":
+    def build(cls, texts: Iterable[str]) -> "Vocab":
         """Vocabulary from whitespace-split lowercased texts, most frequent first
         (ties broken alphabetically)."""
         counts: Counter[str] = Counter()
         for text in texts:
             counts.update(text.lower().split())
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        tokens = [tok for tok, _ in ranked]
-        if max_size is not None:
-            tokens = tokens[: max(0, max_size - NUM_RESERVED)]
-        return cls(tokens)
+        return cls([tok for tok, _ in ranked])
 
     @classmethod
     def from_file(cls, path) -> "Vocab":
@@ -89,8 +86,8 @@ def tokenize(text: str, vocab: Vocab, max_tokens: int = MAX_TOKENS) -> TokenSequ
 class EncoderBlock:
     """Single-head self-attention plus a two-layer feedforward, post-norm."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, ff_dim: int | None = None):
-        ff_dim = ff_dim or 2 * dim
+    def __init__(self, dim: int, rng: np.random.Generator):
+        ff_dim = 2 * dim
         self.dim = dim
         self.attn_q_w = ad.xavier_uniform(rng, dim, dim)
         self.attn_q_b = ad.zeros_param(dim)
@@ -108,7 +105,6 @@ class EncoderBlock:
         self.ff2_b = ad.zeros_param(dim)
         self.norm2_gain = ad.ones_param(dim)
         self.norm2_bias = ad.zeros_param(dim)
-        self.trainable = True
 
     _PARAM_FIELDS = (
         "attn_q_w", "attn_q_b", "attn_k_w", "attn_k_b", "attn_v_w", "attn_v_b",
@@ -121,15 +117,14 @@ class EncoderBlock:
             yield name, getattr(self, name)
 
     def set_trainable(self, flag: bool) -> None:
-        self.trainable = bool(flag)
         for _, p in self.named_params():
-            p.requires_grad = self.trainable
+            p.requires_grad = bool(flag)
 
     def forward(self, x: Tensor) -> Tensor:
         q = ad.linear(x, self.attn_q_w, self.attn_q_b)
         k = ad.linear(x, self.attn_k_w, self.attn_k_b)
         v = ad.linear(x, self.attn_v_w, self.attn_v_b)
-        scores = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(self.dim))
+        scores = ad.mul(ad.matmul(q, ad.transpose(k)), Tensor(1.0 / math.sqrt(self.dim)))
         ctx = ad.matmul(ad.softmax_rows(scores), v)
         attended = ad.linear(ctx, self.attn_o_w, self.attn_o_b)
         x = ad.layer_norm_rows(ad.add(x, attended), self.norm1_gain, self.norm1_bias)
@@ -151,7 +146,6 @@ class TextEncoder:
         self.token_emb = ad.normal_param(rng, (vocab_size, dim))
         self.pos_emb = ad.normal_param(rng, (max_len, dim))
         self.blocks = [EncoderBlock(dim, rng) for _ in range(depth)]
-        self.embeddings_trainable = True
         # token sequence -> state entering block ``_prefix_depth``; held only
         # inside ``frozen_prefix_cache``
         self._prefix_cache: dict[tuple[int, ...], Tensor] | None = None
@@ -162,45 +156,42 @@ class TextEncoder:
         return len(self.blocks)
 
     def encode(self, token_ids, training: bool = False) -> Tensor:
-        """Per-token hidden states: [len, dim] for one token sequence, or
-        [batch, len, dim] for a list of sequences of equal length. A batch
-        runs every block once, with the same arithmetic per sequence."""
+        """Per-token hidden states [batch, len, dim] of a list of token
+        sequences of equal length. Every block runs once over the batch, with
+        the same arithmetic per sequence."""
         ids = self._check_tokens(token_ids)
         cache = self._prefix_cache
         if cache is None:
             start, h = 0, self._prefix(ids, 0)
         else:
             start = self._prefix_depth
-            keys = [tuple(seq) for seq in ids.reshape(-1, ids.shape[-1]).tolist()]
+            keys = [tuple(seq) for seq in ids.tolist()]
             missing = [key for key in dict.fromkeys(keys) if key not in cache]
             if missing:
                 # frozen layers only, so the cached states carry no graph
                 fresh = self._prefix(np.array(missing), start)
                 for key, state in zip(missing, fresh.data):
                     cache[key] = Tensor(state)
-            h = (cache[keys[0]] if ids.ndim == 1
-                 else Tensor(np.stack([cache[key].data for key in keys])))
+            h = Tensor(np.stack([cache[key].data for key in keys]))
         for block in self.blocks[start:]:
             h = block.forward(h)
         return h
 
     def _check_tokens(self, token_ids) -> np.ndarray:
-        """Token ids as an int array [len] or [batch, len], validated."""
-        seqs = list(token_ids)
-        batched = bool(seqs) and not isinstance(seqs[0], (int, np.integer))
-        rows = [list(seq) for seq in seqs] if batched else [seqs]
-        length = len(rows[0])
+        """Token ids as an int array [batch, len], validated."""
+        rows = [list(seq) for seq in token_ids]
+        length = len(rows[0]) if rows else 0
         if any(len(row) != length for row in rows):
             raise DataError("a batch of token sequences must share one length")
         if length == 0:
-            raise DataError("cannot encode an empty token sequence")
+            raise DataError("cannot encode an empty batch or token sequence")
         if length > self.max_len:
             raise DataError(f"sequence of {length} tokens exceeds max length {self.max_len}")
         for row in rows:
             for i in row:
                 if not 0 <= i < self.vocab_size:
                     raise DataError(f"token id {i} outside vocabulary of size {self.vocab_size}")
-        return np.asarray(rows if batched else seqs, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64)
 
     def _prefix(self, ids: np.ndarray, stop: int) -> Tensor:
         """Embedded tokens run through blocks ``[0, stop)``."""
@@ -240,15 +231,10 @@ class TextEncoder:
         if policy == "last" and not self.blocks:
             raise ValueError("policy 'last' needs at least one encoder block")
         emb = policy == "all"
-        flags = [emb or (policy == "last" and i == self.depth - 1) for i in range(self.depth)]
-        self.embeddings_trainable = emb
         self.token_emb.requires_grad = emb
         self.pos_emb.requires_grad = emb
-        for block, flag in zip(self.blocks, flags):
-            block.set_trainable(flag)
-
-    def trainable_flags(self) -> list[bool]:
-        return [block.trainable for block in self.blocks]
+        for i, block in enumerate(self.blocks):
+            block.set_trainable(emb or (policy == "last" and i == self.depth - 1))
 
     def named_params(self):
         yield "token_emb", self.token_emb

@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import Adam, backward
 from .data import Dataset, StockRecord
 from .errors import CheckpointError, DataError, NonFiniteError, SetnError, TrainingError
-from .evaluation import embed_universe, evaluate_map, map_at_k
+from .evaluation import evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
@@ -31,6 +31,9 @@ logger = logging.getLogger(__name__)
 
 _CKPT_MAGIC = b"SETN"
 _CKPT_VERSION = 1
+# Retired config keys that v1 checkpoints may carry, with the constant each
+# became; a checkpoint that sets another value cannot be reproduced.
+_RETIRED_KEYS = {"adam_beta1": Adam.BETA1, "adam_beta2": Adam.BETA2, "adam_eps": Adam.EPS}
 
 
 @dataclass
@@ -52,11 +55,6 @@ class TrainConfig:
     seed: int = 0
     proportions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     max_tokens: int = 512
-    # Adam moment/epsilon settings are library conventions, not part of the
-    # published recipe, which fixes only the learning rate.
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     neighbor_direction: str = "in"
 
     def __post_init__(self):
@@ -72,7 +70,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 fail(name, f"expected an integer, got {value!r}")
-        for name in ("learning_rate", "dropout", "adam_beta1", "adam_beta2", "adam_eps"):
+        for name in ("learning_rate", "dropout"):
             value = getattr(self, name)
             if not number(value) or not math.isfinite(value):
                 fail(name, f"expected a finite number, got {value!r}")
@@ -94,10 +92,7 @@ class TrainConfig:
                 ("seed", self.seed >= 0, "must be at least 0"),
                 ("max_tokens", self.max_tokens >= 1, "must be at least 1"),
                 ("learning_rate", self.learning_rate > 0, "must be positive"),
-                ("dropout", 0 <= self.dropout < 1, "dropout rate must be in [0, 1)"),
-                ("adam_beta1", 0 <= self.adam_beta1 < 1, "must be in [0, 1)"),
-                ("adam_beta2", 0 <= self.adam_beta2 < 1, "must be in [0, 1)"),
-                ("adam_eps", self.adam_eps > 0, "must be positive")):
+                ("dropout", 0 <= self.dropout < 1, "dropout rate must be in [0, 1)")):
             if not ok:
                 fail(name, f"{rule}, got {getattr(self, name)!r}")
         if self.encoder_train == "last" and self.encoder_depth == 0:
@@ -206,8 +201,7 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
     params = model.trainable_params()
     if not params:
         raise TrainingError("model has no trainable parameters")
-    optimizer = Adam(params, lr=config.learning_rate,
-                     beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
+    optimizer = Adam(params, lr=config.learning_rate)
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
 
     history = []
@@ -232,18 +226,13 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                 optimizer.zero_grad()
                 losses.append(value)
 
-            val_emb = embed_universe(model, g, records, split.val,
-                                     direction=config.neighbor_direction)
-            val_ids = set(split.val)
-            sector_map = map_at_k(val_emb, {r.stock_id: r.sector for r in records
-                                            if r.stock_id in val_ids}, ks=(5,))
-            industry_map = map_at_k(val_emb, {r.stock_id: r.industry for r in records
-                                              if r.stock_id in val_ids}, ks=(5,))
+            val_map = evaluate_map(model, g, records, split.val, ks=(5,),
+                                   direction=config.neighbor_direction)
             entry = {
                 "epoch": epoch,
                 "mean_train_loss": float(np.mean(losses)),
-                "val_map5_sector": sector_map[5],
-                "val_map5_industry": industry_map[5],
+                "val_map5_sector": val_map["topix17"][5],
+                "val_map5_industry": val_map["topix33"][5],
             }
             history.append(entry)
             if log_stream is not None:
@@ -356,34 +345,52 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<Q", body[8:16])
-    header = json.loads(body[16:16 + header_len].decode("utf-8"))
-    config_obj = dict(header["config"])
-    # v1 checkpoints may carry this retired key; frozen layers are now cached
-    # automatically during training
-    config_obj.pop("frozen_text_cache", None)
-    config = TrainConfig.from_dict(config_obj)
+    if 16 + header_len > len(body):
+        raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(body[16:16 + header_len].decode("utf-8"))
+        config_obj = dict(header["config"])
+        # frozen layers are now cached automatically during training, whatever
+        # this retired key said
+        config_obj.pop("frozen_text_cache", None)
+        for key, value in _RETIRED_KEYS.items():
+            found = config_obj.pop(key, value)
+            if found != value:
+                raise CheckpointError(f"{path}: retired config key {key!r} is {found!r}; "
+                                      f"only {value!r} is supported")
+        config = TrainConfig.from_dict(config_obj)
+        vocab = Vocab(header["vocab"])
+        n_classes = [header["model"][key] for key in ("n_sectors", "n_industries")]
+        manifest = [(str(entry["name"]), tuple(entry["shape"])) for entry in header["params"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and the
+        # DataError of a config or vocabulary that fails validation
+        raise CheckpointError(f"{path}: invalid header: {type(exc).__name__}: {exc}") from exc
+    if not all(type(n) is int and n >= 1 for n in n_classes):
+        raise CheckpointError(f"{path}: class counts {n_classes} are not positive integers")
     if expected_gnn is not None and config.gnn != expected_gnn:
         raise CheckpointError(
             f"{path}: checkpoint was trained with gnn={config.gnn!r}, requested {expected_gnn!r}")
-    model = build_model(config, Vocab(header["vocab"]),
-                        n_sectors=header["model"]["n_sectors"],
-                        n_industries=header["model"]["n_industries"])
+    model = build_model(config, vocab, *n_classes)
     offset = 16 + header_len
     names = dict(model.named_params())
-    for entry in header["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in names:
-            raise CheckpointError(f"{path}: unexpected parameter {name!r}")
-        p = names[name]
+    for name, shape in manifest:
+        p = names.pop(name, None)
+        if p is None:
+            raise CheckpointError(f"{path}: unexpected or repeated parameter {name!r}")
         if p.data.shape != shape:
             raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, expected {p.data.shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        nbytes = p.data.size * 8
         chunk = body[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"{path}: parameter block for {name!r} truncated")
-        p.data[...] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+        block = np.frombuffer(chunk, dtype="<f8")
+        if not np.isfinite(block).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
+        p.data[...] = block.reshape(p.data.shape)
         offset += nbytes
+    if names:
+        raise CheckpointError(f"{path}: parameters missing from the checkpoint: {sorted(names)}")
     if offset != len(body):
         raise CheckpointError(f"{path}: {len(body) - offset} trailing bytes after parameters")
     return model, config

@@ -1,6 +1,9 @@
 import argparse
-import json
 import filecmp
+import hashlib
+import json
+import math
+import struct
 
 import pytest
 
@@ -350,6 +353,31 @@ def test_directory_in_place_of_a_file_is_one_error_line(dataset_dir, tmp_path, c
     assert code == 1
     lines = _error_lines(stderr)
     assert len(lines) == 1 and str(tmp_path) in lines[0]
+
+
+@pytest.mark.parametrize("broken", ["no-model-key", "missing-parameter"])
+def test_malformed_checkpoint_is_one_error_line(dataset_dir, checkpoint, tmp_path, capsys,
+                                                broken):
+    blob = checkpoint.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + header_len])
+    blocks = blob[16 + header_len:-8]
+    if broken == "no-model-key":
+        del header["model"]
+    else:
+        entry = header["params"].pop()
+        blocks = blocks[:-8 * math.prod(entry["shape"])]
+    payload = json.dumps(header).encode("utf-8")
+    body = blob[:8] + struct.pack("<Q", len(payload)) + payload + blocks
+    checkpoint.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    code, _, stderr = run_cli(
+        capsys, "embed", "--model", str(checkpoint),
+        "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"),
+        "--out", str(tmp_path / "emb.tsv"))
+    assert code == 1
+    lines = _error_lines(stderr)
+    assert len(lines) == 1 and str(checkpoint) in lines[0]
 
 
 @pytest.mark.parametrize("axes, expected", [

@@ -214,6 +214,12 @@ def _mixed_length_universe():
     return records, StockGraph(len(records), edges)
 
 
+def test_embed_universe_rejects_an_empty_id_list(chain):
+    records, graph = chain
+    with pytest.raises(DataError, match="empty"):
+        embed_universe(make_model(), graph, records, [])
+
+
 @pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
 @pytest.mark.parametrize("pooling", ["mean", "max", "cls"])
 def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling):

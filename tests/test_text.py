@@ -67,25 +67,25 @@ def _encoder(depth, dim=6, vocab_size=10, seed=0, max_len=32):
 def test_depth_zero_encode_returns_raw_embedding_rows():
     enc = _encoder(depth=0)
     ids = [2, 5, 7]
-    out = enc.encode(ids)
-    assert np.array_equal(out.data, enc.token_emb.data[ids])
+    out = enc.encode([ids])
+    assert np.array_equal(out.data[0], enc.token_emb.data[ids])
 
 
 def test_encode_output_shape_for_any_depth():
     for depth in (0, 1, 2):
         enc = _encoder(depth)
-        out = enc.encode([2, 3, 4, 5])
-        assert out.data.shape == (4, 6)
+        out = enc.encode([[2, 3, 4, 5]])
+        assert out.data.shape == (1, 4, 6)
 
 
 def test_encode_rejects_bad_ids_and_lengths():
     enc = _encoder(1, max_len=4)
     with pytest.raises(DataError):
-        enc.encode([])
+        enc.encode([[]])
     with pytest.raises(DataError):
-        enc.encode([2, 99])
+        enc.encode([[2, 99]])
     with pytest.raises(DataError):
-        enc.encode([2, 3, 4, 5, 6])
+        enc.encode([[2, 3, 4, 5, 6]])
     with pytest.raises(DataError):
         enc.encode([[2, 3], [2, 3, 4]])
     with pytest.raises(DataError):
@@ -96,8 +96,8 @@ def test_encode_rejects_bad_ids_and_lengths():
 
 def test_encode_is_deterministic():
     enc = _encoder(2)
-    a = enc.encode([2, 4, 6], training=False).data
-    b = enc.encode([2, 4, 6], training=False).data
+    a = enc.encode([[2, 4, 6]], training=False).data
+    b = enc.encode([[2, 4, 6]], training=False).data
     assert np.array_equal(a, b)
 
 
@@ -107,19 +107,19 @@ def test_encode_batch_equals_each_sequence():
     batch = enc.encode(seqs).data
     assert batch.shape == (3, 3, 6)
     for row, seq in zip(batch, seqs):
-        assert np.array_equal(row, enc.encode(seq).data)
+        assert np.array_equal(row, enc.encode([seq]).data[0])
 
 
 def test_encode_batch_reads_and_fills_the_prefix_cache():
     enc = _encoder(depth=2)
     enc.set_trainable("last")
     seqs = [[2, 5, 7], [3, 3, 9], [2, 5, 7]]
-    plain = [enc.encode(seq).data for seq in seqs]
+    plain = [enc.encode([seq]).data[0] for seq in seqs]
     with enc.frozen_prefix_cache():
-        enc.encode(seqs[1])  # cached by the one-sequence path
+        enc.encode([seqs[1]])  # cached by a batch of one
         batch = enc.encode(seqs).data
         assert set(enc._prefix_cache) == {tuple(seq) for seq in seqs}
-        again = enc.encode(seqs[0]).data  # cached by the batch
+        again = enc.encode([seqs[0]]).data[0]  # cached by the batch
     for row, expected in zip(batch, plain):
         assert np.array_equal(row, expected)
     assert np.array_equal(again, plain[0])
@@ -139,7 +139,7 @@ def test_frozen_block_gets_no_gradient():
     enc = _encoder(depth=2)
     enc.blocks[0].set_trainable(False)
     enc.blocks[1].set_trainable(True)
-    out = enc.encode([2, 5, 7])
+    out = enc.encode([[2, 5, 7]])
     backward(sum_all(out))
     assert all(p.grad is None for _, p in enc.blocks[0].named_params())
     assert any(p.grad is not None for _, p in enc.blocks[1].named_params())
@@ -147,16 +147,21 @@ def test_frozen_block_gets_no_gradient():
 
 def test_set_trainable_policies():
     enc = _encoder(depth=2)
+    def block_flags():
+        flags = [{p.requires_grad for _, p in block.named_params()} for block in enc.blocks]
+        assert all(len(f) == 1 for f in flags)  # a block trains whole or not at all
+        return [f.pop() for f in flags]
+
     enc.set_trainable("none")
-    assert enc.trainable_flags() == [False, False]
+    assert block_flags() == [False, False]
     assert not enc.token_emb.requires_grad
 
     enc.set_trainable("last")
-    assert enc.trainable_flags() == [False, True]
+    assert block_flags() == [False, True]
     assert not enc.token_emb.requires_grad
 
     enc.set_trainable("all")
-    assert enc.trainable_flags() == [True, True]
+    assert block_flags() == [True, True]
     assert enc.token_emb.requires_grad
 
     with pytest.raises(ValueError, match="most"):
@@ -174,7 +179,7 @@ def test_policy_all_training_step_changes_embedding_table():
     enc.set_trainable("all")
     before = enc.token_emb.data.copy()
     params = [p for _, p in enc.named_params() if p.requires_grad]
-    backward(sum_all(enc.encode([2, 5, 7])))
+    backward(sum_all(enc.encode([[2, 5, 7]])))
     Adam(params, lr=0.01).step()
     assert not np.array_equal(before, enc.token_emb.data)
 
@@ -187,7 +192,7 @@ def test_frozen_parameters_identical_after_training_steps():
     params = [p for _, p in enc.named_params() if p.requires_grad]
     opt = Adam(params, lr=0.05)
     for _ in range(3):
-        backward(sum_all(enc.encode([2, 5, 7])))
+        backward(sum_all(enc.encode([[2, 5, 7]])))
         opt.step()
         opt.zero_grad()
     for name, p in enc.named_params():

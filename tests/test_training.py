@@ -260,8 +260,8 @@ def test_config_rejects_unknown_keys():
     ("epochs", "x"), ("epochs", 0), ("epochs", 2.0), ("epochs", True),
     ("hidden_dim", 0), ("encoder_depth", -1), ("seed", -1), ("max_tokens", 0),
     ("learning_rate", 0.0), ("learning_rate", float("nan")), ("learning_rate", "fast"),
-    ("dropout", 1.0), ("dropout", -0.1), ("adam_beta1", 1.0), ("adam_beta2", -0.5),
-    ("adam_eps", 0.0), ("residual", 1), ("directed", "yes"),
+    ("dropout", 1.0), ("dropout", -0.1), ("learning_rate", float("inf")), ("seed", 1.5),
+    ("max_tokens", True), ("residual", 1), ("directed", "yes"),
     ("pooling", "avg"), ("gnn", "gin"), ("encoder_train", "most"),
     ("neighbor_direction", "sideways"), ("gnn", ["gcn"]),
     ("proportions", 5), ("proportions", [0.5, 0.5]), ("proportions", [0.5, 0.5, 0.5]),
@@ -332,6 +332,101 @@ def test_checkpoint_with_retired_frozen_text_cache_key_loads(tmp_path):
         TrainConfig.from_dict({"frozen_text_cache": False})
 
 
+def _checkpoint_parts(path):
+    """A checkpoint's 8-byte prefix, header JSON and parameter blocks."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return blob[:8], json.loads(blob[16:16 + header_len]), blob[16 + header_len:-8]
+
+
+def _write_checkpoint(path, prefix, payload, blocks, header_len=None):
+    """Assemble a checkpoint with a valid checksum; ``payload`` is the header
+    as a dict (serialized as ``save_model`` does) or as raw bytes."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, sort_keys=True).encode("utf-8")
+    length = len(payload) if header_len is None else header_len
+    body = prefix + struct.pack("<Q", length) + payload + blocks
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+
+
+_ADAM_DEFAULTS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
+
+
+def test_checkpoint_with_retired_default_adam_keys_loads(tmp_path):
+    ds, cfg, vocab, split, model = _small_setup(seed=15, epochs=1)
+    train(model, ds.graph, ds.records, split, cfg)
+    path = tmp_path / "model.setn"
+    save_model(model, path, cfg)
+    prefix, header, blocks = _checkpoint_parts(path)
+    # the config a checkpoint carried while Adam's constants were settings
+    header["config"].update(_ADAM_DEFAULTS)
+    old = tmp_path / "old.setn"
+    _write_checkpoint(old, prefix, header, blocks)
+    loaded, loaded_cfg = load_model(old)
+    assert loaded_cfg == cfg
+    assert _param_bytes(loaded) == _param_bytes(model)
+    resaved = tmp_path / "resaved.setn"
+    save_model(loaded, resaved, loaded_cfg)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6), ("adam_eps", "tiny"),
+])
+def test_checkpoint_with_a_non_default_adam_key_is_rejected(tmp_path, key, value):
+    ds, cfg, vocab, split, model = _small_setup(seed=16, epochs=1)
+    path = tmp_path / "model.setn"
+    save_model(model, path, cfg)
+    prefix, header, blocks = _checkpoint_parts(path)
+    header["config"].update(_ADAM_DEFAULTS, **{key: value})
+    _write_checkpoint(path, prefix, header, blocks)
+    with pytest.raises(CheckpointError, match=f"{key}"):
+        load_model(path)
+
+
+def test_config_rejects_retired_adam_keys_as_unknown():
+    for key, value in _ADAM_DEFAULTS.items():
+        with pytest.raises(DataError, match=f"unknown config keys: \\['{key}'\\]"):
+            TrainConfig.from_dict({key: value})
+
+
+def _omit_last_parameter(header, blocks):
+    entry = header["params"].pop()
+    return header, blocks[:-8 * int(np.prod(entry["shape"]))]
+
+
+def _non_finite_first_block(header, blocks):
+    return header, struct.pack("<d", float("nan")) + blocks[8:]
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda h, b: (b"{not json", b), "invalid header"),
+    (lambda h, b: (b'{"config": "caf\xe9"}', b), "invalid header"),
+    (lambda h, b: (b"[1, 2]", b), "invalid header"),
+    (lambda h, b: ({k: v for k, v in h.items() if k != "model"}, b), "invalid header"),
+    (lambda h, b: (dict(h, config=5), b), "invalid header"),
+    (lambda h, b: (dict(h, config=dict(h["config"], epochs=0)), b),
+     "invalid header: DataError: config field 'epochs'"),
+    (lambda h, b: (dict(h, params=[{"name": e["name"]} for e in h["params"]]), b),
+     "invalid header"),
+    (lambda h, b: (dict(h, model={"n_sectors": "3", "n_industries": 5}), b), "class counts"),
+    (lambda h, b: (h, b, 10 ** 9), "runs past the end"),
+    (_omit_last_parameter, "missing from the checkpoint: ['head_industry.bias']"),
+    (_non_finite_first_block, "non-finite"),
+], ids=["non-json", "non-utf8", "not-an-object", "no-model", "config-5", "config-out-of-range",
+        "no-shape", "bad-class-count", "header-past-body", "missing-param", "non-finite-param"])
+def test_malformed_checkpoint_is_a_checkpoint_error_naming_the_file(tmp_path, edit, expected):
+    ds, cfg, vocab, split, model = _small_setup(seed=17, epochs=1)
+    path = tmp_path / "model.setn"
+    save_model(model, path, cfg)
+    prefix, header, blocks = _checkpoint_parts(path)
+    _write_checkpoint(path, prefix, *edit(header, blocks))
+    with pytest.raises(CheckpointError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert expected in str(exc.value)
+
+
 def test_checkpoint_truncation_detected(tmp_path):
     ds, cfg, vocab, split, model = _small_setup(seed=9, epochs=1)
     path = tmp_path / "model.setn"
@@ -399,6 +494,13 @@ def test_train_config_defaults_match_reference_recipe():
     assert cfg.encoder_train == "last"
     assert cfg.directed is True
     assert cfg.proportions == (0.7, 0.1, 0.2)
+
+
+def test_readme_configuration_table_lists_every_config_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(keys) == sorted(TrainConfig.__dataclass_fields__)
 
 
 def test_readme_library_surface_import_line_runs():
