@@ -521,14 +521,9 @@ def _check_scalar_deterministic(f) -> Tensor:
     return out2
 
 
-def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central finite-difference gradients
-    of scalar-valued ``f`` with respect to ``x``."""
-    return grad_check_params(lambda: f(x), [x], h)
-
-
 def grad_check_params(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
-    """Like ``grad_check`` but for a zero-argument closure over many parameters."""
+    """Max relative error between the analytic and the central finite-difference
+    gradients of a zero-argument, scalar-valued closure over ``params``."""
     out = _check_scalar_deterministic(f)
     for p in params:
         p.grad = None

@@ -289,7 +289,7 @@ def load_edges(path, n_nodes: int) -> StockGraph:
             edges.append((s, d))
     if dropped:
         logger.warning("%s: dropped %d self-loop/duplicate edges", path, dropped)
-    return StockGraph(n_nodes, tuple(edges), directed=True)
+    return StockGraph(n_nodes, tuple(edges))
 
 
 def load_themes(path, id_map: Mapping[str, int],
@@ -466,7 +466,7 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
         if len(chosen) >= 2:
             themes[f"theme{t:02d}"] = tuple(int(m) for m in np.sort(chosen))
 
-    graph = StockGraph(spec.n, tuple(sorted(edges)), directed=True)
+    graph = StockGraph(spec.n, tuple(sorted(edges)))
     return Dataset(records, graph, ThemeSet(themes), taxonomy)
 
 

@@ -22,11 +22,11 @@ DIRECTIONS = ("in", "out")
 
 @dataclass(frozen=True, eq=False)
 class StockGraph:
-    """Immutable directed graph over dense integer node ids."""
+    """Immutable directed graph over dense integer node ids; undirected when
+    its edge set is symmetric (``to_undirected``)."""
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
-    directed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(s), int(d)) for s, d in self.edges))
@@ -57,7 +57,7 @@ def to_undirected(g: StockGraph) -> StockGraph:
     for s, d in g.edges:
         sym.add((s, d))
         sym.add((d, s))
-    return StockGraph(g.n_nodes, tuple(sorted(sym)), directed=False)
+    return StockGraph(g.n_nodes, tuple(sorted(sym)))
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,14 @@ class Subgraph:
 
 
 def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgraph:
-    """1-hop neighborhood of ``target``.
-
-    Directed graphs take in-neighbors by default (``direction='out'``
-    flips that); undirected graphs take all neighbors.
-    """
+    """1-hop neighborhood of ``target``: its in-neighbors, or its
+    out-neighbors with ``direction='out'``. On a symmetric edge set both are
+    all of its neighbors."""
     if not 0 <= target < g.n_nodes:
         raise DataError(f"target node {target} outside range [0, {g.n_nodes})")
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    if g.directed:
-        neigh = set(g._in[target] if direction == "in" else g._out[target])
-    else:
-        neigh = set(g._in[target]) | set(g._out[target])
+    neigh = set(g._in[target] if direction == "in" else g._out[target])
     neigh.discard(target)
     members = (target, *sorted(neigh))
     index = {node: i for i, node in enumerate(members)}
@@ -101,16 +96,21 @@ def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgra
     return Subgraph(target, members, tuple(sorted(local)))
 
 
+def _adjacency(sub: Subgraph) -> np.ndarray:
+    """A + I as exact 0/1 values: 1 at [i, i] and at [d, s] for each edge s -> d."""
+    a = np.eye(sub.size)
+    for s, d in sub.edges:
+        a[d, s] = 1.0
+    return a
+
+
 def gcn_normalize(sub: Subgraph) -> Tensor:
     """Degree-normalized adjacency with self-loops: D^-1/2 (A + I) D^-1/2.
 
     Row i receives edge j -> i; degrees are row sums, so directed graphs
     normalize by in-degree.
     """
-    n = sub.size
-    a_hat = np.eye(n)
-    for s, d in sub.edges:
-        a_hat[d, s] = 1.0
+    a_hat = _adjacency(sub)
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return Tensor(a_hat * inv_sqrt[:, None] * inv_sqrt[None, :])
 
@@ -159,14 +159,6 @@ def gcn_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
     return ad.relu(ad.linear(ad.matmul(gcn_normalize(sub), h), params.weight, params.bias))
 
 
-def _attention_mask(sub: Subgraph) -> np.ndarray:
-    n = sub.size
-    mask = np.eye(n)
-    for s, d in sub.edges:
-        mask[d, s] = 1.0
-    return mask
-
-
 def gat_attention(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
     """Attention coefficients [n, n]: row i softmaxes over i's in-neighbors and i itself."""
     _check_layer_input(h, sub, params)
@@ -179,7 +171,7 @@ def gat_attention(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
     s_self = ad.matmul(wh, a_self)     # [n, 1], score share of the attending node
     s_neigh = ad.matmul(wh, a_neigh)   # [n, 1], score share of the neighbor
     logits = ad.leaky_relu(ad.add(s_self, ad.transpose(s_neigh)))
-    mask = _attention_mask(sub)
+    mask = _adjacency(sub)
     masked = ad.add(ad.mul(logits, Tensor(mask)), Tensor((1.0 - mask) * _MASK_FILL))
     return ad.softmax_rows(masked)
 

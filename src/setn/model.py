@@ -10,7 +10,7 @@ ReLU, dropout, then one affine layer per taxonomy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, LabelError
 from .graph import GnnParams, Subgraph, gat_layer, gcn_layer, init_gnn_params
-from .text import MAX_TOKENS, TextEncoder, Vocab, pool, tokenize
+from .text import EncoderBlock, TextEncoder, Vocab, pool, tokenize
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 GNN_KINDS = ("gcn", "gat", "none")
 
@@ -47,33 +50,24 @@ class ForwardResult:
 
 
 class SetnModel:
-    """Composed encoder + GNN + residual + sector/industry heads."""
+    """Composed encoder + GNN + residual + sector/industry heads, with the
+    ``TrainConfig`` they were built from as ``config``."""
 
-    def __init__(self, vocab: Vocab, dim: int = 64, depth: int = 2,
-                 gnn: str = "gcn", residual: bool = True, pooling: str = "mean",
-                 dropout: float = 0.2, n_sectors: int = 17, n_industries: int = 33,
-                 max_tokens: int = MAX_TOKENS, encoder_train: str = "last",
-                 rng: Optional[np.random.Generator] = None):
-        if gnn not in GNN_KINDS:
-            raise ValueError(f"gnn must be one of {GNN_KINDS}, got {gnn!r}")
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, config: TrainConfig, vocab: Vocab, n_sectors: int,
+                 n_industries: int, rng: np.random.Generator):
+        self.config = config
         self.vocab = vocab
-        self.dim = dim
-        self.gnn_kind = gnn
-        self.residual = bool(residual)
-        self.pooling = pooling
-        self.dropout_rate = dropout
+        dim = self.dim = config.hidden_dim
         self.n_sectors = n_sectors
         self.n_industries = n_industries
-        self.max_tokens = max_tokens
-        self.encoder = TextEncoder(len(vocab), dim, depth, rng, max_len=max_tokens)
+        self.encoder = TextEncoder(len(vocab), dim, config.encoder_depth, rng,
+                                   max_len=config.max_tokens)
         self.gnn: Optional[GnnParams] = None
-        if gnn != "none":
-            self.gnn = init_gnn_params(dim, rng, with_attention=(gnn == "gat"))
+        if config.gnn != "none":
+            self.gnn = init_gnn_params(dim, rng, with_attention=(config.gnn == "gat"))
         self.head_sector = Head(ad.xavier_uniform(rng, dim, n_sectors), ad.zeros_param(n_sectors))
         self.head_industry = Head(ad.xavier_uniform(rng, dim, n_industries), ad.zeros_param(n_industries))
-        self.encoder.set_trainable(encoder_train)
+        self.encoder.set_trainable(config.encoder_train)
 
     # ------------------------------------------------------------------
 
@@ -112,7 +106,7 @@ class SetnModel:
         there one batch holds every record of a length. The batches pay off
         only where token lengths repeat: texts of many distinct lengths
         encode one by one."""
-        tokens = [tokenize(r.text, self.vocab, max_tokens=self.max_tokens) for r in records]
+        tokens = [tokenize(r.text, self.vocab, max_tokens=self.config.max_tokens) for r in records]
         by_length: dict[int, list[int]] = {}
         for i, seq in enumerate(tokens):
             by_length.setdefault(len(seq), []).append(i)
@@ -123,7 +117,7 @@ class SetnModel:
             for lo in range(0, len(rows), step):
                 batch = rows[lo:lo + step]
                 parts.append(pool(self.encoder.encode([tokens[i] for i in batch], training),
-                                  self.pooling))
+                                  self.config.pooling))
                 placed.append(batch)
         return ad.place_rows(parts, placed)
 
@@ -135,15 +129,15 @@ class SetnModel:
         if self.gnn is None:
             h = target_text
         else:
-            layer = gcn_layer if self.gnn_kind == "gcn" else gat_layer
+            layer = gcn_layer if self.config.gnn == "gcn" else gat_layer
             # The GNN reads the rows through a node of its own, so backward
             # sums its reads first and then adds the residual's: the order
             # of a loop that encodes member by member.
             h_gnn = layer(ad.reshape(h_text, h_text.shape), sub, self.gnn)
             target_gnn = ad.reshape(ad.take_rows(h_gnn, [0]), (self.dim,))
-            h = ad.add(target_text, target_gnn) if self.residual else target_gnn
+            h = ad.add(target_text, target_gnn) if self.config.residual else target_gnn
 
-        z = ad.dropout(ad.relu(h), self.dropout_rate, training, rng)
+        z = ad.dropout(ad.relu(h), self.config.dropout, training, rng)
         z2 = ad.reshape(z, (1, self.dim))
         logits_s = ad.reshape(ad.linear(z2, self.head_sector.weight, self.head_sector.bias),
                               (self.n_sectors,))
@@ -169,6 +163,27 @@ class SetnModel:
         """Deterministic embedding vector [d] (dropout off)."""
         with ad.no_grad():
             return self.forward(sub, records, training=False).embedding.data.copy()
+
+
+def param_shapes(config: TrainConfig, n_vocab: int, n_sectors: int, n_industries: int):
+    """(name, shape) of every parameter of the model these sizes build, in
+    ``named_params`` order, computed without allocating the parameters."""
+    d = config.hidden_dim
+    yield "encoder.token_emb", (n_vocab, d)
+    yield "encoder.pos_emb", (config.max_tokens, d)
+    feedforward = {"ff1_w": (d, 2 * d), "ff1_b": (2 * d,), "ff2_w": (2 * d, d)}
+    for i in range(config.encoder_depth):
+        for name in EncoderBlock._PARAM_FIELDS:
+            default = (d, d) if name.endswith("_w") else (d,)
+            yield f"encoder.block{i}.{name}", feedforward.get(name, default)
+    if config.gnn != "none":
+        yield "gnn.weight", (d, d)
+        yield "gnn.bias", (d,)
+        if config.gnn == "gat":
+            yield "gnn.attention", (2 * d,)
+    for head, n in (("head_sector", n_sectors), ("head_industry", n_industries)):
+        yield f"{head}.weight", (d, n)
+        yield f"{head}.bias", (n,)
 
 
 def compute_loss(result: ForwardResult, sector_label: int, industry_label: int) -> Tensor:

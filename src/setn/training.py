@@ -14,17 +14,17 @@ import logging
 import math
 import struct
 from dataclasses import asdict, dataclass, replace
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .autodiff import Adam, backward
 from .data import Dataset, StockRecord
-from .errors import CheckpointError, DataError, NonFiniteError, SetnError, TrainingError
+from .errors import CheckpointError, ContractError, DataError, NonFiniteError, SetnError, TrainingError
 from .evaluation import evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
-from .model import GNN_KINDS, SetnModel, compute_loss
+from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
 
 logger = logging.getLogger(__name__)
@@ -36,11 +36,12 @@ _CKPT_VERSION = 1
 _RETIRED_KEYS = {"adam_beta1": Adam.BETA1, "adam_beta2": Adam.BETA2, "adam_eps": Adam.EPS}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Training settings. The defaults are the reference recipe: 20 epochs of
     Adam at learning rate 0.001, dropout 0.2, mean pooling, last-block
-    encoder training, 512-token truncation, directed 1-hop sampling."""
+    encoder training, 512-token truncation, directed 1-hop sampling. Frozen,
+    because a model keeps its config and reads it on every forward pass."""
 
     epochs: int = 20
     learning_rate: float = 0.001
@@ -102,7 +103,7 @@ class TrainConfig:
                 or not all(number(p) and p > 0 for p in props)
                 or abs(sum(props) - 1.0) > 1e-9):
             fail("proportions", f"expected three positive numbers summing to 1, got {props!r}")
-        self.proportions = tuple(props)
+        object.__setattr__(self, "proportions", tuple(props))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -163,24 +164,10 @@ def split_records(records: Sequence[StockRecord], config: TrainConfig) -> Split:
     return split_dataset([r.stock_id for r in records], config.proportions, config.seed)
 
 
-def build_model(config: TrainConfig, vocab: Vocab,
-                n_sectors: int = 17, n_industries: int = 33) -> SetnModel:
+def build_model(config: TrainConfig, vocab: Vocab, n_sectors: int, n_industries: int) -> SetnModel:
     """Fresh model whose initialization derives from the config seed."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    return SetnModel(
-        vocab,
-        dim=config.hidden_dim,
-        depth=config.encoder_depth,
-        gnn=config.gnn,
-        residual=config.residual,
-        pooling=config.pooling,
-        dropout=config.dropout,
-        n_sectors=n_sectors,
-        n_industries=n_industries,
-        max_tokens=config.max_tokens,
-        encoder_train=config.encoder_train,
-        rng=rng,
-    )
+    return SetnModel(config, vocab, n_sectors, n_industries, rng)
 
 
 def prepare_graph(graph: StockGraph, config: TrainConfig) -> StockGraph:
@@ -309,9 +296,12 @@ def run_ablation(dataset: Dataset, base_config: TrainConfig, axes: Sequence[str]
 
 
 def save_model(model: SetnModel, path, config: TrainConfig) -> None:
+    """Write ``model`` with ``model.config``, which ``config`` must equal."""
+    if config != model.config:
+        raise ContractError("save_model writes model.config; the config given differs from it")
     manifest = [{"name": name, "shape": list(p.data.shape)} for name, p in model.named_params()]
     header = {
-        "config": config.to_dict(),
+        "config": model.config.to_dict(),
         "model": {
             "n_sectors": model.n_sectors,
             "n_industries": model.n_industries,
@@ -371,26 +361,29 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
     if expected_gnn is not None and config.gnn != expected_gnn:
         raise CheckpointError(
             f"{path}: checkpoint was trained with gnn={config.gnn!r}, requested {expected_gnn!r}")
-    model = build_model(config, vocab, *n_classes)
-    offset = 16 + header_len
-    names = dict(model.named_params())
+    # Before anything is allocated: the manifest must list the model the header's
+    # sizes describe (read one entry past its length at most), and the file must hold it.
+    expected = dict(islice(param_shapes(config, len(vocab), *n_classes), len(manifest) + 1))
     for name, shape in manifest:
-        p = names.pop(name, None)
-        if p is None:
+        want = expected.pop(name, None)
+        if want is None:
             raise CheckpointError(f"{path}: unexpected or repeated parameter {name!r}")
-        if p.data.shape != shape:
-            raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, expected {p.data.shape}")
-        nbytes = p.data.size * 8
-        chunk = body[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: parameter block for {name!r} truncated")
-        block = np.frombuffer(chunk, dtype="<f8")
+        if shape != want:
+            raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, expected {want}")
+    if expected:
+        raise CheckpointError(f"{path}: parameters missing from the checkpoint: {sorted(expected)}")
+    offset = 16 + header_len
+    n_bytes = 8 * sum(math.prod(shape) for _, shape in manifest)
+    if offset + n_bytes != len(body):
+        raise CheckpointError(f"{path}: the parameters take {n_bytes} bytes, "
+                              f"the file holds {len(body) - offset}")
+    model = build_model(config, vocab, *n_classes)
+    params = dict(model.named_params())
+    for name, _ in manifest:
+        p = params[name]
+        block = np.frombuffer(body, dtype="<f8", count=p.data.size, offset=offset)
         if not np.isfinite(block).all():
             raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
         p.data[...] = block.reshape(p.data.shape)
-        offset += nbytes
-    if names:
-        raise CheckpointError(f"{path}: parameters missing from the checkpoint: {sorted(names)}")
-    if offset != len(body):
-        raise CheckpointError(f"{path}: {len(body) - offset} trailing bytes after parameters")
+        offset += 8 * p.data.size
     return model, config

@@ -20,7 +20,7 @@ def test_graph_validation():
 def test_to_undirected_symmetrizes():
     g = to_undirected(StockGraph(2, ((0, 1),)))
     assert set(g.edges) == {(0, 1), (1, 0)}
-    assert not g.directed
+    assert {(d, s) for s, d in g.edges} == set(g.edges)
 
 
 def test_to_undirected_idempotent_on_symmetric_graph():

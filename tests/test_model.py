@@ -11,8 +11,9 @@ from setn.errors import DataError, LabelError
 from setn.evaluation import embed_universe
 from setn.graph import StockGraph, gat_layer, gcn_layer, sample_subgraph
 from setn import model as model_module
-from setn.model import ForwardResult, SetnModel, compute_loss
+from setn.model import ForwardResult, SetnModel, compute_loss, param_shapes
 from setn.text import Vocab, tokenize
+from setn.training import TrainConfig
 
 
 TEXTS = [
@@ -31,12 +32,11 @@ def make_records(n=5):
 
 def make_model(gnn="gcn", residual=True, depth=1, dim=6, seed=0, dropout=0.2,
                encoder_train="last", n_sectors=3, n_industries=5, pooling="mean"):
-    vocab = Vocab.build(TEXTS)
-    return SetnModel(vocab, dim=dim, depth=depth, gnn=gnn, residual=residual,
-                     pooling=pooling, dropout=dropout,
-                     n_sectors=n_sectors, n_industries=n_industries,
-                     max_tokens=16, encoder_train=encoder_train,
-                     rng=np.random.default_rng(seed))
+    config = TrainConfig(hidden_dim=dim, encoder_depth=depth, gnn=gnn, residual=residual,
+                         pooling=pooling, dropout=dropout, max_tokens=16,
+                         encoder_train=encoder_train)
+    return SetnModel(config, Vocab.build(TEXTS), n_sectors, n_industries,
+                     np.random.default_rng(seed))
 
 
 @pytest.fixture
@@ -200,6 +200,14 @@ def test_frozen_text_cache_matches_uncached_path(chain):
         assert np.array_equal(again, plain)
 
 
+@pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
+@pytest.mark.parametrize("depth, policy", [(0, "none"), (1, "last"), (2, "all")])
+def test_param_shapes_list_the_built_models_parameters(gnn, depth, policy):
+    model = make_model(gnn=gnn, depth=depth, encoder_train=policy, n_sectors=3, n_industries=5)
+    assert list(param_shapes(model.config, len(model.vocab), 3, 5)) == [
+        (name, p.data.shape) for name, p in model.named_params()]
+
+
 WORDS = ("alpha", "beta", "gamma", "delta")
 # words per text; with the CLS id, 13 tokens exceed the 8-token budget below
 TEXT_LENGTHS = (0, 3, 3, 1, 12, 3, 2, 3, 3, 5, 3, 2)
@@ -274,11 +282,11 @@ def per_member_forward(model, sub, recs, training=False, rng=None):
     rows = [model.encode_text(r, training) for r in recs[:len(model.text_members(sub))]]
     h = rows[0]
     if model.gnn is not None:
-        layer = gcn_layer if model.gnn_kind == "gcn" else gat_layer
+        layer = gcn_layer if model.config.gnn == "gcn" else gat_layer
         h_gnn = layer(stack_rows(rows), sub, model.gnn)
         target_gnn = reshape(take_rows(h_gnn, [0]), (model.dim,))
-        h = add(h, target_gnn) if model.residual else target_gnn
-    z = reshape(dropout(relu(h), model.dropout_rate, training, rng), (1, model.dim))
+        h = add(h, target_gnn) if model.config.residual else target_gnn
+    z = reshape(dropout(relu(h), model.config.dropout, training, rng), (1, model.dim))
     logits = [reshape(linear(z, head.weight, head.bias), (n,))
               for head, n in ((model.head_sector, model.n_sectors),
                               (model.head_industry, model.n_industries))]
@@ -315,9 +323,9 @@ def test_batched_training_pass_matches_per_member_reference(gnn, mixed):
     assert (mixed_subs >= 10) if mixed else (mixed_subs == 0)
     for policy in ("last", "none", "all"):
         for residual in (True, False):
-            model = SetnModel(vocab, dim=6, depth=2, gnn=gnn, residual=residual,
-                              n_sectors=3, n_industries=5, max_tokens=16,
-                              encoder_train=policy, rng=np.random.default_rng(1))
+            config = TrainConfig(hidden_dim=6, encoder_depth=2, gnn=gnn, residual=residual,
+                                 max_tokens=16, encoder_train=policy)
+            model = SetnModel(config, vocab, 3, 5, np.random.default_rng(1))
             for cached in (False, True):
                 with model.encoder.frozen_prefix_cache() if cached else nullcontext():
                     for sub in subs:

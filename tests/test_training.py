@@ -1,13 +1,15 @@
 import hashlib
 import json
 import struct
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from setn.data import GeneratorSpec, generate_synthetic
-from setn.errors import CheckpointError, DataError, TrainingError
+from setn.errors import CheckpointError, ContractError, DataError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
 from setn.graph import sample_subgraph, to_undirected
 from setn.text import Vocab, tokenize
@@ -237,7 +239,7 @@ def test_undirected_config_symmetrizes_graph():
     cfg_und = TrainConfig(**{**cfg.to_dict(), "directed": False,
                              "proportions": tuple(cfg.proportions)})
     g = prepare_graph(ds.graph, cfg_und)
-    assert not g.directed
+    assert {(d, s) for s, d in g.edges} == set(g.edges)
     assert set(g.edges) == set(to_undirected(ds.graph).edges)
 
 
@@ -427,6 +429,48 @@ def test_malformed_checkpoint_is_a_checkpoint_error_naming_the_file(tmp_path, ed
     assert expected in str(exc.value)
 
 
+@pytest.mark.parametrize("section, key, value, in_manifest", [
+    ("model", "n_sectors", 10 ** 13, False), ("model", "n_sectors", 10 ** 13, True),
+    ("model", "n_sectors", 2 * 10 ** 6, False), ("model", "n_sectors", 2 * 10 ** 6, True),
+    ("config", "hidden_dim", 1500, False), ("config", "encoder_depth", 10 ** 4, False),
+    ("config", "max_tokens", 2 * 10 ** 6, False),
+], ids=["582-TiB-header", "582-TiB-header-and-manifest", "128-MB-header",
+        "128-MB-header-and-manifest", "hidden-dim", "encoder-depth", "max-tokens"])
+def test_oversized_checkpoint_claim_is_rejected_before_allocating(tmp_path, section, key, value,
+                                                                 in_manifest):
+    """A header whose sizes claim far more parameters than the file holds is a
+    CheckpointError naming the file, and nothing of that size is allocated."""
+    ds, cfg, vocab, split, model = _small_setup(seed=18, epochs=1)
+    path = tmp_path / "model.setn"
+    save_model(model, path, cfg)
+    prefix, header, blocks = _checkpoint_parts(path)
+    header[section][key] = value
+    if in_manifest:
+        for entry in header["params"]:
+            if entry["name"].startswith("head_sector."):
+                entry["shape"][-1] = value
+    _write_checkpoint(path, prefix, header, blocks)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as exc:
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith(f"{path}: ")
+    assert peak < 10 * 2 ** 20
+
+
+def test_save_model_rejects_a_config_other_than_the_models(tmp_path):
+    ds, cfg, vocab, split, model = _small_setup(seed=19, epochs=1)
+    path = tmp_path / "model.setn"
+    with pytest.raises(ContractError, match="model.config"):
+        save_model(model, path, replace(cfg, pooling="max"))
+    assert not path.exists()
+    save_model(model, path, replace(cfg))  # an equal config describes the same model
+    assert load_model(path)[0].config == model.config
+
+
 def test_checkpoint_truncation_detected(tmp_path):
     ds, cfg, vocab, split, model = _small_setup(seed=9, epochs=1)
     path = tmp_path / "model.setn"
@@ -494,6 +538,15 @@ def test_train_config_defaults_match_reference_recipe():
     assert cfg.encoder_train == "last"
     assert cfg.directed is True
     assert cfg.proportions == (0.7, 0.1, 0.2)
+
+
+def test_train_config_is_frozen_and_kept_by_the_model():
+    cfg = TrainConfig(hidden_dim=8, max_tokens=16)
+    with pytest.raises(FrozenInstanceError):
+        cfg.pooling = "max"
+    assert replace(cfg, pooling="max").pooling == "max" and cfg.pooling == "mean"
+    assert TrainConfig(proportions=[0.7, 0.1, 0.2]).proportions == (0.7, 0.1, 0.2)
+    assert build_model(cfg, Vocab.build(["a b"]), 3, 5).config is cfg
 
 
 def test_readme_configuration_table_lists_every_config_field():
