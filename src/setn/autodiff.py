@@ -16,6 +16,7 @@ order, bit for bit what a loop over the slices accumulates.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from contextlib import contextmanager
@@ -29,6 +30,33 @@ Array = np.ndarray
 
 # Entries this negative are squashed to exactly zero by a row softmax.
 _MASK_FILL = -1e30
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process (glibc only; elsewhere a no-op).
+
+    A batched training step allocates activations and gradients of 115-400 KB
+    each. By default glibc serves blocks of 128 KiB and more with ``mmap``,
+    and once one is freed it raises that threshold and sets the trim threshold
+    to twice the block, so the working set freed at the end of each step is
+    handed back to the kernel and the next step page-faults it in again. Two
+    epochs of the reference recipe on 300 stocks (2-core x86-64) took 632k
+    minor faults and 5.3 s, 1.8 s of it system time; with both thresholds
+    fixed, 3.9k faults and 3.0 s. Either one alone is not enough: 50k faults
+    with the trim threshold only, 799k with the mmap threshold only. The
+    setting is process-wide and changes no arithmetic.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, glibc's largest
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: 64 MiB
+
+
+_keep_freed_heap()
 
 
 class Tensor:

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import struct
+import time
 from dataclasses import asdict, dataclass, replace
 from itertools import islice, product
 from typing import Optional, Sequence, TextIO
@@ -195,6 +196,7 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
     # frozen encoder layers cannot change during this call
     with model.encoder.frozen_prefix_cache():
         for epoch in range(config.epochs):
+            start = time.perf_counter()
             losses = []
             for target in epoch_order(config.seed, epoch, split.train):
                 sub = sample_subgraph(g, target, config.neighbor_direction)
@@ -209,17 +211,24 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                 if not math.isfinite(value):
                     raise TrainingError(f"non-finite loss {value} at epoch {epoch}, stock {target}")
                 backward(loss)
+                if not all(p.grad is None or np.isfinite(p.grad).all() for p in params):
+                    # an overflow in backward: stop before it reaches the parameters
+                    optimizer.zero_grad()
+                    raise TrainingError(f"non-finite gradient at epoch {epoch}, stock {target}")
                 optimizer.step()
                 optimizer.zero_grad()
                 losses.append(value)
 
             val_map = evaluate_map(model, g, records, split.val, ks=(5,),
                                    direction=config.neighbor_direction)
+            seconds = time.perf_counter() - start
             entry = {
                 "epoch": epoch,
                 "mean_train_loss": float(np.mean(losses)),
                 "val_map5_sector": val_map["topix17"][5],
                 "val_map5_industry": val_map["topix33"][5],
+                "seconds": seconds,
+                "targets_per_s": len(split.train) / seconds,
             }
             history.append(entry)
             if log_stream is not None:

@@ -1,7 +1,14 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import setn
 
 from setn.autodiff import (Adam, Tensor, add, backward, cross_entropy,
                            dropout, grad_check_params, is_recording,
@@ -442,3 +449,56 @@ def test_no_grad_resumes_recording_only_when_the_last_context_exits():
             pass
         assert not is_recording()
     assert is_recording()
+
+
+# ---------------------------------------------------------------------------
+# heap settings made at import
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's setn."""
+    src = str(Path(setn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap settings apply to glibc only")
+def test_import_keeps_freed_heap_memory_in_the_process():
+    # With glibc's defaults each freed 256 KiB array goes back to the kernel
+    # and the next one faults its 64 pages in again: about 13-19k faults here.
+    faults = int(_run_python(
+        "import resource\n"
+        "import numpy as np\n"
+        "import setn\n"
+        "np.ones(32768)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(200):\n"
+        "    a, b = np.ones(32768), np.ones(32768)\n"
+        "    del a, b\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
+    assert faults < 1000
+
+
+@pytest.mark.parametrize("cdll", [
+    "def CDLL(*args, **kwargs):\n    raise OSError('no C library')",
+    "def CDLL(*args, **kwargs):\n    return object()",
+], ids=["no-libc", "no-mallopt"])
+def test_import_without_mallopt_still_trains(cdll):
+    out = _run_python(
+        "import ctypes\n"
+        "import numpy as np\n"  # before ctypes is broken
+        f"{cdll}\n"
+        "ctypes.CDLL = CDLL\n"
+        "import setn\n"
+        "ds = setn.generate_synthetic(setn.GeneratorSpec(n=30, sectors=3, industries=5,\n"
+        "    vocab_size=40, tokens_per_doc=6, theme_count=1, seed=0))\n"
+        "cfg = setn.TrainConfig(epochs=1, hidden_dim=8, encoder_depth=1, max_tokens=8)\n"
+        "split = setn.split_dataset([r.stock_id for r in ds.records], cfg.proportions, cfg.seed)\n"
+        "model = setn.build_model(cfg, setn.Vocab.build(r.text for r in ds.records), 3, 5)\n"
+        "history = setn.train(model, ds.graph, ds.records, split, cfg)\n"
+        "print(len(history))\n")
+    assert out.strip() == "1"

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import re
 import struct
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from setn import autodiff as ad
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import CheckpointError, ContractError, DataError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
@@ -251,6 +254,61 @@ def test_non_finite_loss_aborts_with_diagnostics():
         train(model, ds.graph, ds.records, split, cfg)
     message = str(exc.value)
     assert "epoch 0" in message and "stock" in message
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_non_finite_gradient_aborts_before_the_update(monkeypatch):
+    ds, cfg, vocab, split, model = _small_setup(seed=6, epochs=1)
+    before = _param_bytes(model)
+    original = ad.cross_entropy
+    calls = []
+
+    def overflowing_once(logits, targets):
+        out = original(logits, targets)
+        if not calls:
+            inner = out._backward_fn
+            out._backward_fn = lambda g: inner(g * np.inf)
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(ad, "cross_entropy", overflowing_once)
+    with pytest.raises(TrainingError) as exc:
+        train(model, ds.graph, ds.records, split, cfg)
+    first = epoch_order(cfg.seed, 0, split.train)[0]
+    assert re.search(rf"non-finite gradient at epoch 0, stock {first}$", str(exc.value))
+    assert _param_bytes(model) == before
+    assert all(p.grad is None for p in model.trainable_params())
+
+
+def _readme_table_keys(heading):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+    return [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_epoch_log_entry_has_every_documented_key():
+    ds, cfg, vocab, split, model = _small_setup(seed=8, epochs=2)
+    stream = io.StringIO()
+    history = train(model, ds.graph, ds.records, split, cfg, log_stream=stream)
+    keys = _readme_table_keys("Training log")
+    lines = stream.getvalue().splitlines()
+    assert len(lines) == len(history) == cfg.epochs
+    for epoch, (entry, line) in enumerate(zip(history, lines)):
+        assert json.loads(line) == entry
+        assert sorted(entry) == sorted(keys)
+        assert entry["epoch"] == epoch
+        assert entry["seconds"] > 0
+        assert entry["targets_per_s"] == pytest.approx(len(split.train) / entry["seconds"])
+
+
+def test_log_stream_leaves_checkpoints_byte_identical(tmp_path):
+    paths = []
+    for stream in (None, io.StringIO()):
+        ds, cfg, vocab, split, model = _small_setup(seed=9, epochs=2)
+        train(model, ds.graph, ds.records, split, cfg, log_stream=stream)
+        paths.append(tmp_path / f"{len(paths)}.setn")
+        save_model(model, paths[-1], cfg)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_config_rejects_unknown_keys():
@@ -550,9 +608,7 @@ def test_train_config_is_frozen_and_kept_by_the_model():
 
 
 def test_readme_configuration_table_lists_every_config_field():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-    keys = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    keys = _readme_table_keys("Configuration")
     assert sorted(keys) == sorted(TrainConfig.__dataclass_fields__)
 
 
