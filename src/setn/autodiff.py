@@ -30,6 +30,11 @@ Array = np.ndarray
 
 # Entries this negative are squashed to exactly zero by a row softmax.
 _MASK_FILL = -1e30
+# The negative slope of ``leaky_relu``, the variance floor of
+# ``layer_norm_rows`` and the std of ``normal_param``'s draws.
+_LEAKY_SLOPE = 0.2
+_NORM_EPS = 1e-5
+_INIT_STD = 0.02
 
 
 def _keep_freed_heap() -> None:
@@ -281,8 +286,8 @@ def relu(x: Tensor) -> Tensor:
     return _op(x.data * mask, (x,), bw)
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    factor = np.where(x.data > 0, 1.0, negative_slope)
+def leaky_relu(x: Tensor) -> Tensor:
+    factor = np.where(x.data > 0, 1.0, _LEAKY_SLOPE)
 
     def bw(g: Array) -> None:
         _accum(x, g * factor)
@@ -446,7 +451,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _op(x.data.reshape(shape), (x,), bw)
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalization over the last axis to zero mean / unit variance, then gain and bias."""
     if x.data.ndim < 2:
         raise ShapeError(f"layer_norm_rows needs a tensor of rank 2 or more, got shape {x.data.shape}")
@@ -456,7 +461,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     # sum / d is exactly what ndarray.mean computes, minus its Python overhead
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + _NORM_EPS)
     xhat = xc * inv
 
     def bw(g: Array) -> None:
@@ -479,8 +484,8 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, (rows, cols)), requires_grad=True)
 
 
-def normal_param(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
-    return Tensor(rng.normal(0.0, std, shape), requires_grad=True)
+def normal_param(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(rng.normal(0.0, _INIT_STD, shape), requires_grad=True)
 
 
 def zeros_param(*shape: int) -> Tensor:
@@ -558,26 +563,25 @@ def grad_check_params(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
     if out._backward_fn is not None:
         backward(out)
     worst = 0.0
-    flags = [p.requires_grad for p in params]
-    for p in params:
-        p.requires_grad = False  # no need to record graphs during FD sweeps
     try:
-        for p in params:
-            analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-            fd = np.zeros_like(p.data)
-            flat = p.data.reshape(-1)
-            fdf = fd.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = f().item()
-                flat[i] = orig - h
-                lo = f().item()
-                flat[i] = orig
-                fdf[i] = (hi - lo) / (2.0 * h)
-            worst = max(worst, _max_rel_err(analytic, fd))
+        with no_grad():  # the sweeps need values only
+            for p in params:
+                analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+                fd = np.zeros_like(p.data)
+                flat = p.data.reshape(-1)
+                fdf = fd.reshape(-1)
+                for i in range(flat.size):
+                    orig = flat[i]
+                    try:
+                        flat[i] = orig + h
+                        hi = f().item()
+                        flat[i] = orig - h
+                        lo = f().item()
+                    finally:
+                        flat[i] = orig
+                    fdf[i] = (hi - lo) / (2.0 * h)
+                worst = max(worst, _max_rel_err(analytic, fd))
     finally:
-        for p, was in zip(params, flags):
-            p.requires_grad = was
+        for p in params:
             p.grad = None
     return worst

@@ -309,8 +309,12 @@ def load_themes(path, id_map: Mapping[str, int],
         name = str(obj["theme"])
         if name in themes:
             raise DataError(f"{path}:{lineno}: duplicate theme {name!r}")
+        tickers = obj["members"]
+        if not isinstance(tickers, list):
+            raise DataError(f"{path}:{lineno}: theme 'members' must be a JSON list, "
+                            f"got {type(tickers).__name__}")
         members = []
-        for ticker in obj["members"]:
+        for ticker in tickers:
             sid = id_map.get(str(ticker))
             if sid is None:
                 continue

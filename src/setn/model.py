@@ -87,16 +87,16 @@ class SetnModel:
 
     # ------------------------------------------------------------------
 
-    def encode_text(self, record, training: bool = False) -> Tensor:
+    def encode_text(self, record) -> Tensor:
         """Pooled text vector [d] for one stock."""
-        return ad.reshape(self.text_stage([record], training), (self.dim,))
+        return ad.reshape(self.text_stage([record]), (self.dim,))
 
     def text_members(self, sub: Subgraph) -> tuple[int, ...]:
         """The subgraph members whose texts the graph stage reads, target
         first: all of them, or only the target without a GNN."""
         return sub.members if self.gnn is not None else sub.members[:1]
 
-    def text_stage(self, records: Sequence, training: bool = False) -> Tensor:
+    def text_stage(self, records: Sequence) -> Tensor:
         """Tokenize, encode and pool: one text vector per record, [m, d].
 
         Records whose token sequences have one length are encoded together,
@@ -116,8 +116,7 @@ class SetnModel:
             step = len(rows) if recording else max(1, TEXT_BATCH_TOKENS // length)
             for lo in range(0, len(rows), step):
                 batch = rows[lo:lo + step]
-                parts.append(pool(self.encoder.encode([tokens[i] for i in batch], training),
-                                  self.config.pooling))
+                parts.append(pool(self.encoder.encode([tokens[i] for i in batch]), self.config.pooling))
                 placed.append(batch)
         return ad.place_rows(parts, placed)
 
@@ -157,7 +156,7 @@ class SetnModel:
             if rec.stock_id != member:
                 raise DataError(f"record {rec.stock_id} misaligned with subgraph member {member}")
         members = records[:len(self.text_members(sub))]
-        return self.graph_stage(self.text_stage(members, training), sub, training, rng)
+        return self.graph_stage(self.text_stage(members), sub, training, rng)
 
     def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
         """Deterministic embedding vector [d] (dropout off)."""
@@ -171,11 +170,9 @@ def param_shapes(config: TrainConfig, n_vocab: int, n_sectors: int, n_industries
     d = config.hidden_dim
     yield "encoder.token_emb", (n_vocab, d)
     yield "encoder.pos_emb", (config.max_tokens, d)
-    feedforward = {"ff1_w": (d, 2 * d), "ff1_b": (2 * d,), "ff2_w": (2 * d, d)}
     for i in range(config.encoder_depth):
-        for name in EncoderBlock._PARAM_FIELDS:
-            default = (d, d) if name.endswith("_w") else (d,)
-            yield f"encoder.block{i}.{name}", feedforward.get(name, default)
+        for name, shape in EncoderBlock.param_table(d):
+            yield f"encoder.block{i}.{name}", shape
     if config.gnn != "none":
         yield "gnn.weight", (d, d)
         yield "gnn.bias", (d,)

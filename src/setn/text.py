@@ -87,33 +87,32 @@ class EncoderBlock:
     """Single-head self-attention plus a two-layer feedforward, post-norm."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
-        ff_dim = 2 * dim
         self.dim = dim
-        self.attn_q_w = ad.xavier_uniform(rng, dim, dim)
-        self.attn_q_b = ad.zeros_param(dim)
-        self.attn_k_w = ad.xavier_uniform(rng, dim, dim)
-        self.attn_k_b = ad.zeros_param(dim)
-        self.attn_v_w = ad.xavier_uniform(rng, dim, dim)
-        self.attn_v_b = ad.zeros_param(dim)
-        self.attn_o_w = ad.xavier_uniform(rng, dim, dim)
-        self.attn_o_b = ad.zeros_param(dim)
-        self.norm1_gain = ad.ones_param(dim)
-        self.norm1_bias = ad.zeros_param(dim)
-        self.ff1_w = ad.xavier_uniform(rng, dim, ff_dim)
-        self.ff1_b = ad.zeros_param(ff_dim)
-        self.ff2_w = ad.xavier_uniform(rng, ff_dim, dim)
-        self.ff2_b = ad.zeros_param(dim)
-        self.norm2_gain = ad.ones_param(dim)
-        self.norm2_bias = ad.zeros_param(dim)
+        for name, shape in self.param_table(dim):
+            if name.endswith("_w"):
+                param = ad.xavier_uniform(rng, *shape)  # draws from rng in table order
+            else:
+                param = (ad.ones_param if name.endswith("_gain") else ad.zeros_param)(*shape)
+            setattr(self, name, param)
 
-    _PARAM_FIELDS = (
-        "attn_q_w", "attn_q_b", "attn_k_w", "attn_k_b", "attn_v_w", "attn_v_b",
-        "attn_o_w", "attn_o_b", "norm1_gain", "norm1_bias",
-        "ff1_w", "ff1_b", "ff2_w", "ff2_b", "norm2_gain", "norm2_bias",
-    )
+    @staticmethod
+    def param_table(dim: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(name, shape) of every parameter of a block of width ``dim``, in
+        ``named_params`` order."""
+        ff = 2 * dim
+        return (
+            ("attn_q_w", (dim, dim)), ("attn_q_b", (dim,)),
+            ("attn_k_w", (dim, dim)), ("attn_k_b", (dim,)),
+            ("attn_v_w", (dim, dim)), ("attn_v_b", (dim,)),
+            ("attn_o_w", (dim, dim)), ("attn_o_b", (dim,)),
+            ("norm1_gain", (dim,)), ("norm1_bias", (dim,)),
+            ("ff1_w", (dim, ff)), ("ff1_b", (ff,)),
+            ("ff2_w", (ff, dim)), ("ff2_b", (dim,)),
+            ("norm2_gain", (dim,)), ("norm2_bias", (dim,)),
+        )
 
     def named_params(self):
-        for name in self._PARAM_FIELDS:
+        for name, _ in self.param_table(self.dim):
             yield name, getattr(self, name)
 
     def set_trainable(self, flag: bool) -> None:
@@ -140,22 +139,19 @@ class TextEncoder:
                  rng: np.random.Generator, max_len: int = MAX_TOKENS):
         if vocab_size < NUM_RESERVED:
             raise DataError(f"vocab size must cover the {NUM_RESERVED} reserved ids")
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.max_len = max_len
         self.token_emb = ad.normal_param(rng, (vocab_size, dim))
         self.pos_emb = ad.normal_param(rng, (max_len, dim))
         self.blocks = [EncoderBlock(dim, rng) for _ in range(depth)]
         # token sequence -> state entering block ``_prefix_depth``; held only
         # inside ``frozen_prefix_cache``
-        self._prefix_cache: dict[tuple[int, ...], Tensor] | None = None
+        self._prefix_cache: dict[tuple[int, ...], np.ndarray] | None = None
         self._prefix_depth = 0
 
     @property
     def depth(self) -> int:
         return len(self.blocks)
 
-    def encode(self, token_ids, training: bool = False) -> Tensor:
+    def encode(self, token_ids) -> Tensor:
         """Per-token hidden states [batch, len, dim] of a list of token
         sequences of equal length. Every block runs once over the batch, with
         the same arithmetic per sequence."""
@@ -170,9 +166,8 @@ class TextEncoder:
             if missing:
                 # frozen layers only, so the cached states carry no graph
                 fresh = self._prefix(np.array(missing), start)
-                for key, state in zip(missing, fresh.data):
-                    cache[key] = Tensor(state)
-            h = Tensor(np.stack([cache[key].data for key in keys]))
+                cache.update(zip(missing, fresh.data))
+            h = Tensor(np.stack([cache[key] for key in keys]))
         for block in self.blocks[start:]:
             h = block.forward(h)
         return h
@@ -185,13 +180,15 @@ class TextEncoder:
             raise DataError("a batch of token sequences must share one length")
         if length == 0:
             raise DataError("cannot encode an empty batch or token sequence")
-        if length > self.max_len:
-            raise DataError(f"sequence of {length} tokens exceeds max length {self.max_len}")
-        for row in rows:
-            for i in row:
-                if not 0 <= i < self.vocab_size:
-                    raise DataError(f"token id {i} outside vocabulary of size {self.vocab_size}")
-        return np.asarray(rows, dtype=np.int64)
+        max_len = self.pos_emb.shape[0]
+        if length > max_len:
+            raise DataError(f"sequence of {length} tokens exceeds max length {max_len}")
+        ids = np.asarray(rows)  # range-checked before the cast to int64, which could overflow
+        vocab_size = self.token_emb.shape[0]
+        bad = (ids < 0) | (ids >= vocab_size)
+        if bad.any():
+            raise DataError(f"token id {ids[bad][0]} outside vocabulary of size {vocab_size}")
+        return ids.astype(np.int64, copy=False)
 
     def _prefix(self, ids: np.ndarray, stop: int) -> Tensor:
         """Embedded tokens run through blocks ``[0, stop)``."""

@@ -184,7 +184,11 @@ def epoch_order(seed: int, epoch: int, ids: Sequence[int]) -> list[int]:
 def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
           split: Split, config: TrainConfig,
           log_stream: Optional[TextIO] = None) -> list[dict]:
-    """Fit the model in place; returns one log entry per epoch."""
+    """Fit the model in place; returns one log entry per epoch. ``config``
+    must equal ``model.config``, which the forward pass reads."""
+    if config != model.config:
+        raise ContractError("train runs the forward pass from model.config; "
+                            "the config given differs from it")
     g = prepare_graph(graph, config)
     params = model.trainable_params()
     if not params:

@@ -325,6 +325,34 @@ def test_grad_check_rejects_nondeterministic_function():
         grad_check_params(lambda: noisy(x), [x])
 
 
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_grad_check_leaves_parameters_and_recording_as_it_found_them(fail_at):
+    x = Tensor([[0.5, -0.3], [1.2, -2.0]], requires_grad=True)
+    w = Tensor([[0.7, 0.1], [-0.4, 0.9]], requires_grad=True)
+    frozen = Tensor([1.5, -0.5])
+    params = [x, w, frozen]
+    data = [p.data.copy() for p in params]
+    calls = []
+
+    def f():
+        calls.append(is_recording())
+        if len(calls) == fail_at:
+            raise RuntimeError("stop")
+        return sum_all(matmul(x, w))
+
+    if fail_at is None:
+        assert grad_check_params(f, params) < 1e-6
+    else:
+        with pytest.raises(RuntimeError, match="stop"):
+            grad_check_params(f, params)
+    assert calls[:2] == [True, True] and not any(calls[2:])  # sweeps record nothing
+    assert is_recording()
+    assert [p.requires_grad for p in params] == [True, True, False]
+    assert all(p.grad is None for p in params)  # as before the check
+    for p, before in zip(params, data):
+        assert np.array_equal(p.data, before)
+
+
 # ---------------------------------------------------------------------------
 # leading batch axes
 

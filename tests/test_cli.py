@@ -421,3 +421,20 @@ def test_non_utf8_input_is_one_error_line_naming_the_file(dataset_dir, tmp_path,
     lines = _error_lines(stderr)
     assert len(lines) == 1
     assert f"{bad}: not UTF-8 text" in lines[0]
+
+
+@pytest.mark.parametrize("members", [5, "S0001"])
+def test_themes_line_whose_members_is_not_a_list_is_one_error_line(dataset_dir, checkpoint,
+                                                                   capsys, members):
+    themes = dataset_dir / "themes.jsonl"
+    themes.write_text(json.dumps({"theme": "bad", "members": members}) + "\n"
+                      + themes.read_text())
+    code, _, stderr = run_cli(
+        capsys, "eval-theme", "--model", str(checkpoint),
+        "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"),
+        "--themes", str(themes), "--min-theme-size", "2")
+    assert code == 1
+    lines = _error_lines(stderr)
+    assert len(lines) == 1
+    assert f"{themes}:1: theme 'members' must be a JSON list" in lines[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -194,6 +195,14 @@ def test_load_themes_empty_file(tmp_path):
     path = tmp_path / "themes.jsonl"
     path.write_text("")
     assert len(load_themes(path, {}, min_size=2)) == 0
+
+
+@pytest.mark.parametrize("members", [5, "T0", {"T0": 1}, None])
+def test_load_themes_rejects_members_that_are_not_a_list(tmp_path, members):
+    id_map = {f"T{i}": i for i in range(20)}
+    path = _write_themes(tmp_path, [("ok", ["T0", "T1"]), ("bad", members)])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: theme 'members' must be a JSON list"):
+        load_themes(path, id_map, min_size=2)
 
 
 # ---------------------------------------------------------------------------

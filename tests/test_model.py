@@ -263,7 +263,7 @@ def test_recorded_text_stage_rows_require_grad_and_equal_no_grad_rows(monkeypatc
     encode = model.encoder.encode
     calls = []
     monkeypatch.setattr(model.encoder, "encode",
-                        lambda ids, training=False: calls.append(1) or encode(ids, training))
+                        lambda ids: calls.append(1) or encode(ids))
     recorded = model.text_stage(records)
     # recording ignores the token budget: one batch per distinct length
     assert len(calls) == len(set(TEXT_LENGTHS))
@@ -279,7 +279,7 @@ def per_member_forward(model, sub, recs, training=False, rng=None):
     """The recorded forward pass before batching, kept as the reference:
     every member encoded on its own, the rows stacked for the GNN, and the
     residual reading the target's own vector."""
-    rows = [model.encode_text(r, training) for r in recs[:len(model.text_members(sub))]]
+    rows = [model.encode_text(r) for r in recs[:len(model.text_members(sub))]]
     h = rows[0]
     if model.gnn is not None:
         layer = gcn_layer if model.config.gnn == "gcn" else gat_layer

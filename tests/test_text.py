@@ -94,10 +94,20 @@ def test_encode_rejects_bad_ids_and_lengths():
         enc.encode([[], []])
 
 
+def test_encode_names_the_first_out_of_range_id_in_row_order():
+    enc = _encoder(1, vocab_size=10)
+    with pytest.raises(DataError, match=r"^token id 12 outside vocabulary of size 10$"):
+        enc.encode([[2, 3, 12], [-1, 3, 11]])
+    with pytest.raises(DataError, match=r"^token id -1 outside vocabulary of size 10$"):
+        enc.encode([[2, 3, 4], [-1, 3, 11]])
+    with pytest.raises(DataError, match=rf"^token id {2**70} outside vocabulary of size 10$"):
+        enc.encode([[2, 2**70]])
+
+
 def test_encode_is_deterministic():
     enc = _encoder(2)
-    a = enc.encode([[2, 4, 6]], training=False).data
-    b = enc.encode([[2, 4, 6]], training=False).data
+    a = enc.encode([[2, 4, 6]]).data
+    b = enc.encode([[2, 4, 6]]).data
     assert np.array_equal(a, b)
 
 

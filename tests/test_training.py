@@ -256,6 +256,15 @@ def test_non_finite_loss_aborts_with_diagnostics():
     assert "epoch 0" in message and "stock" in message
 
 
+@pytest.mark.parametrize("change", [{"dropout": 0.5}, {"epochs": 2}])
+def test_train_rejects_a_config_other_than_the_models_before_any_step(change):
+    ds, cfg, vocab, split, model = _small_setup(seed=5, epochs=1)
+    before = _param_bytes(model)
+    with pytest.raises(ContractError, match="model.config"):
+        train(model, ds.graph, ds.records, split, replace(cfg, **change))
+    assert _param_bytes(model) == before
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_non_finite_gradient_aborts_before_the_update(monkeypatch):
     ds, cfg, vocab, split, model = _small_setup(seed=6, epochs=1)
