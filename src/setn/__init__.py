@@ -3,9 +3,9 @@ graphs: joint encoder/GNN training with residual fusion, plus the retrieval
 evaluation suite (related-company MAP@K, thematic-fund metric, ablations)."""
 
 from .autodiff import Adam, Tensor, backward, grad_check_params
-from .data import (Dataset, GeneratorSpec, StockRecord, Taxonomy, ThemeSet,
+from .data import (Dataset, GeneratorSpec, StockRecord, Taxonomy,
                    export_embeddings, generate_synthetic, load_edges,
-                   load_embeddings, load_nodes, load_themes, validate_taxonomy)
+                   load_embeddings, load_nodes, load_themes)
 from .errors import (CheckpointError, ContractError, DataError, LabelError,
                      NonFiniteError, SetnError, ShapeError, TrainingError)
 from .evaluation import (EmbeddingMatrix, average_precision_at_k, cosine_knn,

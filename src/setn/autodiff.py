@@ -310,14 +310,13 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _op(y, (x,), bw)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate) at train time, identity in eval."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: with a generator, survivors are scaled by 1/(1-rate);
+    without one it is the identity."""
     if not 0.0 <= rate < 1.0:
         raise DataError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs a seeded random generator")
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
 
     def bw(g: Array) -> None:
@@ -370,23 +369,6 @@ def take_rows(x: Tensor, indices, axis: int = 0) -> Tensor:
         _accum(x, gx)
 
     return _op(data, (x,), bw)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix."""
-    rows = list(rows)
-    if not rows:
-        raise ShapeError("stack_rows needs at least one row")
-    shape = rows[0].data.shape
-    if len(shape) != 1 or any(r.data.shape != shape for r in rows):
-        raise ShapeError("stack_rows needs 1-D tensors of identical length")
-    data = np.stack([r.data for r in rows])
-
-    def bw(g: Array) -> None:
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
-
-    return _op(data, tuple(rows), bw)
 
 
 def place_rows(parts: Sequence[Tensor], rows: Sequence[Sequence[int]]) -> Tensor:

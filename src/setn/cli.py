@@ -200,7 +200,7 @@ def _cmd_ablate(args) -> int:
     axes = ablation_axes(a.strip() for a in args.axes.split(",") if a.strip())
     config = _resolve_config(args)
     records, _, graph, taxonomy = _load_dataset(args)
-    dataset = data_io.Dataset(records, graph, data_io.ThemeSet({}), taxonomy)
+    dataset = data_io.Dataset(records, graph, {}, taxonomy)
     rows = run_ablation(dataset, config, axes, ks)
     _emit({"config": config.to_dict(), "axes": axes, "rows": rows},
           ev.format_map_table(rows))

@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -190,19 +190,6 @@ class Taxonomy:
 DEFAULT_TAXONOMY = Taxonomy.default()
 
 
-@dataclass
-class ThemeSet:
-    """Named stock groups for the thematic-fund task."""
-
-    themes: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.themes)
-
-    def items(self):
-        return self.themes.items()
-
-
 # ---------------------------------------------------------------------------
 # loaders
 
@@ -222,11 +209,20 @@ def _iter_jsonl(path):
             yield lineno, obj
 
 
+def _require_str(value, what: str, path, lineno: int) -> str:
+    """``value`` when it is a JSON string; otherwise a DataError at
+    ``path:lineno`` naming ``what``."""
+    if not isinstance(value, str):
+        raise DataError(f"{path}:{lineno}: {what} must be a JSON string, got {json.dumps(value)}")
+    return value
+
+
 def load_nodes(path, taxonomy: Optional[Taxonomy] = None) -> tuple[list[StockRecord], dict[str, int]]:
     """Parse nodes.jsonl into records with dense ids; also return ticker -> id.
 
     The industry label (topix33) is required; the sector label (topix17) is
-    optional and implied by the taxonomy when absent.
+    optional and implied by the taxonomy when absent or null. A given sector
+    must be the one the taxonomy assigns to the industry.
     """
     taxonomy = taxonomy or DEFAULT_TAXONOMY
     records: list[StockRecord] = []
@@ -235,31 +231,22 @@ def load_nodes(path, taxonomy: Optional[Taxonomy] = None) -> tuple[list[StockRec
         for key in ("ticker", "text", "topix33"):
             if key not in obj:
                 raise DataError(f"{path}:{lineno}: missing key {key!r}")
-        ticker = str(obj["ticker"])
+        ticker, text, topix33 = (_require_str(obj[key], repr(key), path, lineno)
+                                 for key in ("ticker", "text", "topix33"))
         if ticker in id_map:
             raise DataError(f"{path}:{lineno}: duplicate ticker {ticker!r}")
-        industry = taxonomy.industry_id(str(obj["topix33"]))
-        if "topix17" in obj and obj["topix17"] is not None:
-            sector = taxonomy.sector_id(str(obj["topix17"]))
-        else:
-            sector = taxonomy.sector_of(industry)
+        industry = taxonomy.industry_id(topix33)
+        sector = taxonomy.sector_of(industry)
+        topix17 = obj.get("topix17")
+        if topix17 is not None:
+            _require_str(topix17, "'topix17'", path, lineno)
+            if taxonomy.sector_id(topix17) != sector:
+                raise DataError(f"{path}:{lineno}: topix17 {topix17!r} contradicts topix33 "
+                                f"{topix33!r}, whose sector is {taxonomy.sectors[sector]!r}")
         stock_id = len(records)
         id_map[ticker] = stock_id
-        records.append(StockRecord(stock_id, ticker, str(obj["text"]), sector, industry))
+        records.append(StockRecord(stock_id, ticker, text, sector, industry))
     return records, id_map
-
-
-def validate_taxonomy(records: Sequence[StockRecord], taxonomy: Taxonomy) -> list[str]:
-    """List label-hierarchy violations; an empty list means all consistent."""
-    violations = []
-    for r in records:
-        expected = taxonomy.sector_of(r.industry)
-        if r.sector != expected:
-            violations.append(
-                f"stock {r.stock_id} ({r.ticker}): industry {taxonomy.industries[r.industry]!r} "
-                f"belongs to sector {taxonomy.sectors[expected]!r}, not {taxonomy.sectors[r.sector]!r}"
-            )
-    return violations
 
 
 def load_edges(path, n_nodes: int) -> StockGraph:
@@ -294,7 +281,7 @@ def load_edges(path, n_nodes: int) -> StockGraph:
 
 def load_themes(path, id_map: Mapping[str, int],
                 universe: Optional[Iterable[int]] = None,
-                min_size: int = 16) -> ThemeSet:
+                min_size: int = 16) -> dict[str, tuple[int, ...]]:
     """Parse themes.jsonl, mapping member tickers to ids.
 
     Members outside ``id_map`` (or outside ``universe`` when given) are
@@ -306,7 +293,7 @@ def load_themes(path, id_map: Mapping[str, int],
     for lineno, obj in _iter_jsonl(path):
         if "theme" not in obj or "members" not in obj:
             raise DataError(f"{path}:{lineno}: theme line needs 'theme' and 'members'")
-        name = str(obj["theme"])
+        name = _require_str(obj["theme"], "'theme'", path, lineno)
         if name in themes:
             raise DataError(f"{path}:{lineno}: duplicate theme {name!r}")
         tickers = obj["members"]
@@ -315,7 +302,7 @@ def load_themes(path, id_map: Mapping[str, int],
                             f"got {type(tickers).__name__}")
         members = []
         for ticker in tickers:
-            sid = id_map.get(str(ticker))
+            sid = id_map.get(_require_str(ticker, "each of 'members'", path, lineno))
             if sid is None:
                 continue
             if allowed is not None and sid not in allowed:
@@ -328,7 +315,7 @@ def load_themes(path, id_map: Mapping[str, int],
         themes[name] = tuple(members)
     if dropped:
         logger.warning("%s: dropped %d themes below %d in-universe members", path, dropped, min_size)
-    return ThemeSet(themes)
+    return themes
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +356,16 @@ class GeneratorSpec:
 class Dataset:
     records: list[StockRecord]
     graph: StockGraph
-    themes: ThemeSet
+    themes: dict[str, tuple[int, ...]]
     taxonomy: Taxonomy
 
 
 def generate_synthetic(spec: GeneratorSpec) -> Dataset:
     """Deterministic synthetic universe: labels first, then class-conditional
     texts, preferential edges, and themes."""
+    for name in ("seed", "tokens_per_doc", "avg_degree", "theme_count"):
+        if getattr(spec, name) < 0:
+            raise DataError(f"{name} must be non-negative, got {getattr(spec, name)}")
     if spec.industries < spec.sectors:
         raise DataError("need at least as many industries as sectors")
     if spec.industries > spec.n:
@@ -471,7 +461,7 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
             themes[f"theme{t:02d}"] = tuple(int(m) for m in np.sort(chosen))
 
     graph = StockGraph(spec.n, tuple(sorted(edges)))
-    return Dataset(records, graph, ThemeSet(themes), taxonomy)
+    return Dataset(records, graph, themes, taxonomy)
 
 
 def write_dataset(dataset: Dataset, out_dir) -> list[str]:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import no_grad, take_rows
-from .data import StockRecord, ThemeSet
+from .data import StockRecord
 from .errors import DataError
 from .graph import StockGraph, sample_subgraph
 
@@ -191,7 +191,8 @@ def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[i
     return result
 
 
-def theme_metric(emb: EmbeddingMatrix, themes: ThemeSet) -> tuple[float, dict[str, float]]:
+def theme_metric(emb: EmbeddingMatrix,
+                 themes: Mapping[str, Sequence[int]]) -> tuple[float, dict[str, float]]:
     """Fraction of each member's size-of-theme nearest stocks that share its
     theme, averaged per theme and over themes.
 

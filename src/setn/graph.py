@@ -46,10 +46,6 @@ class StockGraph:
         object.__setattr__(self, "_out", out_adj)
         object.__setattr__(self, "_in", in_adj)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
 
 def to_undirected(g: StockGraph) -> StockGraph:
     """Symmetrize and deduplicate the edge set."""

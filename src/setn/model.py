@@ -120,10 +120,11 @@ class SetnModel:
                 placed.append(batch)
         return ad.place_rows(parts, placed)
 
-    def graph_stage(self, h_text: Tensor, sub: Subgraph, training: bool = False,
+    def graph_stage(self, h_text: Tensor, sub: Subgraph,
                     rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """GNN over the text vectors of ``text_members(sub)`` (target row
-        first), residual fusion with the target's row, and both heads."""
+        first), residual fusion with the target's row, and both heads.
+        Dropout draws from ``rng`` and is off without one."""
         target_text = ad.reshape(ad.take_rows(h_text, [0]), (self.dim,))
         if self.gnn is None:
             h = target_text
@@ -136,7 +137,7 @@ class SetnModel:
             target_gnn = ad.reshape(ad.take_rows(h_gnn, [0]), (self.dim,))
             h = ad.add(target_text, target_gnn) if self.config.residual else target_gnn
 
-        z = ad.dropout(ad.relu(h), self.config.dropout, training, rng)
+        z = ad.dropout(ad.relu(h), self.config.dropout, rng)
         z2 = ad.reshape(z, (1, self.dim))
         logits_s = ad.reshape(ad.linear(z2, self.head_sector.weight, self.head_sector.bias),
                               (self.n_sectors,))
@@ -144,11 +145,12 @@ class SetnModel:
                               (self.n_industries,))
         return ForwardResult(embedding=h, logits_sector=logits_s, logits_industry=logits_i)
 
-    def forward(self, sub: Subgraph, records: Sequence, training: bool = False,
+    def forward(self, sub: Subgraph, records: Sequence,
                 rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """Run the full pipeline for the subgraph target.
 
-        ``records`` must align with ``sub.members`` (target first).
+        ``records`` must align with ``sub.members`` (target first). A
+        training pass passes the dropout generator ``rng``.
         """
         if len(records) != sub.size:
             raise DataError(f"{len(records)} records for a subgraph of {sub.size} members")
@@ -156,12 +158,12 @@ class SetnModel:
             if rec.stock_id != member:
                 raise DataError(f"record {rec.stock_id} misaligned with subgraph member {member}")
         members = records[:len(self.text_members(sub))]
-        return self.graph_stage(self.text_stage(members), sub, training, rng)
+        return self.graph_stage(self.text_stage(members), sub, rng)
 
     def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
         """Deterministic embedding vector [d] (dropout off)."""
         with ad.no_grad():
-            return self.forward(sub, records, training=False).embedding.data.copy()
+            return self.forward(sub, records).embedding.data.copy()
 
 
 def param_shapes(config: TrainConfig, n_vocab: int, n_sectors: int, n_industries: int):

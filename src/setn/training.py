@@ -206,7 +206,7 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                 sub = sample_subgraph(g, target, config.neighbor_direction)
                 recs = [records[m] for m in sub.members]
                 try:
-                    result = model.forward(sub, recs, training=True, rng=dropout_rng)
+                    result = model.forward(sub, recs, rng=dropout_rng)
                     loss = compute_loss(result, records[target].sector, records[target].industry)
                 except NonFiniteError as exc:
                     # overflow inside the forward pass surfaces as a finiteness error

@@ -18,7 +18,7 @@ import pytest
 
 from setn.autodiff import grad_check_params
 from setn.data import GeneratorSpec, generate_synthetic
-from setn.evaluation import EmbeddingMatrix, ThemeSet, evaluate_map, map_at_k, theme_metric
+from setn.evaluation import EmbeddingMatrix, evaluate_map, map_at_k, theme_metric
 from setn.graph import (SUBGRAPH_HOPS, Subgraph, gat_attention, gat_layer,
                         gcn_layer, init_gnn_params, sample_subgraph)
 from setn.model import compute_loss
@@ -115,7 +115,7 @@ def test_criterion_1_gradient_correctness():
     assert sub.size >= 2  # the instance must exercise neighbor aggregation
 
     def loss_fn():
-        result = model.forward(sub, recs, training=False)
+        result = model.forward(sub, recs)
         return compute_loss(result, recs[0].sector, recs[0].industry)
 
     params = model.trainable_params()
@@ -262,7 +262,7 @@ def test_criterion_4_random_theme_baseline():
         rng = np.random.default_rng(seed)
         emb = EmbeddingMatrix(list(range(489)), rng.normal(size=(489, 32)))
         members = tuple(rng.choice(489, size=16, replace=False).tolist())
-        _, per_theme = theme_metric(emb, ThemeSet({"t": members}))
+        _, per_theme = theme_metric(emb, {"t": members})
         values.append(per_theme["t"])
     mean = float(np.mean(values))
     elapsed = time.time() - t0

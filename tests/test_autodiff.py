@@ -14,7 +14,7 @@ from setn.autodiff import (Adam, Tensor, add, backward, cross_entropy,
                            dropout, grad_check_params, is_recording,
                            layer_norm_rows, leaky_relu, linear, matmul, max_rows,
                            mean_rows, mul, no_grad, place_rows, relu, softmax_rows,
-                           stack_rows, sum_all, take_rows, transpose)
+                           sum_all, take_rows, transpose)
 from setn.errors import ContractError, DataError, LabelError, ShapeError
 
 
@@ -113,30 +113,30 @@ def test_softmax_rows_sum_to_one_and_lie_in_unit_interval():
 
 def test_dropout_rate_zero_is_identity():
     x = Tensor([[1.0, 2.0]])
-    assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+    assert dropout(x, 0.0, rng=np.random.default_rng(0)) is x
 
 
 def test_dropout_eval_mode_is_identity():
     x = Tensor([[1.0, 2.0]])
-    assert dropout(x, 0.2, training=False) is x
+    assert dropout(x, 0.2) is x
 
 
 def test_dropout_preserves_mean_at_scale():
     rng = np.random.default_rng(5)
     x = Tensor(np.ones(10000))
-    out = dropout(x, 0.5, training=True, rng=rng)
+    out = dropout(x, 0.5, rng=rng)
     assert abs(out.data.mean() - 1.0) < 0.05
 
 
 def test_dropout_rejects_bad_rate():
     for rate in (-0.1, 1.0, 1.5):
         with pytest.raises(DataError):
-            dropout(Tensor([1.0]), rate, training=True, rng=np.random.default_rng(0))
+            dropout(Tensor([1.0]), rate, rng=np.random.default_rng(0))
 
 
 def test_dropout_gradient_uses_same_mask():
     x = Tensor(np.ones(1000), requires_grad=True)
-    out = dropout(x, 0.3, training=True, rng=np.random.default_rng(9))
+    out = dropout(x, 0.3, rng=np.random.default_rng(9))
     kept = out.data > 0
     backward(sum_all(out))
     assert np.allclose(x.grad[kept], 1.0 / 0.7)
@@ -237,7 +237,7 @@ def test_gradients_accumulate_when_tensor_reused():
 def test_take_and_stack_roundtrip_gradients():
     x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     rows = [take_rows(x, [i]) for i in (0, 2, 2)]
-    stacked = stack_rows([mean_rows(r) for r in rows])
+    stacked = place_rows(rows, [[0], [1], [2]])
     backward(sum_all(stacked))
     expected = np.zeros((4, 3))
     expected[0] = 1.0
@@ -319,7 +319,7 @@ def test_grad_check_rejects_nondeterministic_function():
     x = Tensor(np.ones(4), requires_grad=True)
 
     def noisy(t):
-        return sum_all(dropout(t, 0.5, training=True, rng=rng))
+        return sum_all(dropout(t, 0.5, rng=rng))
 
     with pytest.raises(ContractError):
         grad_check_params(lambda: noisy(x), [x])

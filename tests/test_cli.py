@@ -438,3 +438,32 @@ def test_themes_line_whose_members_is_not_a_list_is_one_error_line(dataset_dir, 
     lines = _error_lines(stderr)
     assert len(lines) == 1
     assert f"{themes}:1: theme 'members' must be a JSON list" in lines[0]
+
+
+@pytest.mark.parametrize("key, value", [("ticker", 7), ("text", None)])
+def test_nodes_field_that_is_not_a_string_is_one_error_line(dataset_dir, tmp_path, capsys,
+                                                            key, value):
+    nodes = dataset_dir / "nodes.jsonl"
+    lines = nodes.read_text().splitlines()
+    first = json.loads(lines[0])
+    first[key] = value
+    nodes.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 1, "hidden_dim": 8, "encoder_depth": 1,
+                                  "max_tokens": 16}))
+    code, _, stderr = run_cli(
+        capsys, "train", "--nodes", str(nodes), "--edges", str(dataset_dir / "edges.tsv"),
+        "--config", str(config), "--out", str(tmp_path / "m.setn"))
+    assert code == 1
+    lines = _error_lines(stderr)
+    assert len(lines) == 1
+    assert f"{nodes}:1: '{key}' must be a JSON string" in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--avg-degree", "--theme-count", "--tokens-per-doc"])
+def test_synth_negative_count_is_one_error_line(tmp_path, capsys, flag):
+    code, _, stderr = run_cli(capsys, "synth", "--out", str(tmp_path / "d"), flag, "-1")
+    assert code == 1
+    lines = _error_lines(stderr)
+    field = flag[2:].replace("-", "_")
+    assert lines == [f"error: {field} must be non-negative, got -1"]

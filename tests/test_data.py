@@ -6,11 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, StockRecord, Taxonomy,
+from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, Taxonomy,
                        export_embeddings,
                        generate_synthetic, load_edges, load_embeddings,
-                       load_nodes, load_themes, validate_taxonomy,
-                       write_dataset)
+                       load_nodes, load_themes, write_dataset)
 from setn.errors import DataError
 
 
@@ -97,11 +96,13 @@ def test_load_nodes_valid_file(tmp_path):
 def test_load_nodes_derives_sector_from_industry(tmp_path):
     path = _write_nodes(tmp_path, [
         {"ticker": "A", "text": "rails", "topix33": "Land Transportation"},
+        {"ticker": "B", "text": "rails", "topix17": None, "topix33": "Land Transportation"},
     ])
     records, _ = load_nodes(path)
     tax = DEFAULT_TAXONOMY
-    assert records[0].industry == tax.industry_id("Land Transportation")
-    assert records[0].sector == tax.sector_id("TRANSPORTATION&LOGISTICS")
+    for record in records:
+        assert record.industry == tax.industry_id("Land Transportation")
+        assert record.sector == tax.sector_id("TRANSPORTATION&LOGISTICS")
 
 
 def test_load_nodes_duplicate_ticker(tmp_path):
@@ -128,21 +129,36 @@ def test_load_nodes_unknown_label(tmp_path):
         load_nodes(path)
 
 
-# ---------------------------------------------------------------------------
-# taxonomy validation
+def test_load_nodes_rejects_a_sector_that_contradicts_the_industry(tmp_path):
+    path = _write_nodes(tmp_path, [
+        {"ticker": "A", "text": "shops", "topix17": "RETAIL TRADE", "topix33": "Retail Trade"},
+        {"ticker": "B", "text": "rails", "topix17": "RETAIL TRADE", "topix33": "Banks"},
+    ])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: ") as exc:
+        load_nodes(path)
+    assert "'RETAIL TRADE'" in str(exc.value) and "'Banks'" in str(exc.value)
 
 
-def test_validate_taxonomy_consistent_and_violating():
-    tax = DEFAULT_TAXONOMY
-    ok = StockRecord(0, "A", "", tax.sector_id("RETAIL TRADE"), tax.industry_id("Retail Trade"))
-    bad = StockRecord(1, "B", "", tax.sector_id("RETAIL TRADE"), tax.industry_id("Banks"))
-    assert validate_taxonomy([ok], tax) == []
-    violations = validate_taxonomy([ok, bad], tax)
-    assert len(violations) == 1 and "B" in violations[0]
+def test_load_nodes_compares_sector_ids_so_aliases_load(tmp_path):
+    path = _write_nodes(tmp_path, [
+        {"ticker": "A", "text": "pills", "topix17": "PHARMACEUTICAL", "topix33": "Pharmaceutical"},
+        {"ticker": "B", "text": "power", "topix17": "Electric Power & Gas",
+         "topix33": "Electric Power and Gas"},
+    ])
+    records, _ = load_nodes(path)
+    assert [r.sector for r in records] == [DEFAULT_TAXONOMY.sector_of(r.industry) for r in records]
 
 
-def test_validate_taxonomy_empty_is_ok():
-    assert validate_taxonomy([], DEFAULT_TAXONOMY) == []
+@pytest.mark.parametrize("key, value", [
+    ("ticker", 7), ("ticker", None), ("text", None), ("text", ["rails"]),
+    ("topix33", 5), ("topix17", 3), ("topix17", False),
+])
+def test_load_nodes_rejects_fields_that_are_not_strings(tmp_path, key, value):
+    line = {"ticker": "A", "text": "rails", "topix17": "BANKS", "topix33": "Banks"}
+    line[key] = value
+    path = _write_nodes(tmp_path, [{"ticker": "Z", "text": "x", "topix33": "Banks"}, line])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: '{key}' must be a JSON string"):
+        load_nodes(path)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +196,8 @@ def test_load_themes_filters_to_universe_and_min_size(tmp_path):
     path = _write_themes(tmp_path, [("big", big), ("small", small)])
     universe = range(16)  # only T0..T15 in the evaluation universe
     themes = load_themes(path, id_map, universe=universe, min_size=15)
-    assert set(themes.themes) == {"big"}
-    assert len(themes.themes["big"]) == 16
+    assert set(themes) == {"big"}
+    assert len(themes["big"]) == 16
 
 
 def test_load_themes_drops_below_min_size(tmp_path):
@@ -203,6 +219,21 @@ def test_load_themes_rejects_members_that_are_not_a_list(tmp_path, members):
     path = _write_themes(tmp_path, [("ok", ["T0", "T1"]), ("bad", members)])
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: theme 'members' must be a JSON list"):
         load_themes(path, id_map, min_size=2)
+
+
+@pytest.mark.parametrize("theme, member, expected", [
+    (None, "T2", "'theme' must be a JSON string, got null"),
+    (7, "T2", "'theme' must be a JSON string, got 7"),
+    ("bad", 7, "each of 'members' must be a JSON string, got 7"),
+    ("bad", ["T2"], 'each of \'members\' must be a JSON string, got ["T2"]'),
+])
+def test_load_themes_rejects_names_and_members_that_are_not_strings(tmp_path, theme, member,
+                                                                     expected):
+    id_map = {**{f"T{i}": i for i in range(20)}, "7": 7, "['T2']": 2}
+    path = _write_themes(tmp_path, [("ok", ["T0", "T1"]), (theme, ["T3", "T4", member])])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: ") as exc:
+        load_themes(path, id_map, min_size=2)
+    assert expected in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +259,12 @@ def test_generator_rejects_infeasible_specs():
         generate_synthetic(GeneratorSpec(sectors=5, industries=3))
 
 
+@pytest.mark.parametrize("name", ["seed", "tokens_per_doc", "avg_degree", "theme_count"])
+def test_generator_rejects_negative_counts_naming_the_field(name):
+    with pytest.raises(DataError, match=rf"^{name} must be non-negative, got -1$"):
+        generate_synthetic(dataclasses.replace(GeneratorSpec(n=40), **{name: -1}))
+
+
 def test_generator_varied_lengths_truncate_the_fixed_length_universe():
     base = GeneratorSpec(n=60, sectors=3, industries=5, vocab_size=80,
                          tokens_per_doc=20, theme_count=4, seed=3)
@@ -239,7 +276,7 @@ def test_generator_varied_lengths_truncate_the_fixed_length_universe():
         assert a.text.split()[:len(b.text.split())] == b.text.split()
         assert (a.sector, a.industry) == (b.sector, b.industry)
     assert fixed.graph.edges == varied.graph.edges
-    assert fixed.themes.themes == varied.themes.themes
+    assert fixed.themes == varied.themes
     for bad in (21, -1):
         with pytest.raises(DataError, match="min_tokens_per_doc"):
             generate_synthetic(dataclasses.replace(base, min_tokens_per_doc=bad))
@@ -300,7 +337,7 @@ def test_direction_signal_concentrates_information_on_in_edges():
 
 def test_generated_labels_respect_taxonomy():
     ds = generate_synthetic(GeneratorSpec(n=50, sectors=4, industries=7, seed=3))
-    assert validate_taxonomy(ds.records, ds.taxonomy) == []
+    assert all(r.sector == ds.taxonomy.sector_of(r.industry) for r in ds.records)
 
 
 def test_dataset_roundtrip_through_files(tmp_path):
@@ -314,7 +351,7 @@ def test_dataset_roundtrip_through_files(tmp_path):
            [(r.ticker, r.sector, r.industry) for r in ds.records]
     assert set(graph.edges) == set(ds.graph.edges)
     themes = load_themes(tmp_path / "themes.jsonl", id_map, min_size=2)
-    assert themes.themes == ds.themes.themes
+    assert themes == ds.themes
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setn import evaluation
-from setn.data import GeneratorSpec, ThemeSet, generate_synthetic
+from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import DataError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k,
                              cosine_knn, format_map_table, map_at_k,
@@ -223,7 +223,7 @@ def test_perfectly_clustered_theme_hits_self_exclusion_ceiling():
     for i in theme_members:
         vectors[i] = direction + rng.normal(scale=1e-3, size=6)
     emb = EmbeddingMatrix(list(range(n)), vectors)
-    overall, per_theme = theme_metric(emb, ThemeSet({"t": tuple(theme_members)}))
+    overall, per_theme = theme_metric(emb, {"t": tuple(theme_members)})
     assert overall == pytest.approx((m - 1) / m)
     assert per_theme["t"] == overall
 
@@ -234,7 +234,7 @@ def test_antipodal_pair_scores_zero():
     vectors[0] = [10.0, 0, 0, 0, 0]
     vectors[1] = [-10.0, 0, 0, 0, 0]
     emb = EmbeddingMatrix(list(range(100)), vectors)
-    _, per_theme = theme_metric(emb, ThemeSet({"pair": (0, 1)}))
+    _, per_theme = theme_metric(emb, {"pair": (0, 1)})
     assert per_theme["pair"] == 0.0
 
 
@@ -244,7 +244,7 @@ def test_random_theme_metric_matches_chance_level():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         emb = EmbeddingMatrix(list(range(489)), rng.normal(size=(489, 16)))
-        _, per_theme = theme_metric(emb, ThemeSet({"t": tuple(range(16))}))
+        _, per_theme = theme_metric(emb, {"t": tuple(range(16))})
         values.append(per_theme["t"])
     assert abs(np.mean(values) - 15 / 488) < 0.02
 
@@ -252,7 +252,7 @@ def test_random_theme_metric_matches_chance_level():
 def test_theme_metric_invariant_to_uniform_scaling():
     rng = np.random.default_rng(7)
     vectors = rng.normal(size=(40, 5))
-    themes = ThemeSet({"a": tuple(range(6)), "b": tuple(range(10, 18))})
+    themes = {"a": tuple(range(6)), "b": tuple(range(10, 18))}
     a = theme_metric(EmbeddingMatrix(list(range(40)), vectors), themes)
     b = theme_metric(EmbeddingMatrix(list(range(40)), vectors * 37.5), themes)
     assert a == b
@@ -261,7 +261,7 @@ def test_theme_metric_invariant_to_uniform_scaling():
 def test_theme_metric_missing_member_is_error():
     emb = EmbeddingMatrix([0, 1, 2], np.eye(3))
     with pytest.raises(DataError):
-        theme_metric(emb, ThemeSet({"t": (0, 99)}))
+        theme_metric(emb, {"t": (0, 99)})
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_blocked_ranking_matches_brute_force_oracles(n, d, duplicates, fallbacks
         for k in {0, min(3, n - 1), n - 1}:
             assert cosine_knn(emb, q, k) == brute_knn(ids, vectors, q, k)
     if n >= 2:
-        themes = ThemeSet({"a": tuple(ids[:max(2, n // 2)]), "b": tuple(ids[-2:])})
+        themes = {"a": tuple(ids[:max(2, n // 2)]), "b": tuple(ids[-2:])}
         expected = brute_theme(ids, vectors, themes)
         # served by the cached prefix of map_at_k and ranked afresh
         assert theme_metric(emb, themes)[1] == expected

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from setn.autodiff import (add, backward, dropout, grad_check_params, linear, no_grad,
-                           relu, reshape, stack_rows, take_rows)
+                           place_rows, relu, reshape, take_rows)
 from setn.data import GeneratorSpec, StockRecord, generate_synthetic
 from setn.errors import DataError, LabelError
 from setn.evaluation import embed_universe
@@ -143,7 +143,7 @@ def test_full_model_gradients_match_finite_differences(chain, gnn, residual):
     recs = [records[m] for m in sub.members]
 
     def f():
-        result = model.forward(sub, recs, training=False)
+        result = model.forward(sub, recs)
         return compute_loss(result, records[1].sector, records[1].industry)
 
     err = grad_check_params(f, model.trainable_params())
@@ -275,7 +275,7 @@ def test_recorded_text_stage_rows_require_grad_and_equal_no_grad_rows(monkeypatc
     assert np.array_equal(recorded.data, rows.data)
 
 
-def per_member_forward(model, sub, recs, training=False, rng=None):
+def per_member_forward(model, sub, recs, rng=None):
     """The recorded forward pass before batching, kept as the reference:
     every member encoded on its own, the rows stacked for the GNN, and the
     residual reading the target's own vector."""
@@ -283,10 +283,11 @@ def per_member_forward(model, sub, recs, training=False, rng=None):
     h = rows[0]
     if model.gnn is not None:
         layer = gcn_layer if model.config.gnn == "gcn" else gat_layer
-        h_gnn = layer(stack_rows(rows), sub, model.gnn)
+        h_gnn = layer(place_rows([reshape(r, (1, model.dim)) for r in rows],
+                                 [[i] for i in range(len(rows))]), sub, model.gnn)
         target_gnn = reshape(take_rows(h_gnn, [0]), (model.dim,))
         h = add(h, target_gnn) if model.config.residual else target_gnn
-    z = reshape(dropout(relu(h), model.config.dropout, training, rng), (1, model.dim))
+    z = reshape(dropout(relu(h), model.config.dropout, rng), (1, model.dim))
     logits = [reshape(linear(z, head.weight, head.bias), (n,))
               for head, n in ((model.head_sector, model.n_sectors),
                               (model.head_industry, model.n_industries))]
@@ -294,7 +295,7 @@ def per_member_forward(model, sub, recs, training=False, rng=None):
 
 
 def _loss_and_grads(model, forward, sub, recs):
-    result = forward(model, sub, recs, training=True, rng=np.random.default_rng(sub.target))
+    result = forward(model, sub, recs, rng=np.random.default_rng(sub.target))
     loss = compute_loss(result, recs[0].sector, recs[0].industry)
     backward(loss)
     params = model.trainable_params()

@@ -1,11 +1,24 @@
 """Checks over the package's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import setn
 
 EXEMPT = {"self", "cls"}
+SOURCES = sorted(Path(setn.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Definitions that nothing in the package or the benchmark calls, each kept
+# for a stated reason; every other one must be used
+KEPT_UNCALLED = {
+    "sum_all": "the tests' scalar reduction for gradient references",
+    "grad_check_params": "the tests' one gradient checker",
+    "cosine_knn": "the public one-query retrieval API",
+    "average_precision_at_k": "the per-query reference that map_at_k is tested against",
+    "embed_stock": "the per-stock reference that embed_universe rows equal",
+}
 
 
 def _params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -31,7 +44,37 @@ def _idle_params(path: Path) -> list[str]:
 def test_every_function_reads_each_of_its_parameters():
     # a parameter nothing reads still costs every caller an argument;
     # prefix it with ``_`` where an interface requires it
-    sources = sorted(Path(setn.__file__).parent.glob("*.py"))
-    assert sources
-    idle = [entry for path in sources for entry in _idle_params(path)]
+    assert SOURCES
+    idle = [entry for path in SOURCES for entry in _idle_params(path)]
     assert idle == []
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of
+    top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_every_definition_is_used_or_kept_for_a_reason():
+    # used: loaded as a name or an attribute in the package outside its own
+    # definition, or named anywhere in the benchmark
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    loads = [(path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+    unused = {defn.name: f"{path.name}:{defn.lineno}"
+              for path, tree in trees.items() for defn in _definitions(tree)
+              if not re.search(rf"\b{defn.name}\b", bench)
+              and not any(name == defn.name
+                          and not (where == path and defn.lineno <= line <= defn.end_lineno)
+                          for where, name, line in loads)}
+    assert sorted(set(unused) - set(KEPT_UNCALLED)) == []
+    assert sorted(set(KEPT_UNCALLED) - set(unused)) == []

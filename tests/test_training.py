@@ -125,7 +125,7 @@ def test_loss_reads_only_the_target_row():
     g = prepare_graph(ds.graph, cfg)
     sub = sample_subgraph(g, target)
     recs = [ds.records[m] for m in sub.members]
-    result = model.forward(sub, recs, training=False)
+    result = model.forward(sub, recs)
     # the head logits are a pure function of the target's fused vector
     z = np.maximum(result.embedding.data, 0.0)
     assert np.allclose(result.logits_sector.data,
