@@ -325,27 +325,21 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> T
     return _op(x.data * keep, (x,), bw)
 
 
-def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
-    """Mean over rows of -log softmax(logits)[i, targets[i]]."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy needs rank-2 logits, got shape {logits.data.shape}")
-    t = np.asarray(targets, dtype=np.int64).reshape(-1)
-    n, c = logits.data.shape
-    if t.shape[0] != n:
-        raise ShapeError(f"{t.shape[0]} targets for {n} logit rows")
-    for i, ti in enumerate(t):
-        if not 0 <= ti < c:
-            raise LabelError(f"target {ti} out of range [0, {c}) at row {i}")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -logp[np.arange(n), t].mean()
+def cross_entropy(logits: Tensor, target: int) -> Tensor:
+    """-log softmax(logits)[target] for one row of logits [c]."""
+    if logits.data.ndim != 1:
+        raise ShapeError(f"cross_entropy needs one row of logits, got shape {logits.data.shape}")
+    if not 0 <= target < len(logits.data):
+        raise LabelError(f"label {target} out of range [0, {len(logits.data)})")
+    z = logits.data - logits.data.max()
+    logp = z - np.log(np.exp(z).sum())
 
     def bw(g: Array) -> None:
         p = np.exp(logp)
-        p[np.arange(n), t] -= 1.0
-        _accum(logits, (float(g.sum()) / n) * p)
+        p[target] -= 1.0
+        _accum(logits, float(g.sum()) * p)
 
-    return _op(np.asarray(loss), (logits,), bw)
+    return _op(np.asarray(-logp[target]), (logits,), bw)
 
 
 def take_rows(x: Tensor, indices, axis: int = 0) -> Tensor:

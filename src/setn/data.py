@@ -160,8 +160,13 @@ class Taxonomy:
         if not isinstance(obj, dict):
             raise DataError(f"{path}: expected a JSON object")
         for key, kind in (("sectors", list), ("industries", list), ("industry_to_sector", dict)):
-            if not isinstance(obj.get(key), kind):
+            names = obj.get(key)
+            if not isinstance(names, kind):
                 raise DataError(f"{path}: key {key!r} missing or not a JSON {kind.__name__}")
+            for name in names.values() if kind is dict else names:
+                if not isinstance(name, str):
+                    raise DataError(f"{path}: each name in {key!r} must be a JSON string, "
+                                    f"got {json.dumps(name)}")
         sectors, industries = obj["sectors"], obj["industries"]
         mapping = {}
         for ind_name, sec_name in obj["industry_to_sector"].items():
@@ -235,14 +240,18 @@ def load_nodes(path, taxonomy: Optional[Taxonomy] = None) -> tuple[list[StockRec
                                  for key in ("ticker", "text", "topix33"))
         if ticker in id_map:
             raise DataError(f"{path}:{lineno}: duplicate ticker {ticker!r}")
-        industry = taxonomy.industry_id(topix33)
-        sector = taxonomy.sector_of(industry)
         topix17 = obj.get("topix17")
         if topix17 is not None:
             _require_str(topix17, "'topix17'", path, lineno)
-            if taxonomy.sector_id(topix17) != sector:
-                raise DataError(f"{path}:{lineno}: topix17 {topix17!r} contradicts topix33 "
-                                f"{topix33!r}, whose sector is {taxonomy.sectors[sector]!r}")
+        try:
+            industry = taxonomy.industry_id(topix33)
+            sector = taxonomy.sector_of(industry)
+            contradicts = topix17 is not None and taxonomy.sector_id(topix17) != sector
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if contradicts:
+            raise DataError(f"{path}:{lineno}: topix17 {topix17!r} contradicts topix33 "
+                            f"{topix33!r}, whose sector is {taxonomy.sectors[sector]!r}")
         stock_id = len(records)
         id_map[ticker] = stock_id
         records.append(StockRecord(stock_id, ticker, text, sector, industry))
@@ -529,8 +538,9 @@ def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv"
 
 
 def _parse_id(token: str):
+    """The int that ``str`` writes as ``token``, else ``token``: "0123" stays a string."""
     try:
-        return int(token)
+        return int(token) if str(int(token)) == token else token
     except ValueError:
         return token
 
@@ -544,6 +554,8 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
             if len(shape) != 8:
                 raise DataError(f"{path}: truncated binary embedding header")
             n, d = struct.unpack("<II", shape)
+            if n == 0:
+                raise DataError(f"{path}: no embedding rows")
             # every row takes 4 bytes per value and at least a 4-byte id
             # length; check that against the file before reading the block
             need, left = n * (d + 1) * 4, os.fstat(fh.fileno()).st_size - fh.tell()
@@ -586,4 +598,6 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not ids:
+        raise DataError(f"{path}: no embedding rows")
     return ids, np.asarray(rows, dtype=np.float64)

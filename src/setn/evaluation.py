@@ -234,8 +234,8 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     on the (already direction-prepared) graph.
 
     Two stages: every distinct member of the sampled subgraphs is encoded
-    once, in batches, then each target's GNN and heads run on its members'
-    rows. The rows equal ``model.embed_stock`` per target, bit for bit.
+    once, in batches, then the graph stage, and no head, runs on each target's
+    members' rows. Each row equals ``model.embed_stock``, bit for bit.
 
     A model without the residual path can emit an exactly-zero vector (its
     final ReLU saturates); such stocks collapse onto one shared fallback
@@ -253,7 +253,7 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
         text = model.text_stage([records[m] for m in members])
         for sub in subs:
             h_text = take_rows(text, [row_of[m] for m in model.text_members(sub)])
-            vec = model.graph_stage(h_text, sub).embedding.data
+            vec = model.graph_stage(h_text, sub).data[0]
             if not np.any(vec):
                 vec = np.full_like(vec, 1.0)
                 zero_rows += 1

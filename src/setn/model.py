@@ -3,8 +3,8 @@
 Every subgraph member's description is encoded and pooled to a text vector;
 a GNN layer mixes the stacked vectors over the subgraph; the target's text
 vector is optionally added back (residual fusion). The fused vector is the
-exported stock embedding and also feeds both classification heads:
-ReLU, dropout, then one affine layer per taxonomy.
+exported stock embedding. Only ``forward`` feeds it to the two heads (ReLU,
+dropout, one affine layer per taxonomy): inference computes no logits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, LabelError
+from .errors import DataError
 from .graph import GnnParams, Subgraph, gat_layer, gcn_layer, init_gnn_params
 from .text import EncoderBlock, TextEncoder, Vocab, pool, tokenize
 
@@ -77,10 +77,9 @@ class SetnModel:
         if self.gnn is not None:
             for name, p in self.gnn.named_params():
                 yield f"gnn.{name}", p
-        for name, p in self.head_sector.named_params():
-            yield f"head_sector.{name}", p
-        for name, p in self.head_industry.named_params():
-            yield f"head_industry.{name}", p
+        for head in ("head_sector", "head_industry"):
+            for name, p in getattr(self, head).named_params():
+                yield f"{head}.{name}", p
 
     def trainable_params(self) -> list[Tensor]:
         return [p for _, p in self.named_params() if p.requires_grad]
@@ -120,34 +119,22 @@ class SetnModel:
                 placed.append(batch)
         return ad.place_rows(parts, placed)
 
-    def graph_stage(self, h_text: Tensor, sub: Subgraph,
-                    rng: Optional[np.random.Generator] = None) -> ForwardResult:
-        """GNN over the text vectors of ``text_members(sub)`` (target row
-        first), residual fusion with the target's row, and both heads.
-        Dropout draws from ``rng`` and is off without one."""
-        target_text = ad.reshape(ad.take_rows(h_text, [0]), (self.dim,))
+    def graph_stage(self, h_text: Tensor, sub: Subgraph) -> Tensor:
+        """The fused target row [1, d]: the GNN over the text rows of
+        ``text_members(sub)`` (target first), plus the target's row if residual."""
+        target_text = ad.take_rows(h_text, [0])
         if self.gnn is None:
-            h = target_text
-        else:
-            layer = gcn_layer if self.config.gnn == "gcn" else gat_layer
-            # The GNN reads the rows through a node of its own, so backward
-            # sums its reads first and then adds the residual's: the order
-            # of a loop that encodes member by member.
-            h_gnn = layer(ad.reshape(h_text, h_text.shape), sub, self.gnn)
-            target_gnn = ad.reshape(ad.take_rows(h_gnn, [0]), (self.dim,))
-            h = ad.add(target_text, target_gnn) if self.config.residual else target_gnn
-
-        z = ad.dropout(ad.relu(h), self.config.dropout, rng)
-        z2 = ad.reshape(z, (1, self.dim))
-        logits_s = ad.reshape(ad.linear(z2, self.head_sector.weight, self.head_sector.bias),
-                              (self.n_sectors,))
-        logits_i = ad.reshape(ad.linear(z2, self.head_industry.weight, self.head_industry.bias),
-                              (self.n_industries,))
-        return ForwardResult(embedding=h, logits_sector=logits_s, logits_industry=logits_i)
+            return target_text
+        layer = gcn_layer if self.config.gnn == "gcn" else gat_layer
+        # The GNN reads the rows through a node of its own, so backward sums
+        # its reads first and then adds the residual's: the order of a loop
+        # that encodes member by member.
+        target_gnn = ad.take_rows(layer(ad.reshape(h_text, h_text.shape), sub, self.gnn), [0])
+        return ad.add(target_text, target_gnn) if self.config.residual else target_gnn
 
     def forward(self, sub: Subgraph, records: Sequence,
                 rng: Optional[np.random.Generator] = None) -> ForwardResult:
-        """Run the full pipeline for the subgraph target.
+        """The fused row, then ReLU, dropout and both heads, for the subgraph target.
 
         ``records`` must align with ``sub.members`` (target first). A
         training pass passes the dropout generator ``rng``.
@@ -158,7 +145,11 @@ class SetnModel:
             if rec.stock_id != member:
                 raise DataError(f"record {rec.stock_id} misaligned with subgraph member {member}")
         members = records[:len(self.text_members(sub))]
-        return self.graph_stage(self.text_stage(members), sub, rng)
+        h = self.graph_stage(self.text_stage(members), sub)
+        z = ad.dropout(ad.relu(h), self.config.dropout, rng)
+        logits_s, logits_i = (ad.reshape(ad.linear(z, head.weight, head.bias), (-1,))
+                              for head in (self.head_sector, self.head_industry))
+        return ForwardResult(ad.reshape(h, (-1,)), logits_s, logits_i)
 
     def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
         """Deterministic embedding vector [d] (dropout off)."""
@@ -186,13 +177,7 @@ def param_shapes(config: TrainConfig, n_vocab: int, n_sectors: int, n_industries
 
 
 def compute_loss(result: ForwardResult, sector_label: int, industry_label: int) -> Tensor:
-    """Sum of the two heads' cross-entropies for the target stock."""
-    n_s = result.logits_sector.data.shape[0]
-    n_i = result.logits_industry.data.shape[0]
-    if not 0 <= sector_label < n_s:
-        raise LabelError(f"sector label {sector_label} out of range [0, {n_s})")
-    if not 0 <= industry_label < n_i:
-        raise LabelError(f"industry label {industry_label} out of range [0, {n_i})")
-    loss_s = ad.cross_entropy(ad.reshape(result.logits_sector, (1, n_s)), [sector_label])
-    loss_i = ad.cross_entropy(ad.reshape(result.logits_industry, (1, n_i)), [industry_label])
-    return ad.add(loss_s, loss_i)
+    """Sum of the two heads' cross-entropies for the target stock; a label
+    outside its head's classes is a ``LabelError``."""
+    return ad.add(ad.cross_entropy(result.logits_sector, sector_label),
+                  ad.cross_entropy(result.logits_industry, industry_label))

@@ -59,9 +59,15 @@ class Vocab:
     @classmethod
     def from_file(cls, path) -> "Vocab":
         """Read one token per line; line k holds the token with id k + 3."""
+        tokens: dict[str, None] = {}
         with open_text(path) as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+            for lineno, line in enumerate(fh, 1):
+                token = line.rstrip("\n")
+                if token in tokens:
+                    raise DataError(f"{path}:{lineno}: duplicate vocabulary token {token!r}")
+                if token:
+                    tokens[token] = None
+        return cls(list(tokens))
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -148,26 +148,32 @@ def test_dropout_gradient_uses_same_mask():
 
 
 def test_cross_entropy_uniform_logits():
-    assert cross_entropy(Tensor([[0.0, 0.0]]), [0]).item() == pytest.approx(math.log(2), abs=1e-12)
-    assert cross_entropy(Tensor(np.zeros((1, 17))), [4]).item() == pytest.approx(math.log(17), abs=1e-12)
+    assert cross_entropy(Tensor([0.0, 0.0]), 0).item() == pytest.approx(math.log(2), abs=1e-12)
+    assert cross_entropy(Tensor(np.zeros(17)), 4).item() == pytest.approx(math.log(17), abs=1e-12)
 
 
 def test_cross_entropy_confident_correct():
-    assert cross_entropy(Tensor([[10.0, -10.0]]), [0]).item() < 1e-4
+    assert cross_entropy(Tensor([10.0, -10.0]), 0).item() < 1e-4
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(LabelError) as exc:
-        cross_entropy(Tensor([[0.0, 0.0]]), [2])
+        cross_entropy(Tensor([0.0, 0.0]), 2)
     assert "2" in str(exc.value)
+    with pytest.raises(LabelError):
+        cross_entropy(Tensor([0.0, 0.0]), -1)
 
 
 def test_cross_entropy_non_negative():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        logits = rng.normal(scale=5, size=(4, 6))
-        targets = rng.integers(0, 6, size=4)
-        assert cross_entropy(Tensor(logits), targets).item() >= 0.0
+        logits = rng.normal(scale=5, size=6)
+        assert cross_entropy(Tensor(logits), int(rng.integers(0, 6))).item() >= 0.0
+
+
+def test_cross_entropy_scores_one_row_only():
+    with pytest.raises(ShapeError, match="one row"):
+        cross_entropy(Tensor([[0.0, 0.0]]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,8 @@ def test_composite_gradient_linear_activation_cross_entropy():
     b = Tensor(rng.normal(size=3), requires_grad=True)
 
     def f():
-        return cross_entropy(linear(relu(linear(x, w, b)), Tensor(np.eye(3)), Tensor(np.zeros(3))), [0, 2])
+        out = linear(relu(linear(x, w, b)), Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        return add(cross_entropy(take_rows(out, 0), 0), cross_entropy(take_rows(out, 1), 2))
 
     err = grad_check_params(f, [x, w, b])
     assert err < 1e-4

@@ -460,6 +460,22 @@ def test_nodes_field_that_is_not_a_string_is_one_error_line(dataset_dir, tmp_pat
     assert f"{nodes}:1: '{key}' must be a JSON string" in lines[0]
 
 
+@pytest.mark.parametrize("key, bad", [("sectors", 1), ("industries", ["x"])])
+def test_taxonomy_name_that_is_not_a_string_is_one_error_line(dataset_dir, tmp_path, capsys,
+                                                              key, bad):
+    taxonomy = tmp_path / "bad.json"
+    content = {"sectors": ["A"], "industries": ["X"], "industry_to_sector": {"X": "A"}}
+    content[key] = [bad]
+    taxonomy.write_text(json.dumps(content))
+    code, _, stderr = run_cli(
+        capsys, "train", "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"), "--taxonomy", str(taxonomy),
+        "--out", str(tmp_path / "m.setn"))
+    assert code == 1
+    assert _error_lines(stderr) == [
+        f"error: {taxonomy}: each name in {key!r} must be a JSON string, got {json.dumps(bad)}"]
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--avg-degree", "--theme-count", "--tokens-per-doc"])
 def test_synth_negative_count_is_one_error_line(tmp_path, capsys, flag):
     code, _, stderr = run_cli(capsys, "synth", "--out", str(tmp_path / "d"), flag, "-1")

@@ -5,12 +5,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, Taxonomy,
                        export_embeddings,
                        generate_synthetic, load_edges, load_embeddings,
                        load_nodes, load_themes, write_dataset)
-from setn.errors import DataError
+from setn.errors import DataError, SetnError
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +62,12 @@ def test_taxonomy_file_roundtrip(tmp_path):
      "unknown sector 'B'"),
     ('{"sectors": ["A"], "industries": ["X", "Y"], "industry_to_sector": {"X": "A"}}',
      "industries without a sector"),
+    ('{"sectors": [1], "industries": ["X"], "industry_to_sector": {"X": "A"}}',
+     "each name in 'sectors' must be a JSON string, got 1"),
+    ('{"sectors": ["A"], "industries": [["x"]], "industry_to_sector": {}}',
+     "each name in 'industries' must be a JSON string, got [\"x\"]"),
+    ('{"sectors": ["A"], "industries": ["X"], "industry_to_sector": {"X": null}}',
+     "each name in 'industry_to_sector' must be a JSON string, got null"),
 ])
 def test_taxonomy_file_errors_name_the_path(tmp_path, content, expected):
     path = tmp_path / "taxonomy.json"
@@ -124,9 +131,15 @@ def test_load_nodes_reports_line_numbers(tmp_path):
 
 
 def test_load_nodes_unknown_label(tmp_path):
-    path = _write_nodes(tmp_path, [{"ticker": "A", "text": "x", "topix33": "Warp Drives"}])
-    with pytest.raises(DataError):
-        load_nodes(path)
+    for line, message in (
+            ({"ticker": "A", "text": "x", "topix33": "Warp Drives"},
+             "unknown industry label 'Warp Drives'"),
+            ({"ticker": "A", "text": "x", "topix17": "SPACE", "topix33": "Banks"},
+             "unknown sector label 'SPACE'")):
+        path = _write_nodes(tmp_path, [{"ticker": "Z", "text": "x", "topix33": "Banks"}, line])
+        with pytest.raises(DataError) as exc:
+            load_nodes(path)
+        assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_load_nodes_rejects_a_sector_that_contradicts_the_industry(tmp_path):
@@ -159,6 +172,58 @@ def test_load_nodes_rejects_fields_that_are_not_strings(tmp_path, key, value):
     path = _write_nodes(tmp_path, [{"ticker": "Z", "text": "x", "topix33": "Banks"}, line])
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: '{key}' must be a JSON string"):
         load_nodes(path)
+
+
+# ---------------------------------------------------------------------------
+# arbitrary JSON in the JSON inputs: a SetnError or a result, nothing else
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _names(*names):
+    """Mostly the given names, sometimes any JSON, so the deeper checks run."""
+    return st.sampled_from(names) | _ANY_JSON
+
+
+_TAXONOMY_NAMES = _names("A", "B", "X", "Y")
+_TAXONOMY_JSON = _ANY_JSON | st.fixed_dictionaries({}, optional={
+    "sectors": st.lists(_TAXONOMY_NAMES, max_size=3) | _ANY_JSON,
+    "industries": st.lists(_TAXONOMY_NAMES, max_size=3) | _ANY_JSON,
+    "industry_to_sector": st.dictionaries(st.sampled_from(["A", "X", "Y", ""]), _TAXONOMY_NAMES,
+                                          max_size=3) | _ANY_JSON,
+})
+_NODE_JSON = _ANY_JSON | st.fixed_dictionaries({}, optional={
+    "ticker": _names("A", "B"),
+    "text": _names("steel", ""),
+    "topix33": _names("Banks", "Retail Trade", "Warp Drives"),
+    "topix17": _names("BANKS", "RETAIL TRADE", "SPACE", None),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(obj=_TAXONOMY_JSON)
+def test_taxonomy_file_with_any_json_raises_only_setn_errors(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("taxonomy") / "taxonomy.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    try:
+        Taxonomy.from_file(path)
+    except SetnError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lines=st.lists(_NODE_JSON, min_size=1, max_size=4))
+def test_nodes_file_with_any_json_raises_only_setn_errors(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("nodes") / "nodes.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    try:
+        load_nodes(path)
+    except SetnError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +495,24 @@ def test_non_utf8_embedding_id_is_data_error(tmp_path, fmt):
     with pytest.raises(DataError, match="not UTF-8") as exc:
         load_embeddings(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "binary"])
+def test_ids_load_back_as_written(tmp_path, fmt):
+    path = tmp_path / "emb"
+    ids = ["0123", "1_000", "-0", "+5", " 7", "x", 0, -3, 1000]
+    export_embeddings(ids, np.ones((len(ids), 2)), path, fmt)
+    assert load_embeddings(path)[0] == ids
+
+
+def test_empty_embedding_file_is_data_error_naming_the_path(tmp_path):
+    tsv, binary = tmp_path / "emb.tsv", tmp_path / "emb.bin"
+    tsv.write_text("id\tdim=3\n\n", encoding="utf-8")
+    binary.write_bytes(b"SETE" + struct.pack("<II", 0, 3))
+    for path in (tsv, binary):
+        with pytest.raises(DataError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}: no embedding rows"
 
 
 def test_reimported_tsv_preserves_knn_ranking(tmp_path):

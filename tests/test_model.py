@@ -106,12 +106,12 @@ def test_uniform_logits_loss_is_sum_of_log_class_counts(chain):
 
 
 def test_loss_is_sum_of_standalone_cross_entropies(chain):
-    from setn.autodiff import cross_entropy, reshape
+    from setn.autodiff import cross_entropy
     records, graph = chain
     model = make_model()
     _, _, result = forward_target(model, records, graph, 2)
-    ls = cross_entropy(reshape(result.logits_sector, (1, 3)), [1]).item()
-    li = cross_entropy(reshape(result.logits_industry, (1, 5)), [4]).item()
+    ls = cross_entropy(result.logits_sector, 1).item()
+    li = cross_entropy(result.logits_industry, 4).item()
     total = compute_loss(result, 1, 4).item()
     assert abs(total - (ls + li)) < 1e-12
 
@@ -254,6 +254,21 @@ def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling)
                 model.forward(sub, [records[m] for m in sub.members])  # fills part of it
                 cached = embed_universe(model, graph, records, ids)
             assert np.array_equal(cached.vectors, emb.vectors), (policy, residual)
+
+
+@pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
+def test_embed_universe_reads_the_fused_row_and_runs_no_head(chain, gnn):
+    records, graph = chain
+    model = make_model(gnn=gnn)
+    ids = list(range(len(records)))
+    before = embed_universe(model, graph, records, ids).vectors
+    for head in (model.head_sector, model.head_industry):
+        head.weight.data[...] = np.nan  # a Tensor checks finiteness only when built
+    assert np.array_equal(embed_universe(model, graph, records, ids).vectors, before)
+    sub = sample_subgraph(graph, 1)
+    with no_grad():
+        row = model.graph_stage(model.text_stage([records[m] for m in model.text_members(sub)]), sub)
+    assert row.shape == (1, model.dim) and np.array_equal(row.data[0], before[1])
 
 
 def test_recorded_text_stage_rows_require_grad_and_equal_no_grad_rows(monkeypatch):

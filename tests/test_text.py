@@ -42,6 +42,14 @@ def test_vocab_rejects_duplicates():
         Vocab(["x", "x"])
 
 
+def test_vocab_file_duplicate_names_the_path_and_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\nb\n\na\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        Vocab.from_file(path)
+    assert str(exc.value) == f"{path}:4: duplicate vocabulary token 'a'"
+
+
 def test_vocab_file_roundtrip(tmp_path, vocab):
     path = tmp_path / "vocab.txt"
     vocab.to_file(path)
