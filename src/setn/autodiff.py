@@ -30,8 +30,8 @@ Array = np.ndarray
 
 # Entries this negative are squashed to exactly zero by a row softmax.
 _MASK_FILL = -1e30
-# The negative slope of ``leaky_relu``, the variance floor of
-# ``layer_norm_rows`` and the std of ``normal_param``'s draws.
+# The negative slope of ``leaky_relu``, the variance floor of the
+# ``encoder_block`` layer norms and the std of ``normal_param``'s draws.
 _LEAKY_SLOPE = 0.2
 _NORM_EPS = 1e-5
 _INIT_STD = 0.02
@@ -64,16 +64,19 @@ def _keep_freed_heap() -> None:
 _keep_freed_heap()
 
 
+def _require_finite(arr: Array) -> Array:
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("tensor entries must be finite (NaN/Inf rejected)")
+    return arr
+
+
 class Tensor:
     """Dense float64 array, optionally tracking gradients."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor entries must be finite (NaN/Inf rejected)")
-        self.data = arr
+        self.data = _require_finite(np.ascontiguousarray(np.asarray(data, dtype=np.float64)))
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -427,28 +430,83 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _op(x.data.reshape(shape), (x,), bw)
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalization over the last axis to zero mean / unit variance, then gain and bias."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"layer_norm_rows needs a tensor of rank 2 or more, got shape {x.data.shape}")
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(f"layer norm gain/bias must have shape ({d},)")
+def _norm(x: Array, gain: Tensor, bias: Tensor) -> tuple[Array, Array, Array]:
+    """Layer norm over the last axis, then gain and bias: (out, xhat, 1/std)."""
+    d = x.shape[-1]
     # sum / d is exactly what ndarray.mean computes, minus its Python overhead
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
+    xc = x - x.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + _NORM_EPS)
     xhat = xc * inv
+    return xhat * gain.data + bias.data, xhat, inv
+
+
+def _norm_grad(g: Array, xhat: Array, inv: Array, gain: Tensor, bias: Tensor) -> Array:
+    """Accumulate ``_norm``'s gain and bias gradients; return its input's."""
+    _accum(bias, _unbroadcast(g, bias.data.shape))
+    _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+    d = g.shape[-1]
+    gh = g * gain.data
+    m1 = gh.sum(axis=-1, keepdims=True) / d
+    m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
+    return inv * (gh - m1 - xhat * m2)
+
+
+def _affine_grad(x: Array, w: Tensor, b: Tensor, g: Array, need_input: bool = True) -> Array | None:
+    """Accumulate the weight and bias gradients of ``x @ w + b``; return the
+    input's gradient when ``need_input``."""
+    if b.requires_grad:
+        _accum(b, _unbroadcast(g, b.data.shape))
+    if w.requires_grad:
+        _accum(w, _unbroadcast(x.swapaxes(-1, -2) @ g, w.data.shape))
+    return g @ w.data.swapaxes(-1, -2) if need_input else None
+
+
+def encoder_block(x: Tensor, params: Sequence[Tensor]) -> Tensor:
+    """A post-norm single-head self-attention block with a ReLU feedforward,
+    recorded as one op: x [..., L, d] and the 16 parameters of
+    ``text.EncoderBlock.param_table``, in that order.
+
+    Forward and backward compute the expressions of the same block built from
+    ``linear``, ``transpose``, ``matmul``, ``mul``, ``softmax_rows``, ``add``,
+    ``relu`` and a layer norm, and add the gradients in the order that graph's
+    backward walk adds them, so every result is bit for bit the same.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = params
+    if x.data.ndim < 2 or x.data.shape[-1] != wq.data.shape[0]:
+        raise ShapeError(f"encoder block of width {wq.data.shape[0]} got input of shape {x.data.shape}")
+    xd = x.data
+    q, k, v = (xd @ w.data + b.data for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    # contiguous, as a recorded transpose stores it: q @ (view) rounds differently
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    scale = 1.0 / math.sqrt(xd.shape[-1])
+    scores = (q @ kt) * scale
+    # the one intermediate whose non-finite entries (-inf) the rest can absorb
+    _require_finite(scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    ctx = attn @ v
+    h1, xhat1, inv1 = _norm(xd + (ctx @ wo.data + bo.data), gain1, bias1)
+    pre = h1 @ w1.data + b1.data
+    mask = pre > 0
+    hidden = pre * mask
+    out, xhat2, inv2 = _norm(h1 + (hidden @ w2.data + b2.data), gain2, bias2)
 
     def bw(g: Array) -> None:
-        _accum(bias, _unbroadcast(g, bias.data.shape))
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        gh = g * gain.data
-        m1 = gh.sum(axis=-1, keepdims=True) / d
-        m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
-        _accum(x, inv * (gh - m1 - xhat * m2))
+        g_r2 = _norm_grad(g, xhat2, inv2, gain2, bias2)
+        g_hidden = _affine_grad(hidden, w2, b2, g_r2)
+        g_r1 = _norm_grad(g_r2 + _affine_grad(h1, w1, b1, g_hidden * mask), xhat1, inv1, gain1, bias1)
+        g_ctx = _affine_grad(ctx, wo, bo, g_r1)
+        g_attn = g_ctx @ v.swapaxes(-1, -2)
+        g_scores = (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn * scale
+        # the gradient of a recorded k is a contiguous copy of kᵀ's
+        g_k = np.ascontiguousarray((q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
+        parts = [_affine_grad(xd, w, b, gp, x.requires_grad) for w, b, gp in (
+            (wq, bq, g_scores @ kt.swapaxes(-1, -2)), (wk, bk, g_k), (wv, bv, attn.swapaxes(-1, -2) @ g_ctx))]
+        if x.requires_grad:
+            for part in (g_r1, *parts):  # the residual first, then q, k, v
+                _accum(x, part)
 
-    return _op(xhat * gain.data + bias.data, (x, gain, bias), bw)
+    return _op(out, (x, *params), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ def _resolve_config(args) -> TrainConfig:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{args.config}: malformed config JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise DataError(f"{args.config}: config JSON nested too deeply") from exc
         config = TrainConfig.from_dict(obj)
     return replace(config, **{
         field: value if labels is None else labels[value]

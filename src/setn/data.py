@@ -99,19 +99,26 @@ class Taxonomy:
     industry_to_sector: dict[int, int]
 
     def __post_init__(self):
-        if len(set(self.sectors)) != len(self.sectors):
-            raise DataError("duplicate sector names")
-        if len(set(self.industries)) != len(self.industries):
-            raise DataError("duplicate industry names")
         missing = set(range(len(self.industries))) - set(self.industry_to_sector)
         if missing:
             raise DataError(f"industries without a sector: {sorted(missing)}")
-        self._sector_ids = {_norm_label(s): i for i, s in enumerate(self.sectors)}
-        self._industry_ids = {_norm_label(s): i for i, s in enumerate(self.industries)}
+        self._sector_ids = self._label_ids("sector", self.sectors)
+        self._industry_ids = self._label_ids("industry", self.industries)
         for alias, canonical in _SECTOR_ALIASES.items():
             key = _norm_label(canonical)
             if key in self._sector_ids:
                 self._sector_ids.setdefault(_norm_label(alias), self._sector_ids[key])
+
+    @staticmethod
+    def _label_ids(kind: str, names: list[str]) -> dict[str, int]:
+        """Normalized label -> index; labels are looked up normalized, so two
+        names equal after normalization are duplicates."""
+        ids: dict[str, int] = {}
+        for i, name in enumerate(names):
+            first = ids.setdefault(_norm_label(name), i)
+            if first != i:
+                raise DataError(f"duplicate {kind} names {names[first]!r} and {name!r}")
+        return ids
 
     @property
     def n_sectors(self) -> int:
@@ -157,6 +164,8 @@ class Taxonomy:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: malformed taxonomy JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise DataError(f"{path}: taxonomy JSON nested too deeply") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}: expected a JSON object")
         for key, kind in (("sectors", list), ("industries", list), ("industry_to_sector", dict)):
@@ -209,6 +218,8 @@ def _iter_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise DataError(f"{path}:{lineno}: JSON nested too deeply") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj

@@ -7,7 +7,6 @@ self-attention blocks. Depth 0 degrades to a bag of token embeddings.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from contextlib import contextmanager
 from typing import Iterable, Sequence
@@ -126,16 +125,7 @@ class EncoderBlock:
             p.requires_grad = bool(flag)
 
     def forward(self, x: Tensor) -> Tensor:
-        q = ad.linear(x, self.attn_q_w, self.attn_q_b)
-        k = ad.linear(x, self.attn_k_w, self.attn_k_b)
-        v = ad.linear(x, self.attn_v_w, self.attn_v_b)
-        scores = ad.mul(ad.matmul(q, ad.transpose(k)), Tensor(1.0 / math.sqrt(self.dim)))
-        ctx = ad.matmul(ad.softmax_rows(scores), v)
-        attended = ad.linear(ctx, self.attn_o_w, self.attn_o_b)
-        x = ad.layer_norm_rows(ad.add(x, attended), self.norm1_gain, self.norm1_bias)
-        hidden = ad.relu(ad.linear(x, self.ff1_w, self.ff1_b))
-        ff = ad.linear(hidden, self.ff2_w, self.ff2_b)
-        return ad.layer_norm_rows(ad.add(x, ff), self.norm2_gain, self.norm2_bias)
+        return ad.encoder_block(x, [p for _, p in self.named_params()])
 
 
 class TextEncoder:

@@ -365,9 +365,10 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
         vocab = Vocab(header["vocab"])
         n_classes = [header["model"][key] for key in ("n_sectors", "n_industries")]
         manifest = [(str(entry["name"]), tuple(entry["shape"])) for entry in header["params"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         # ValueError covers malformed JSON, bytes that are not UTF-8 and the
-        # DataError of a config or vocabulary that fails validation
+        # DataError of a config or vocabulary that fails validation;
+        # RecursionError, JSON nested deeper than the interpreter's limit
         raise CheckpointError(f"{path}: invalid header: {type(exc).__name__}: {exc}") from exc
     if not all(type(n) is int and n >= 1 for n in n_classes):
         raise CheckpointError(f"{path}: class counts {n_classes} are not positive integers")

@@ -11,11 +11,12 @@ import pytest
 import setn
 
 from setn.autodiff import (Adam, Tensor, add, backward, cross_entropy,
-                           dropout, grad_check_params, is_recording,
-                           layer_norm_rows, leaky_relu, linear, matmul, max_rows,
+                           dropout, encoder_block, grad_check_params, is_recording,
+                           leaky_relu, linear, matmul, max_rows,
                            mean_rows, mul, no_grad, place_rows, relu, softmax_rows,
                            sum_all, take_rows, transpose)
 from setn.errors import ContractError, DataError, LabelError, ShapeError
+from setn.text import EncoderBlock
 
 
 def test_tensor_rejects_non_finite():
@@ -376,6 +377,15 @@ _BIAS = Tensor(_rng.normal(size=3), requires_grad=True)
 _GAIN = Tensor(_rng.normal(size=4), requires_grad=True)
 _SHIFT = Tensor(_rng.normal(size=4), requires_grad=True)
 _OTHER = Tensor(_rng.normal(size=(2, 4, 5)), requires_grad=True)
+# A width-4 encoder block whose last layer norm has the gain and shift above.
+# The key bias shifts each row of scores by a constant, which softmax ignores:
+# its true gradient is zero and finite differences see only noise, so it is
+# held constant here.
+_block_rng = np.random.default_rng(22)
+_BLOCK = [{"norm2_gain": _GAIN, "norm2_bias": _SHIFT}.get(name)
+          or Tensor(_block_rng.normal(0.0, 0.5, shape), requires_grad=name != "attn_k_b")
+          for name, shape in EncoderBlock.param_table(4)]
+_BLOCK_TRAINED = [p for p in _BLOCK if p.requires_grad]
 
 # name -> (op on one tensor, the parameters it reads besides its input)
 BATCHED_OPS = {
@@ -384,7 +394,7 @@ BATCHED_OPS = {
     "linear": (lambda x: linear(x, _W, _BIAS), [_W, _BIAS]),
     "transpose": (transpose, []),
     "softmax_rows": (softmax_rows, []),
-    "layer_norm_rows": (lambda x: layer_norm_rows(x, _GAIN, _SHIFT), [_GAIN, _SHIFT]),
+    "encoder_block": (lambda x: encoder_block(x, _BLOCK), _BLOCK_TRAINED),
     "mean_rows": (mean_rows, []),
     "max_rows": (max_rows, []),
     "take_rows_axis_-2": (lambda x: take_rows(x, [2, 0, 2], axis=-2), []),
@@ -421,7 +431,7 @@ SHARED_OPERAND_OPS = {
     "linear": (lambda x, s: linear(x, _W, _BIAS), [_W, _BIAS]),
     "add": (lambda x, s: add(x, _ROWS), [_ROWS]),
     "mul": (lambda x, s: mul(x, _GAIN), [_GAIN]),
-    "layer_norm_rows": (lambda x, s: layer_norm_rows(x, _GAIN, _SHIFT), [_GAIN, _SHIFT]),
+    "encoder_block": (lambda x, s: encoder_block(x, _BLOCK), _BLOCK_TRAINED),
     "take_rows": (lambda x, s: add(x, take_rows(_TABLE, _INDEX[s])), [_TABLE]),
 }
 

@@ -483,3 +483,23 @@ def test_synth_negative_count_is_one_error_line(tmp_path, capsys, flag):
     lines = _error_lines(stderr)
     field = flag[2:].replace("-", "_")
     assert lines == [f"error: {field} must be non-negative, got -1"]
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("flag, content, expected", [
+    ("--nodes", _DEEP_JSON + "\n", "{path}:1: JSON nested too deeply"),
+    ("--config", _DEEP_JSON, "{path}: config JSON nested too deeply"),
+    ("--taxonomy", _DEEP_JSON, "{path}: taxonomy JSON nested too deeply"),
+])
+def test_json_nested_too_deeply_is_one_error_line(dataset_dir, tmp_path, capsys,
+                                                  flag, content, expected):
+    # deeper than the interpreter's recursion limit, where json raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text(content)
+    args = {"--nodes": str(dataset_dir / "nodes.jsonl"), "--edges": str(dataset_dir / "edges.tsv"),
+            "--out": str(tmp_path / "m.setn"), flag: str(path)}
+    code, _, stderr = run_cli(capsys, "train", *[x for pair in args.items() for x in pair])
+    assert code == 1
+    assert _error_lines(stderr) == [f"error: {expected.format(path=path)}"]

@@ -12,6 +12,7 @@ from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, Taxonomy,
                        generate_synthetic, load_edges, load_embeddings,
                        load_nodes, load_themes, write_dataset)
 from setn.errors import DataError, SetnError
+from setn.text import Vocab
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +175,41 @@ def test_load_nodes_rejects_fields_that_are_not_strings(tmp_path, key, value):
         load_nodes(path)
 
 
+def test_taxonomy_rejects_names_equal_up_to_case_and_spacing(tmp_path):
+    # labels are looked up normalized, so "BANKS" would find the second sector
+    with pytest.raises(DataError, match="^duplicate sector names 'BANKS' and 'Banks'$"):
+        Taxonomy(["BANKS", "Banks"], ["Loans"], {0: 0})
+    with pytest.raises(DataError, match="^duplicate industry names 'Retail  Trade' and 'retail trade'$"):
+        Taxonomy(["A"], ["Retail  Trade", "retail trade"], {0: 0, 1: 0})
+    path = tmp_path / "taxonomy.json"
+    path.write_text(json.dumps({"sectors": ["BANKS", " banks"], "industries": ["Loans"],
+                                "industry_to_sector": {"Loans": "BANKS"}}))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: duplicate sector names"):
+        Taxonomy.from_file(path)
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("reader", ["nodes", "themes", "taxonomy"])
+def test_json_nested_too_deeply_is_a_data_error_naming_the_file(tmp_path, reader):
+    # deeper than the interpreter's recursion limit, where json raises RecursionError
+    path = tmp_path / "deep.json"
+    if reader == "taxonomy":
+        path.write_text(_DEEP_JSON)
+        load, where = Taxonomy.from_file, f"{path}: taxonomy JSON"
+    else:
+        first = ({"ticker": "A", "text": "x", "topix33": "Banks"} if reader == "nodes"
+                 else {"theme": "chips", "members": []})
+        path.write_text(json.dumps(first) + "\n" + _DEEP_JSON + "\n")
+        load = load_nodes if reader == "nodes" else (lambda p: load_themes(p, {}))
+        where = f"{path}:2: JSON"
+    with pytest.raises(DataError, match=f"^{re.escape(where)} nested too deeply$"):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
-# arbitrary JSON in the JSON inputs: a SetnError or a result, nothing else
+# arbitrary content in the input files: a SetnError or a result, nothing else
 
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -222,6 +256,55 @@ def test_nodes_file_with_any_json_raises_only_setn_errors(tmp_path_factory, line
     path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
     try:
         load_nodes(path)
+    except SetnError:
+        pass
+
+
+def _any_lines(*lines):
+    """File bytes: lines of the given kinds or any text, or any bytes at all."""
+    line = st.sampled_from(lines) | st.text(max_size=8)
+    return (st.lists(line, max_size=5).map(lambda ls: "".join(x + "\n" for x in ls).encode("utf-8"))
+            | st.binary(max_size=16))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(content=_any_lines("0\t1", "1\t0", "1\t1", "2\t-1", "0 1", "x\t1", "0\t1\t2"),
+       n_nodes=st.integers(0, 3))
+def test_edges_file_with_any_lines_raises_only_setn_errors(tmp_path_factory, content, n_nodes):
+    path = tmp_path_factory.mktemp("edges") / "edges.tsv"
+    path.write_bytes(content)
+    try:
+        load_edges(path, n_nodes)
+    except SetnError:
+        pass
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(content=_any_lines("a", "b", "", " a"))
+def test_vocab_file_with_any_lines_raises_only_setn_errors(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    path.write_bytes(content)
+    try:
+        Vocab.from_file(path)
+    except SetnError:
+        pass
+
+
+_THEME_JSON = _ANY_JSON | st.fixed_dictionaries({}, optional={
+    "theme": _names("chips", "autos"),
+    "members": st.lists(_names("A", "B", "C", "Z"), max_size=4) | _ANY_JSON,
+})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lines=st.lists(_THEME_JSON, min_size=1, max_size=4), min_size=st.integers(0, 3),
+       universe=st.none() | st.lists(st.integers(0, 3), max_size=3))
+def test_themes_file_with_any_json_raises_only_setn_errors(tmp_path_factory, lines, min_size,
+                                                          universe):
+    path = tmp_path_factory.mktemp("themes") / "themes.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    try:
+        load_themes(path, {"A": 0, "B": 1, "C": 2}, universe, min_size)
     except SetnError:
         pass
 

@@ -1,0 +1,144 @@
+"""The fused encoder block against the op-by-op graph it replaced.
+
+``reference_forward`` is that graph: the block built from recorded
+``linear``, ``transpose``, ``matmul``, ``mul``, ``softmax_rows``, ``add`` and
+``relu`` nodes and a layer norm op kept here. The fused op must give the same
+output and the same gradients, bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from setn import autodiff as ad
+from setn.autodiff import Tensor, _accum, _op, _unbroadcast, backward, mul, no_grad, sum_all
+from setn.errors import NonFiniteError
+from setn.text import ENCODER_POLICIES, EncoderBlock, TextEncoder
+
+
+def layer_norm_rows(x, gain, bias):
+    """Normalization over the last axis to zero mean / unit variance, then gain and bias."""
+    d = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    xc = x.data - mu
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + ad._NORM_EPS)
+    xhat = xc * inv
+
+    def bw(g):
+        _accum(bias, _unbroadcast(g, bias.data.shape))
+        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+        gh = g * gain.data
+        m1 = gh.sum(axis=-1, keepdims=True) / d
+        m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
+        _accum(x, inv * (gh - m1 - xhat * m2))
+
+    return _op(xhat * gain.data + bias.data, (x, gain, bias), bw)
+
+
+def reference_forward(block, x):
+    """``EncoderBlock.forward`` as one recorded node per op."""
+    q = ad.linear(x, block.attn_q_w, block.attn_q_b)
+    k = ad.linear(x, block.attn_k_w, block.attn_k_b)
+    v = ad.linear(x, block.attn_v_w, block.attn_v_b)
+    scores = ad.mul(ad.matmul(q, ad.transpose(k)), Tensor(1.0 / math.sqrt(block.dim)))
+    ctx = ad.matmul(ad.softmax_rows(scores), v)
+    attended = ad.linear(ctx, block.attn_o_w, block.attn_o_b)
+    x = layer_norm_rows(ad.add(x, attended), block.norm1_gain, block.norm1_bias)
+    hidden = ad.relu(ad.linear(x, block.ff1_w, block.ff1_b))
+    ff = ad.linear(hidden, block.ff2_w, block.ff2_b)
+    return layer_norm_rows(ad.add(x, ff), block.norm2_gain, block.norm2_bias)
+
+
+def _random_block(dim, seed):
+    """A block whose gains and biases are not the 1 and 0 they start at."""
+    block = EncoderBlock(dim, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for _, p in block.named_params():
+        p.data += rng.normal(0.0, 0.3, p.data.shape)
+    return block
+
+
+def _run(forward, x, weights, params):
+    """Output and the gradients of ``sum(forward(x) * weights)`` to ``params``."""
+    out = forward(x)
+    if out.requires_grad:
+        backward(sum_all(mul(out, Tensor(weights))))
+    grads = [None if p.grad is None else p.grad.copy() for p in params]
+    for p in params:
+        p.grad = None
+    return out.data, grads
+
+
+def _assert_same(fused, reference):
+    (out, grads), (ref_out, ref_grads) = fused, reference
+    assert np.array_equal(out, ref_out)
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        if g is not None:
+            assert np.array_equal(g, ref)
+
+
+SHAPES = [(1, 1, 8), (1, 5, 8), (3, 1, 8), (4, 6, 8), (7, 9, 16), (2, 11, 64), (6, 16), (1, 8)]
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_fused_block_equals_the_op_by_op_graph(shape, input_grad):
+    seed = shape[-2] * 10 + shape[-1]
+    block = _random_block(shape[-1], seed)
+    rng = np.random.default_rng(seed + 2)
+    x = Tensor(rng.normal(size=shape), requires_grad=input_grad)
+    weights = rng.normal(size=shape)
+    params = [x] + [p for _, p in block.named_params()]
+    fused = _run(block.forward, x, weights, params)
+    reference = _run(lambda t: reference_forward(block, t), x, weights, params)
+    _assert_same(fused, reference)
+    assert (fused[1][0] is not None) == input_grad
+
+
+@pytest.mark.parametrize("policy", ENCODER_POLICIES)
+@pytest.mark.parametrize("batch, length", [(1, 1), (1, 6), (3, 1), (4, 7)])
+def test_encoder_under_every_policy_equals_the_op_by_op_graph(policy, batch, length, monkeypatch):
+    enc = TextEncoder(20, 8, 2, np.random.default_rng(batch * 10 + length), max_len=16)
+    enc.set_trainable(policy)
+    rng = np.random.default_rng(length)
+    ids = rng.integers(0, 20, size=(batch, length)).tolist()
+    weights = rng.normal(size=(batch, length, 8))
+    params = [p for _, p in enc.named_params()]
+    fused = _run(enc.encode, ids, weights, params)
+    monkeypatch.setattr(EncoderBlock, "forward", reference_forward)
+    reference = _run(enc.encode, ids, weights, params)
+    _assert_same(fused, reference)
+    trained = [g is not None for g in fused[1]]
+    assert any(trained) == (policy != "none")
+
+
+def test_a_recorded_block_is_one_node():
+    block = _random_block(8, 0)
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 8)), requires_grad=True)
+    out = block.forward(x)
+    params = [x] + [p for _, p in block.named_params()]
+    assert len(out._parents) == 17
+    assert all(a is b for a, b in zip(out._parents, params))
+    with no_grad():
+        assert block.forward(x)._parents == ()
+
+
+def test_minus_infinite_scores_that_the_softmax_absorbs_still_raise():
+    """Row 0 of the scaled scores is [0, -inf]: its max is finite and the
+    softmax maps the -inf to a weight of 0, so the block output would be
+    finite. Like the op-by-op graph, the block still refuses it."""
+    block = EncoderBlock(4, np.random.default_rng(0))
+    for _, p in block.named_params():
+        p.data[...] = 0.0
+    block.attn_q_w.data[0, 0] = 1e200   # q_0 = (1e200, 0, 0, 0), q_1 = 0
+    block.attn_k_w.data[1, 0] = -1e200  # k_0 = 0, k_1 = (-1e200, 0, 0, 0)
+    x = Tensor(np.eye(4)[None, :2])
+    with np.errstate(over="ignore"):
+        scores = (x.data @ block.attn_q_w.data) @ (x.data @ block.attn_k_w.data).swapaxes(-1, -2)
+        for forward in (block.forward, lambda t: reference_forward(block, t)):
+            with pytest.raises(NonFiniteError):
+                forward(x)
+    assert np.isneginf(scores[0, 0, 1]) and np.isfinite(scores.max(axis=-1)).all()

@@ -482,8 +482,10 @@ def _non_finite_first_block(header, blocks):
     (lambda h, b: (h, b, 10 ** 9), "runs past the end"),
     (_omit_last_parameter, "missing from the checkpoint: ['head_industry.bias']"),
     (_non_finite_first_block, "non-finite"),
+    (lambda h, b: (b"[" * 100_000, b), "invalid header: RecursionError"),
 ], ids=["non-json", "non-utf8", "not-an-object", "no-model", "config-5", "config-out-of-range",
-        "no-shape", "bad-class-count", "header-past-body", "missing-param", "non-finite-param"])
+        "no-shape", "bad-class-count", "header-past-body", "missing-param", "non-finite-param",
+        "nested-too-deeply"])
 def test_malformed_checkpoint_is_a_checkpoint_error_naming_the_file(tmp_path, edit, expected):
     ds, cfg, vocab, split, model = _small_setup(seed=17, epochs=1)
     path = tmp_path / "model.setn"
