@@ -148,6 +148,8 @@ def _accum(t: Tensor, g: Array) -> None:
         # the same sum as zeros_like + g, without the zero fill
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
+        # also the first write to an ``Adam`` gradient view, which starts at
+        # zero: 0.0 + g is g + 0.0 bit for bit, -0.0 included
         t.grad += g
 
 
@@ -535,8 +537,15 @@ def ones_param(*shape: int) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected Adam; updates parameters in place. Only the learning
-    rate is a setting: the moment decays and epsilon are the usual constants."""
+    """Bias-corrected Adam over one flat arena; updates parameters in place.
+    Only the learning rate is a setting: the moment decays and epsilon are the
+    usual constants.
+
+    Building it copies the parameters into one contiguous vector ``data`` and
+    rebinds each ``p.data`` to a view of it. ``grad`` has the same layout, and
+    each ``p.grad`` is a view of it, so ``backward`` adds every leaf's gradient
+    straight into the vector and a step is a few operations over all of it. A
+    ``.grad`` that a caller assigns is copied in before it is read."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -544,28 +553,52 @@ class Adam:
 
     def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ContractError("Adam needs each parameter once")
         self.lr = lr
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        n = sum(p.data.size for p in self.params)
+        self.data = np.empty(n)
+        self.grad = np.zeros(n)
+        self._m = np.zeros(n)
+        self._v = np.zeros(n)
+        self._grads: list[Array] = []
+        offset = 0
+        for p in self.params:
+            end = offset + p.data.size
+            view = self.data[offset:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._grads.append(self.grad[offset:end].reshape(view.shape))
+            offset = end
+        self.gradient()
+
+    def gradient(self) -> Array:
+        """The gradient vector, after copying in each ``.grad`` that is not
+        its view (a missing one counts as zero) and rebinding it to the view."""
+        for p, view in zip(self.params, self._grads):
+            if p.grad is not view:
+                view[...] = 0.0 if p.grad is None else p.grad
+                p.grad = view
+        return self.grad
 
     def step(self) -> None:
-        """Apply one update from each parameter's ``.grad``; a missing
-        gradient counts as zero."""
+        """Apply one update from the parameters' gradients."""
+        g = self.gradient()
         self.step_count += 1
         bc1 = 1.0 - self.BETA1 ** self.step_count
         bc2 = 1.0 - self.BETA2 ** self.step_count
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+        m, v = self._m, self._v
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * g
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * (g * g)
+        self.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
+        for p, view in zip(self.params, self._grads):
+            p.grad = view
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +621,29 @@ def _check_scalar_deterministic(f) -> Tensor:
     return out2
 
 
+def _leaves(out: Tensor) -> list[Tensor]:
+    """The leaves needing gradients that ``out``'s recorded graph reaches:
+    those ``backward(out)`` writes to."""
+    leaves, seen, stack = [], set(), [out]
+    while stack:
+        for p in stack.pop()._parents:
+            if p not in seen:
+                seen.add(p)
+                if p._backward_fn is not None:
+                    stack.append(p)
+                elif p.requires_grad:
+                    leaves.append(p)
+    return leaves
+
+
 def grad_check_params(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
     """Max relative error between the analytic and the central finite-difference
-    gradients of a zero-argument, scalar-valued closure over ``params``."""
+    gradients of a zero-argument, scalar-valued closure over ``params``. Every
+    leaf the check's ``backward`` writes, in ``params`` or not, ends with
+    ``.grad`` None."""
     out = _check_scalar_deterministic(f)
-    for p in params:
+    touched = [*params, *_leaves(out)]
+    for p in touched:
         p.grad = None
     if out._backward_fn is not None:
         backward(out)
@@ -616,6 +667,6 @@ def grad_check_params(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
                     fdf[i] = (hi - lo) / (2.0 * h)
                 worst = max(worst, _max_rel_err(analytic, fd))
     finally:
-        for p in params:
+        for p in touched:
             p.grad = None
     return worst

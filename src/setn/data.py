@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import struct
@@ -567,6 +568,8 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
             n, d = struct.unpack("<II", shape)
             if n == 0:
                 raise DataError(f"{path}: no embedding rows")
+            if d == 0:
+                raise DataError(f"{path}: embedding dimension must be at least 1, got 0")
             # every row takes 4 bytes per value and at least a 4-byte id
             # length; check that against the file before reading the block
             need, left = n * (d + 1) * 4, os.fstat(fh.fileno()).st_size - fh.tell()
@@ -576,27 +579,40 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
                                 f"but {left} bytes follow")
             raw = fh.read(n * d * 4)
             vectors = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
-            ids = []
+            bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+            if bad.size:
+                raise DataError(f"{path}: vector {bad[0]} holds a non-finite value")
+            ids, seen = [], set()
             for i in range(n):
                 prefix = fh.read(4)
                 if len(prefix) != 4:
                     raise DataError(f"{path}: truncated id table at id {i} of {n}")
                 (length,) = struct.unpack("<I", prefix)
+                # checked before reading, so a huge claimed length allocates nothing
+                if length > left - n * d * 4:
+                    raise DataError(f"{path}: truncated id table at id {i} of {n}")
                 token = fh.read(length)
                 if len(token) != length:
                     raise DataError(f"{path}: truncated id table at id {i} of {n}")
                 try:
-                    ids.append(_parse_id(token.decode("utf-8")))
+                    sid = _parse_id(token.decode("utf-8"))
                 except UnicodeDecodeError as exc:
                     raise DataError(f"{path}: id {i} is not UTF-8 ({exc.reason})") from exc
+                if sid in seen:
+                    raise DataError(f"{path}: repeated id {sid!r} at id {i} of {n}")
+                seen.add(sid)
+                ids.append(sid)
             return ids, vectors
     with open_text(path) as fh:
         header = fh.readline().strip()
-        m = re.fullmatch(r"id\tdim=(\d+)", header)
+        # at most 18 ASCII digits, which ``int`` reads without its digit limit
+        m = re.fullmatch(r"id\tdim=([0-9]{1,18})", header)
         if not m:
             raise DataError(f"{path}: missing embedding TSV header")
         d = int(m.group(1))
-        ids, rows = [], []
+        if d == 0:
+            raise DataError(f"{path}:1: embedding dimension must be at least 1, got 0")
+        ids, rows, seen = [], [], set()
         for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
@@ -604,11 +620,18 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
             parts = line.split("\t")
             if len(parts) != d + 1:
                 raise DataError(f"{path}:{lineno}: expected {d + 1} columns, got {len(parts)}")
-            ids.append(_parse_id(parts[0]))
+            sid = _parse_id(parts[0])
+            if sid in seen:
+                raise DataError(f"{path}:{lineno}: repeated id {sid!r}")
+            seen.add(sid)
             try:
-                rows.append([float(v) for v in parts[1:]])
+                row = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{path}:{lineno}: non-finite value (NaN, inf or out of range)")
+            ids.append(sid)
+            rows.append(row)
     if not ids:
         raise DataError(f"{path}: no embedding rows")
     return ids, np.asarray(rows, dtype=np.float64)

@@ -151,13 +151,12 @@ class TextEncoder:
         """Per-token hidden states [batch, len, dim] of a list of token
         sequences of equal length. Every block runs once over the batch, with
         the same arithmetic per sequence."""
-        ids = self._check_tokens(token_ids)
+        keys, ids = self._check_tokens(token_ids)
         cache = self._prefix_cache
         if cache is None:
             start, h = 0, self._prefix(ids, 0)
         else:
             start = self._prefix_depth
-            keys = [tuple(seq) for seq in ids.tolist()]
             missing = [key for key in dict.fromkeys(keys) if key not in cache]
             if missing:
                 # frozen layers only, so the cached states carry no graph
@@ -168,9 +167,10 @@ class TextEncoder:
             h = block.forward(h)
         return h
 
-    def _check_tokens(self, token_ids) -> np.ndarray:
-        """Token ids as an int array [batch, len], validated."""
-        rows = [list(seq) for seq in token_ids]
+    def _check_tokens(self, token_ids) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The token sequences as tuples, the prefix cache's keys, and as an
+        int array [batch, len], validated."""
+        rows = [tuple(seq) for seq in token_ids]
         length = len(rows[0]) if rows else 0
         if any(len(row) != length for row in rows):
             raise DataError("a batch of token sequences must share one length")
@@ -184,7 +184,7 @@ class TextEncoder:
         bad = (ids < 0) | (ids >= vocab_size)
         if bad.any():
             raise DataError(f"token id {ids[bad][0]} outside vocabulary of size {vocab_size}")
-        return ids.astype(np.int64, copy=False)
+        return rows, ids.astype(np.int64, copy=False)
 
     def _prefix(self, ids: np.ndarray, stop: int) -> Tensor:
         """Embedded tokens run through blocks ``[0, stop)``."""

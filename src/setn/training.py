@@ -1,9 +1,10 @@
 """Training loop, dataset splitting, the ablation grid, and checkpoint I/O.
 
-Each step samples the target's 1-hop subgraph, runs the model forward, and
-backpropagates the loss of the target node only; one optimizer step per
-target. Determinism: parameter init, epoch order, and dropout all derive
-from the config seed, so a fixed seed reproduces checkpoints bit for bit.
+Each training target's 1-hop subgraph is sampled once per ``train`` call.
+Each step runs the model forward on it and backpropagates the loss of the
+target node only; one optimizer step per target. Determinism: parameter
+init, epoch order, and dropout all derive from the config seed, so a fixed
+seed reproduces checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -197,49 +198,55 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
 
     history = []
-    # frozen encoder layers cannot change during this call
-    with model.encoder.frozen_prefix_cache():
-        for epoch in range(config.epochs):
-            start = time.perf_counter()
-            losses = []
-            for target in epoch_order(config.seed, epoch, split.train):
-                sub = sample_subgraph(g, target, config.neighbor_direction)
-                recs = [records[m] for m in sub.members]
-                try:
-                    result = model.forward(sub, recs, rng=dropout_rng)
-                    loss = compute_loss(result, records[target].sector, records[target].industry)
-                except NonFiniteError as exc:
-                    # overflow inside the forward pass surfaces as a finiteness error
-                    raise TrainingError(f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise TrainingError(f"non-finite loss {value} at epoch {epoch}, stock {target}")
-                backward(loss)
-                if not all(p.grad is None or np.isfinite(p.grad).all() for p in params):
-                    # an overflow in backward: stop before it reaches the parameters
+    try:
+        # frozen encoder layers, the texts and the graph cannot change during this call
+        with model.train_cache():
+            subs = {target: sample_subgraph(g, target, config.neighbor_direction)
+                    for target in split.train}
+            for epoch in range(config.epochs):
+                start = time.perf_counter()
+                losses = []
+                for target in epoch_order(config.seed, epoch, split.train):
+                    sub = subs[target]
+                    recs = [records[m] for m in sub.members]
+                    try:
+                        result = model.forward(sub, recs, rng=dropout_rng)
+                        loss = compute_loss(result, records[target].sector, records[target].industry)
+                    except NonFiniteError as exc:
+                        # overflow inside the forward pass surfaces as a finiteness error
+                        raise TrainingError(
+                            f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
+                    value = loss.item()
+                    if not math.isfinite(value):
+                        raise TrainingError(f"non-finite loss {value} at epoch {epoch}, stock {target}")
+                    backward(loss)
+                    if not np.isfinite(optimizer.gradient()).all():
+                        # an overflow in backward: stop before it reaches the parameters
+                        raise TrainingError(f"non-finite gradient at epoch {epoch}, stock {target}")
+                    optimizer.step()
                     optimizer.zero_grad()
-                    raise TrainingError(f"non-finite gradient at epoch {epoch}, stock {target}")
-                optimizer.step()
-                optimizer.zero_grad()
-                losses.append(value)
+                    losses.append(value)
 
-            val_map = evaluate_map(model, g, records, split.val, ks=(5,),
-                                   direction=config.neighbor_direction)
-            seconds = time.perf_counter() - start
-            entry = {
-                "epoch": epoch,
-                "mean_train_loss": float(np.mean(losses)),
-                "val_map5_sector": val_map["topix17"][5],
-                "val_map5_industry": val_map["topix33"][5],
-                "seconds": seconds,
-                "targets_per_s": len(split.train) / seconds,
-            }
-            history.append(entry)
-            if log_stream is not None:
-                log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
-            logger.info("epoch %d: mean loss %.4f, val MAP@5 %.3f/%.3f",
-                        epoch, entry["mean_train_loss"],
-                        entry["val_map5_sector"], entry["val_map5_industry"])
+                val_map = evaluate_map(model, g, records, split.val, ks=(5,),
+                                       direction=config.neighbor_direction)
+                seconds = time.perf_counter() - start
+                entry = {
+                    "epoch": epoch,
+                    "mean_train_loss": float(np.mean(losses)),
+                    "val_map5_sector": val_map["topix17"][5],
+                    "val_map5_industry": val_map["topix33"][5],
+                    "seconds": seconds,
+                    "targets_per_s": len(split.train) / seconds,
+                }
+                history.append(entry)
+                if log_stream is not None:
+                    log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
+                logger.info("epoch %d: mean loss %.4f, val MAP@5 %.3f/%.3f",
+                            epoch, entry["mean_train_loss"],
+                            entry["val_map5_sector"], entry["val_map5_industry"])
+    finally:
+        for p in params:  # drop the optimizer's gradient views
+            p.grad = None
     return history
 
 

@@ -317,6 +317,15 @@ def test_grad_check_relu_away_from_kinks():
     assert grad_check_params(lambda: sum_all(relu(x)), [x]) < 1e-6
 
 
+def test_grad_check_clears_the_gradient_of_a_leaf_left_out_of_params():
+    x = Tensor([[0.5, -0.3]], requires_grad=True)
+    w = Tensor([[1.2], [-2.0]], requires_grad=True)
+    assert grad_check_params(lambda: sum_all(matmul(x, w)), [x]) < 1e-6
+    assert x.grad is None and w.grad is None
+    backward(sum_all(matmul(x, w)))  # adds onto nothing the check left
+    assert np.array_equal(w.grad, x.data.T)
+
+
 def test_grad_check_constant_function():
     x = Tensor([1.0, 2.0], requires_grad=True)
     assert grad_check_params(lambda: Tensor(4.0), [x]) == 0.0

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -596,6 +597,111 @@ def test_empty_embedding_file_is_data_error_naming_the_path(tmp_path):
         with pytest.raises(DataError) as exc:
             load_embeddings(path)
         assert str(exc.value) == f"{path}: no embedding rows"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_tsv_value_is_data_error_naming_path_and_line(tmp_path, value):
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"id\tdim=2\n0\t1\t2\n1\t3\t{value}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="non-finite") as exc:
+        load_embeddings(path)
+    assert str(exc.value).startswith(f"{path}:3: ")
+
+
+def test_non_finite_binary_value_is_data_error_naming_the_path(tmp_path):
+    path = tmp_path / "emb.bin"
+    export_embeddings(["A", "B"], np.array([[1.0, 2.0], [3.0, np.nan]]), path, "binary")
+    with pytest.raises(DataError, match="vector 1 holds a non-finite value") as exc:
+        load_embeddings(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "binary"])
+def test_repeated_embedding_id_is_data_error_naming_the_path(tmp_path, fmt):
+    path = tmp_path / "emb"
+    export_embeddings([7, "x", 7], np.ones((3, 2)), path, fmt)
+    with pytest.raises(DataError, match="repeated id 7") as exc:
+        load_embeddings(path)
+    assert str(exc.value).startswith(f"{path}:4: " if fmt == "tsv" else f"{path}: ")
+
+
+def test_zero_dimension_embeddings_are_data_errors_naming_the_path(tmp_path):
+    tsv, binary = tmp_path / "emb.tsv", tmp_path / "emb.bin"
+    tsv.write_text("id\tdim=0\nA\nB\n", encoding="utf-8")
+    binary.write_bytes(b"SETE" + struct.pack("<II", 2, 0) + (struct.pack("<I", 1) + b"A") * 2)
+    for path, where in ((tsv, f"{tsv}:1"), (binary, str(binary))):
+        with pytest.raises(DataError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{where}: embedding dimension must be at least 1, got 0"
+
+
+def test_binary_id_length_past_the_file_is_truncation_not_an_allocation(tmp_path):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(b"SETE" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0)
+                     + struct.pack("<I", 2**32 - 1) + b"A")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated id table at id 0 of 1"):
+            load_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def _loads_valid_embeddings_or_setn_error(path):
+    try:
+        ids, vectors = load_embeddings(path)
+    except SetnError:
+        return
+    assert vectors.dtype == np.float64 and vectors.ndim == 2
+    assert vectors.shape[0] == len(ids) >= 1 and vectors.shape[1] >= 1
+    assert np.isfinite(vectors).all()
+    assert len(set(ids)) == len(ids)
+
+
+_EMBEDDING_IDS = st.sampled_from(["1", "01", "a", "", "é"]) | st.text(max_size=3)
+
+
+@st.composite
+def _binary_embedding_files(draw):
+    """A binary embedding file of up to 3 vectors of up to 3 values of any
+    float32, with ids that may repeat, then cut short or trailed by any bytes."""
+    n, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    values = draw(st.lists(st.floats(width=32), min_size=n * d, max_size=n * d))
+    blob = b"SETE" + struct.pack(f"<II{n * d}f", n, d, *values)
+    for sid in draw(st.lists(_EMBEDDING_IDS, min_size=n, max_size=n)):
+        encoded = sid.encode("utf-8")
+        blob += struct.pack("<I", len(encoded)) + encoded
+    if draw(st.booleans()):
+        return blob[:draw(st.integers(0, len(blob)))]
+    return blob + draw(st.binary(max_size=8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(content=_binary_embedding_files() | st.binary(max_size=32).map(lambda b: b"SETE" + b)
+       | st.binary(max_size=32))
+def test_binary_embeddings_with_any_bytes_load_valid_or_raise_setn_errors(tmp_path_factory,
+                                                                          content):
+    path = tmp_path_factory.mktemp("emb") / "emb.bin"
+    path.write_bytes(content)
+    _loads_valid_embeddings_or_setn_error(path)
+
+
+_TSV_VALUE = st.sampled_from(["1", "-0.5", "0", "nan", "inf", "-inf", "1e400", "x", ""])
+_TSV_ROW = st.builds(lambda sid, values: "\t".join([sid, *values]), _EMBEDDING_IDS,
+                     st.lists(_TSV_VALUE | st.floats().map(repr), max_size=3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(header=st.sampled_from(["id\tdim=0", "id\tdim=1", "id\tdim=2", "id\tdim=x", "dim=2"])
+       | st.text(max_size=8),
+       rows=st.lists(_TSV_ROW | st.text(max_size=8), max_size=4), tail=st.binary(max_size=4))
+def test_tsv_embeddings_with_any_lines_load_valid_or_raise_setn_errors(tmp_path_factory,
+                                                                       header, rows, tail):
+    path = tmp_path_factory.mktemp("emb") / "emb.tsv"
+    path.write_bytes("".join(line + "\n" for line in [header, *rows]).encode("utf-8") + tail)
+    _loads_valid_embeddings_or_setn_error(path)
 
 
 def test_reimported_tsv_preserves_knn_ranking(tmp_path):

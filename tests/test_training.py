@@ -4,13 +4,14 @@ import json
 import re
 import struct
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from setn import autodiff as ad
+from setn import autodiff as ad, model as model_module, training as training_module
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import CheckpointError, ContractError, DataError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
@@ -214,6 +215,27 @@ def test_no_prefix_cache_held_after_training_returns_or_raises():
     with pytest.raises(TrainingError, match="stop"):
         train(model, ds.graph, ds.records, split, cfg)
     assert model.encoder._prefix_cache is None
+
+
+def test_train_tokenizes_each_text_and_samples_each_target_once_per_call(monkeypatch):
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=3, depth=2)
+    texts, targets = Counter(), Counter()
+
+    def counting_tokenize(text, *args, **kwargs):
+        texts[text] += 1
+        return tokenize(text, *args, **kwargs)
+
+    def counting_sample(graph, target, *args):
+        targets[target] += 1
+        return sample_subgraph(graph, target, *args)
+
+    monkeypatch.setattr(model_module, "tokenize", counting_tokenize)
+    monkeypatch.setattr(training_module, "sample_subgraph", counting_sample)
+    train(model, ds.graph, ds.records, split, cfg)
+    # validation inside the call reads the same token cache
+    assert texts and set(texts.values()) == {1}
+    assert targets == Counter(split.train)
+    assert model._tokens is None  # the cache closes with the call
 
 
 @pytest.mark.parametrize("policy", ["last", "none"])
