@@ -130,11 +130,16 @@ def is_recording() -> bool:
     return _recording
 
 
+def _records(parents: Iterable[Tensor]) -> bool:
+    """Whether an op on ``parents`` records its graph: recording is on and
+    some parent needs a gradient."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _op(data: Array, parents: tuple[Tensor, ...], backward_fn: Callable[[Array], None]) -> Tensor:
-    """Build an op-result tensor, recording it when any parent needs gradients
-    and recording is on."""
+    """Build an op-result tensor, recording it when ``_records(parents)``."""
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -357,10 +362,16 @@ def take_rows(x: Tensor, indices, axis: int = 0) -> Tensor:
     def bw(g: Array) -> None:
         gx = np.zeros_like(x.data)
         if axis == 0 and idx.ndim > 1:
-            for rows, g_rows in zip(idx, g):
-                part = np.zeros_like(x.data)
-                np.add.at(part, rows, g_rows)
-                gx += part
+            # each slice scatters into a block of only the rows it touches,
+            # then adds that block to those rows: the adds of a whole zero
+            # table per slice, minus the + 0.0 the other rows would take,
+            # which changes nothing since gx never holds -0.0; ids are taken
+            # modulo the table length, so -1 and V - 1 are one row
+            for rows, g_rows in zip(idx % len(gx), g):
+                touched, inverse = np.unique(rows, return_inverse=True)
+                part = np.zeros((len(touched),) + x.data.shape[1:])
+                np.add.at(part, inverse.reshape(rows.shape), g_rows)
+                gx[touched] += part
         elif axis == 0:
             np.add.at(gx, idx, g)
         else:
@@ -432,25 +443,41 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _op(x.data.reshape(shape), (x,), bw)
 
 
-def _norm(x: Array, gain: Tensor, bias: Tensor) -> tuple[Array, Array, Array]:
-    """Layer norm over the last axis, then gain and bias: (out, xhat, 1/std)."""
+def _affine(x: Array, w: Tensor, b: Tensor) -> Array:
+    """``x @ w + b`` in a new array, the bias added in place."""
+    out = x @ w.data
+    out += b.data
+    return out
+
+
+def _norm(x: Array, gain: Tensor, bias: Tensor, out: Array) -> Array:
+    """Layer norm over the last axis, then gain and bias, in place: ``x``
+    becomes xhat and ``out`` (any other array of its shape) the result, after
+    serving as scratch for the squares. Returns 1/std."""
     d = x.shape[-1]
     # sum / d is exactly what ndarray.mean computes, minus its Python overhead
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + _NORM_EPS)
-    xhat = xc * inv
-    return xhat * gain.data + bias.data, xhat, inv
+    x -= x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.multiply(x, x, out=out).sum(axis=-1, keepdims=True) / d + _NORM_EPS)
+    x *= inv
+    np.multiply(x, gain.data, out=out)
+    out += bias.data
+    return inv
 
 
 def _norm_grad(g: Array, xhat: Array, inv: Array, gain: Tensor, bias: Tensor) -> Array:
-    """Accumulate ``_norm``'s gain and bias gradients; return its input's."""
+    """Accumulate ``_norm``'s gain and bias gradients; return its input's, in
+    a new array. ``g`` is only read."""
     _accum(bias, _unbroadcast(g, bias.data.shape))
-    _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+    scratch = g * xhat
+    _accum(gain, _unbroadcast(scratch, gain.data.shape))
     d = g.shape[-1]
     gh = g * gain.data
     m1 = gh.sum(axis=-1, keepdims=True) / d
-    m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
-    return inv * (gh - m1 - xhat * m2)
+    m2 = np.multiply(gh, xhat, out=scratch).sum(axis=-1, keepdims=True) / d
+    gh -= m1
+    gh -= np.multiply(xhat, m2, out=scratch)
+    gh *= inv
+    return gh
 
 
 def _affine_grad(x: Array, w: Tensor, b: Tensor, g: Array, need_input: bool = True) -> Array | None:
@@ -472,34 +499,56 @@ def encoder_block(x: Tensor, params: Sequence[Tensor]) -> Tensor:
     ``linear``, ``transpose``, ``matmul``, ``mul``, ``softmax_rows``, ``add``,
     ``relu`` and a layer norm, and add the gradients in the order that graph's
     backward walk adds them, so every result is bit for bit the same.
+
+    Every elementwise step runs in place on an array the op allocated itself,
+    never on ``x.data``, a parameter or the incoming gradient. When nothing
+    needs a gradient the op keeps nothing: the second layer norm writes its
+    output over the first one's xhat, and the result has no graph.
     """
     wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = params
     if x.data.ndim < 2 or x.data.shape[-1] != wq.data.shape[0]:
         raise ShapeError(f"encoder block of width {wq.data.shape[0]} got input of shape {x.data.shape}")
+    record = _records((x, *params))
     xd = x.data
-    q, k, v = (xd @ w.data + b.data for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    # contiguous, as a recorded transpose stores it: q @ (view) rounds differently
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    q, k, v = (_affine(xd, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    # contiguous, as a recorded transpose stores it: q @ (view) rounds
+    # differently; a copy even when kᵀ is already contiguous (d = 1), since
+    # k's buffer is reused for h1 below
+    kt = k.swapaxes(-1, -2).copy()
     scale = 1.0 / math.sqrt(xd.shape[-1])
-    scores = (q @ kt) * scale
+    attn = q @ kt
+    attn *= scale
     # the one intermediate whose non-finite entries (-inf) the rest can absorb
-    _require_finite(scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    _require_finite(attn)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     ctx = attn @ v
-    h1, xhat1, inv1 = _norm(xd + (ctx @ wo.data + bo.data), gain1, bias1)
-    pre = h1 @ w1.data + b1.data
-    mask = pre > 0
-    hidden = pre * mask
-    out, xhat2, inv2 = _norm(h1 + (hidden @ w2.data + b2.data), gain2, bias2)
+    xhat1 = _affine(ctx, wo, bo)
+    xhat1 += xd
+    h1 = k  # k's buffer is free once kt holds its copy
+    inv1 = _norm(xhat1, gain1, bias1, h1)
+    hidden = _affine(h1, w1, b1)
+    mask = hidden > 0
+    hidden *= mask
+    xhat2 = _affine(hidden, w2, b2)
+    xhat2 += h1
+    out = np.empty_like(xhat2) if record else xhat1  # xhat1 is dead unrecorded
+    inv2 = _norm(xhat2, gain2, bias2, out)
+    if not record:
+        return Tensor(out)
 
     def bw(g: Array) -> None:
         g_r2 = _norm_grad(g, xhat2, inv2, gain2, bias2)
         g_hidden = _affine_grad(hidden, w2, b2, g_r2)
-        g_r1 = _norm_grad(g_r2 + _affine_grad(h1, w1, b1, g_hidden * mask), xhat1, inv1, gain1, bias1)
+        g_hidden *= mask
+        g_r2 += _affine_grad(h1, w1, b1, g_hidden)
+        g_r1 = _norm_grad(g_r2, xhat1, inv1, gain1, bias1)
         g_ctx = _affine_grad(ctx, wo, bo, g_r1)
-        g_attn = g_ctx @ v.swapaxes(-1, -2)
-        g_scores = (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn * scale
+        g_scores = g_ctx @ v.swapaxes(-1, -2)
+        g_scores -= np.multiply(g_scores, attn).sum(axis=-1, keepdims=True)
+        g_scores *= attn
+        g_scores *= scale
         # the gradient of a recorded k is a contiguous copy of kᵀ's
         g_k = np.ascontiguousarray((q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
         parts = [_affine_grad(xd, w, b, gp, x.requires_grad) for w, b, gp in (

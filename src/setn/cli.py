@@ -55,12 +55,13 @@ def _resolve_config(args) -> TrainConfig:
     config = TrainConfig()
     if args.config:
         with open_text(args.config) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{args.config}: malformed config JSON: {exc}") from exc
-            except RecursionError as exc:
-                raise DataError(f"{args.config}: config JSON nested too deeply") from exc
+            text = fh.read()
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # malformed, or an integer past int's digit limit
+            raise DataError(f"{args.config}: malformed config JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise DataError(f"{args.config}: config JSON nested too deeply") from exc
         config = TrainConfig.from_dict(obj)
     return replace(config, **{
         field: value if labels is None else labels[value]

@@ -602,6 +602,8 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
                     raise DataError(f"{path}: repeated id {sid!r} at id {i} of {n}")
                 seen.add(sid)
                 ids.append(sid)
+            if fh.read(1):
+                raise DataError(f"{path}: unexpected bytes after the id table")
             return ids, vectors
     with open_text(path) as fh:
         header = fh.readline().strip()

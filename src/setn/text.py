@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,6 +87,10 @@ def tokenize(text: str, vocab: Vocab, max_tokens: int = MAX_TOKENS) -> TokenSequ
     for word in text.lower().split():
         ids.append(vocab.id_of(word))
     return ids[:max_tokens]
+
+
+def _integer_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 class EncoderBlock:
@@ -179,6 +184,10 @@ class TextEncoder:
         max_len = self.pos_emb.shape[0]
         if length > max_len:
             raise DataError(f"sequence of {length} tokens exceeds max length {max_len}")
+        # numpy would cast a float or bool id to an integer, so check the types
+        if not all(map(_integer_type, set(map(type, chain.from_iterable(rows))))):
+            token = next(t for t in chain.from_iterable(rows) if not _integer_type(type(t)))
+            raise DataError(f"token id {token!r} is not an integer")
         ids = np.asarray(rows)  # range-checked before the cast to int64, which could overflow
         vocab_size = self.token_emb.shape[0]
         bad = (ids < 0) | (ids >= vocab_size)

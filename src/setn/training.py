@@ -66,8 +66,15 @@ class TrainConfig:
         def fail(name: str, why: str):
             raise DataError(f"config field {name!r}: {why}")
 
-        def number(value) -> bool:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
+        def finite(value) -> bool:
+            """A number that converts to a finite float: an int past the float
+            range overflows."""
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                return False
+            try:
+                return math.isfinite(value)
+            except OverflowError:
+                return False
 
         for name in ("epochs", "hidden_dim", "encoder_depth", "seed", "max_tokens"):
             value = getattr(self, name)
@@ -75,7 +82,7 @@ class TrainConfig:
                 fail(name, f"expected an integer, got {value!r}")
         for name in ("learning_rate", "dropout"):
             value = getattr(self, name)
-            if not number(value) or not math.isfinite(value):
+            if not finite(value):
                 fail(name, f"expected a finite number, got {value!r}")
         for name in ("residual", "directed"):
             value = getattr(self, name)
@@ -102,8 +109,8 @@ class TrainConfig:
             fail("encoder_train", "policy 'last' needs encoder_depth of at least 1")
         props = self.proportions
         if (not isinstance(props, (list, tuple)) or len(props) != 3
-                or not all(number(p) and p > 0 for p in props)
-                or abs(sum(props) - 1.0) > 1e-9):
+                or not all(finite(p) and p > 0 for p in props)
+                or abs(sum(map(float, props)) - 1.0) > 1e-9):
             fail("proportions", f"expected three positive numbers summing to 1, got {props!r}")
         object.__setattr__(self, "proportions", tuple(props))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import setn
-
+from setn import autodiff as ad
 from setn.autodiff import (Adam, Tensor, add, backward, cross_entropy,
                            dropout, encoder_block, grad_check_params, is_recording,
                            leaky_relu, linear, matmul, max_rows,
@@ -251,6 +251,33 @@ def test_take_and_stack_roundtrip_gradients():
     expected[0] = 1.0
     expected[2] = 2.0
     assert np.array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("index_shape", [(5, 7), (3, 2, 4)])
+def test_batched_take_rows_gradient_equals_a_whole_table_scatter_per_slice(index_shape,
+                                                                           monkeypatch):
+    """Each slice of a batch of index rows scatters into the table rows it
+    touches only, and the table's gradient is byte for byte that of
+    scattering each slice into a zero table of its own and adding the tables
+    in slice order, -0.0 gradients included. Row 8 is taken only as -1 in
+    one slice and as both -1 and 8 in another, which must add into one row."""
+    rng = np.random.default_rng(29)
+    table = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+    idx = rng.integers(0, 7, size=index_shape)  # row 7 is never taken
+    idx[0].flat[0] = -1
+    idx[1].flat[:2] = -1, 8
+    g = rng.normal(size=index_shape + (3,))
+    g[rng.random(g.shape) < 0.4] = -0.0
+    g[0] = -0.0
+    expected = np.zeros_like(table.data)
+    for rows, g_rows in zip(idx, g):
+        part = np.zeros_like(table.data)
+        np.add.at(part, rows, g_rows)
+        expected += part
+    scattered = []
+    monkeypatch.setattr(ad, "_accum", lambda t, gx: scattered.append(gx.copy()))
+    take_rows(table, idx)._backward_fn(g)
+    assert len(scattered) == 1 and scattered[0].tobytes() == expected.tobytes()
 
 
 def test_place_rows_interleaves_and_routes_gradients_back():

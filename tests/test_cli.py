@@ -225,6 +225,12 @@ def test_gnn_kind_mismatch_on_eval(dataset_dir, checkpoint, capsys):
     ('{"neighbor_direction": "sideways"}', "unknown neighbor direction 'sideways'"),
     ('{"encoder_train": "most"}', "unknown encoder training policy 'most'"),
     ('{"gnn": "gin"}', "unknown GNN kind 'gin'"),
+    # integers past the float range, and past Python's digit limit
+    pytest.param('{"learning_rate": 1' + "0" * 400 + "}",
+                 "config field 'learning_rate': expected a finite number", id="learning_rate-1e400"),
+    pytest.param('{"proportions": [1' + "0" * 400 + ", 1, 1]}",
+                 "config field 'proportions'", id="proportions-1e400"),
+    pytest.param('{"seed": 1' + "0" * 5000 + "}", "malformed config JSON", id="seed-5001-digits"),
 ])
 def test_bad_config_is_one_honest_error_line(dataset_dir, tmp_path, capsys,
                                              config_text, expected):

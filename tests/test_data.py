@@ -649,6 +649,16 @@ def test_binary_id_length_past_the_file_is_truncation_not_an_allocation(tmp_path
     assert peak < 10 * 2 ** 20
 
 
+def test_binary_embeddings_with_a_byte_appended_are_data_error_naming_the_path(tmp_path):
+    path = tmp_path / "emb.bin"
+    export_embeddings(["A", "B"], np.ones((2, 3)), path, "binary")
+    assert load_embeddings(path)[0] == ["A", "B"]
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DataError, match="unexpected bytes after the id table") as exc:
+        load_embeddings(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def _loads_valid_embeddings_or_setn_error(path):
     try:
         ids, vectors = load_embeddings(path)

@@ -80,7 +80,8 @@ def _assert_same(fused, reference):
             assert np.array_equal(g, ref)
 
 
-SHAPES = [(1, 1, 8), (1, 5, 8), (3, 1, 8), (4, 6, 8), (7, 9, 16), (2, 11, 64), (6, 16), (1, 8)]
+SHAPES = [(1, 1, 8), (1, 5, 8), (3, 1, 8), (4, 6, 8), (7, 9, 16), (2, 11, 64), (6, 16), (1, 8),
+          (3, 5, 1), (4, 1)]
 
 
 @pytest.mark.parametrize("input_grad", [True, False])

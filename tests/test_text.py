@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,17 @@ def test_encode_names_the_first_out_of_range_id_in_row_order():
         enc.encode([[2, 3, 4], [-1, 3, 11]])
     with pytest.raises(DataError, match=rf"^token id {2**70} outside vocabulary of size 10$"):
         enc.encode([[2, 2**70]])
+
+
+@pytest.mark.parametrize("ids, bad", [
+    ([[2.7, 3.2]], "2.7"), ([[2, 3.0]], "3.0"), ([[True, 3]], "True"),
+    ([[2, 3], [4, np.False_]], "np.False_"), ([[2, np.float64(4)]], "np.float64(4.0)"),
+])
+def test_encode_rejects_a_float_or_bool_token_id_naming_it(ids, bad):
+    enc = _encoder(1, vocab_size=10)
+    with pytest.raises(DataError, match=rf"^token id {re.escape(bad)} is not an integer$"):
+        enc.encode(ids)
+    assert enc.encode([[2, np.int32(3)]]).data.shape == (1, 2, 6)
 
 
 def test_encode_is_deterministic():

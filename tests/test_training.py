@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setn import autodiff as ad, model as model_module, training as training_module
 from setn.data import GeneratorSpec, generate_synthetic
-from setn.errors import CheckpointError, ContractError, DataError, TrainingError
+from setn.errors import CheckpointError, ContractError, DataError, SetnError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
 from setn.graph import sample_subgraph, to_undirected
 from setn.text import Vocab, tokenize
@@ -357,10 +358,48 @@ def test_config_rejects_unknown_keys():
     ("neighbor_direction", "sideways"), ("gnn", ["gcn"]),
     ("proportions", 5), ("proportions", [0.5, 0.5]), ("proportions", [0.5, 0.5, 0.5]),
     ("proportions", [0.7, 0.3, 0.0]),
+    # integers past the float range, alone and in the proportions' sum
+    pytest.param("learning_rate", 10**400, id="learning_rate-1e400"),
+    pytest.param("dropout", 10**400, id="dropout-1e400"),
+    pytest.param("proportions", [10**400, 1, 1], id="proportions-1e400"),
+    pytest.param("proportions", [10**308, 10**308, 1], id="proportions-sum-2e308"),
 ])
 def test_config_rejects_bad_values_naming_the_field(field, value):
     with pytest.raises(DataError, match=f"config field '{field}'"):
         TrainConfig.from_dict({field: value})
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+# numbers of every kind, with integers past the float range at both ends
+_NUMBER = (st.integers() | st.floats() | st.integers(min_value=2**1024)
+           | st.integers(max_value=-2**1024))
+
+
+def _field_values(default):
+    """Mostly the default or a number, sometimes any JSON, so every check runs."""
+    if isinstance(default, list):
+        return st.lists(st.sampled_from(default) | _NUMBER, min_size=3, max_size=3) | _ANY_JSON
+    return st.just(default) | _NUMBER | _ANY_JSON
+
+
+_CONFIG_JSON = _ANY_JSON | st.fixed_dictionaries({}, optional={
+    **{name: _field_values(default) for name, default in TrainConfig().to_dict().items()},
+    "warp_factor": _ANY_JSON,
+})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(obj=_CONFIG_JSON)
+def test_config_from_any_json_is_a_config_or_a_setn_error(obj):
+    try:
+        config = TrainConfig.from_dict(obj)
+    except SetnError:
+        return
+    assert TrainConfig.from_dict(config.to_dict()) == config
 
 
 def test_config_rejects_last_block_policy_without_blocks():
