@@ -354,28 +354,22 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
 
 def take_rows(x: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather entries along ``axis`` (rows by default); an index array of any
-    shape replaces that axis. Gradients scatter-add back; with one index row
-    per slice, each slice scatters on its own and the slices add in order."""
+    shape replaces that axis. Gradients scatter-add back: each slice of an
+    index array of rank 2 or more (a lower rank is one slice) scatters into
+    a zero table of its own, and the tables add in slice order, as a loop
+    over the slices would accumulate them."""
     idx = np.asarray(indices, dtype=np.int64)
-    data = x.data[idx] if axis == 0 else np.take(x.data, idx, axis=axis)
+    data = np.take(x.data, idx, axis=axis)
 
     def bw(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        if axis == 0 and idx.ndim > 1:
-            # each slice scatters into a block of only the rows it touches,
-            # then adds that block to those rows: the adds of a whole zero
-            # table per slice, minus the + 0.0 the other rows would take,
-            # which changes nothing since gx never holds -0.0; ids are taken
-            # modulo the table length, so -1 and V - 1 are one row
-            for rows, g_rows in zip(idx % len(gx), g):
-                touched, inverse = np.unique(rows, return_inverse=True)
-                part = np.zeros((len(touched),) + x.data.shape[1:])
-                np.add.at(part, inverse.reshape(rows.shape), g_rows)
-                gx[touched] += part
-        elif axis == 0:
-            np.add.at(gx, idx, g)
-        else:
-            np.add.at(np.moveaxis(gx, axis, 0), idx, np.moveaxis(g, axis, 0))
+        table = np.moveaxis(gx, axis, 0)
+        start = axis % x.data.ndim
+        g = np.moveaxis(g, range(start, start + idx.ndim), range(idx.ndim))
+        for rows, g_rows in zip(idx, g) if idx.ndim > 1 else [(idx, g)]:
+            part = np.zeros_like(table)
+            np.add.at(part, rows, g_rows)
+            table += part
         _accum(x, gx)
 
     return _op(data, (x,), bw)

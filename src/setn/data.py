@@ -17,6 +17,7 @@ import math
 import os
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -161,12 +162,7 @@ class Taxonomy:
         """JSON with "sectors", "industries" and "industry_to_sector"
         (industry name to sector name)."""
         with open_text(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: malformed taxonomy JSON ({exc.msg})") from exc
-            except RecursionError as exc:
-                raise DataError(f"{path}: taxonomy JSON nested too deeply") from exc
+            obj = _parse_json(fh.read(), path, "taxonomy JSON")
         if not isinstance(obj, dict):
             raise DataError(f"{path}: expected a JSON object")
         for key, kind in (("sectors", list), ("industries", list), ("industry_to_sector", dict)):
@@ -209,18 +205,26 @@ DEFAULT_TAXONOMY = Taxonomy.default()
 # loaders
 
 
+def _parse_json(text: str, where, what: str):
+    """``json.loads(text)``; a failure is a DataError at ``where`` naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: malformed {what} ({exc.msg})") from exc
+    except ValueError as exc:  # the only other ValueError: an integer past int's digit limit
+        raise DataError(f"{where}: {what} holds an integer of more than "
+                        f"{sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise DataError(f"{where}: {what} nested too deeply") from exc
+
+
 def _iter_jsonl(path):
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            except RecursionError as exc:
-                raise DataError(f"{path}:{lineno}: JSON nested too deeply") from exc
+            obj = _parse_json(line, f"{path}:{lineno}", "JSON")
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj

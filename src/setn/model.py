@@ -9,7 +9,6 @@ dropout, one affine layer per taxonomy): inference computes no logits.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -69,21 +68,6 @@ class SetnModel:
         self.head_sector = Head(ad.xavier_uniform(rng, dim, n_sectors), ad.zeros_param(n_sectors))
         self.head_industry = Head(ad.xavier_uniform(rng, dim, n_industries), ad.zeros_param(n_industries))
         self.encoder.set_trainable(config.encoder_train)
-        # text -> token sequence; held only inside ``train_cache``
-        self._tokens: dict[str, tuple[int, ...]] | None = None
-
-    @contextmanager
-    def train_cache(self):
-        """While the context is open, ``text_stage`` tokenizes each distinct
-        text once, and the encoder computes its frozen prefix once per token
-        sequence (``TextEncoder.frozen_prefix_cache``). Both caches close with
-        the context. Frozen parameters must not change meanwhile."""
-        self._tokens = {}
-        try:
-            with self.encoder.frozen_prefix_cache():
-                yield
-        finally:
-            self._tokens = None
 
     # ------------------------------------------------------------------
 
@@ -114,18 +98,15 @@ class SetnModel:
     def text_stage(self, records: Sequence) -> Tensor:
         """Tokenize, encode and pool: one text vector per record, [m, d].
 
-        Records whose token sequences have one length are encoded together,
-        and every row equals its own encoding bit for bit. Under ``no_grad``
-        a batch holds at most ``TEXT_BATCH_TOKENS`` tokens. A recorded pass
-        keeps every activation until ``backward`` whatever the batching, so
-        there one batch holds every record of a length. The batches pay off
-        only where token lengths repeat: texts of many distinct lengths
-        encode one by one."""
-        memo = {} if self._tokens is None else self._tokens
-        for r in records:
-            if r.text not in memo:
-                memo[r.text] = tuple(tokenize(r.text, self.vocab, max_tokens=self.config.max_tokens))
-        tokens = [memo[r.text] for r in records]
+        ``tokenize`` maps each text once per vocabulary; the encoding runs on
+        every call, because it reads the parameters. Records whose token
+        sequences have one length are encoded together, and every row equals
+        its own encoding bit for bit. Under ``no_grad`` a batch holds at most
+        ``TEXT_BATCH_TOKENS`` tokens. A recorded pass keeps every activation
+        until ``backward`` whatever the batching, so there one batch holds
+        every record of a length. The batches pay off only where token
+        lengths repeat: texts of many distinct lengths encode one by one."""
+        tokens = [tokenize(r.text, self.vocab, max_tokens=self.config.max_tokens) for r in records]
         by_length: dict[int, list[int]] = {}
         for i, seq in enumerate(tokens):
             by_length.setdefault(len(seq), []).append(i)

@@ -35,6 +35,8 @@ class Vocab:
     def __init__(self, tokens: Sequence[str]):
         self.tokens = list(tokens)
         self._ids: dict[str, int] = {}
+        # text -> its whole id sequence, CLS first: ``tokenize``'s memo
+        self._memo: dict[str, tuple[int, ...]] = {}
         for i, tok in enumerate(self.tokens):
             if tok in self._ids:
                 raise DataError(f"duplicate vocabulary token {tok!r}")
@@ -79,14 +81,15 @@ def tokenize(text: str, vocab: Vocab, max_tokens: int = MAX_TOKENS) -> TokenSequ
     """Lowercase, whitespace-split, map through the vocabulary with UNK fallback.
 
     A CLS id is prepended and the sequence is truncated to ``max_tokens``
-    ids total. Empty text yields just the CLS id.
+    ids total. Empty text yields just the CLS id. Each vocabulary maps each
+    text once and keeps the whole sequence; every call returns a new list.
     """
     if len(vocab) <= NUM_RESERVED:
         raise DataError("vocabulary is empty")
-    ids = [CLS_ID]
-    for word in text.lower().split():
-        ids.append(vocab.id_of(word))
-    return ids[:max_tokens]
+    ids = vocab._memo.get(text)
+    if ids is None:
+        ids = vocab._memo[text] = (CLS_ID, *map(vocab.id_of, text.lower().split()))
+    return list(ids[:max_tokens])
 
 
 def _integer_type(kind: type) -> bool:

@@ -175,8 +175,28 @@ def split_records(records: Sequence[StockRecord], config: TrainConfig) -> Split:
 
 def build_model(config: TrainConfig, vocab: Vocab, n_sectors: int, n_industries: int) -> SetnModel:
     """Fresh model whose initialization derives from the config seed."""
+    _check_model_size(config, len(vocab), n_sectors, n_industries)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     return SetnModel(config, vocab, n_sectors, n_industries, rng)
+
+
+def _check_model_size(config: TrainConfig, n_vocab: int, n_sectors: int, n_industries: int) -> None:
+    """Before anything is allocated: a DataError naming the config field when
+    the parameters, which the optimizer keeps in one flat arena, would hold
+    more float64 values than one numpy array can."""
+    # every block has the same shapes, so the first stands for the others
+    shallow = replace(config, encoder_depth=min(config.encoder_depth, 1))
+    sizes = {name: math.prod(shape)
+             for name, shape in param_shapes(shallow, n_vocab, n_sectors, n_industries)}
+    block = sum(size for name, size in sizes.items() if name.startswith("encoder.block"))
+    total = sum(sizes.values()) + max(config.encoder_depth - 1, 0) * block
+    limit = np.iinfo(np.intp).max // 8
+    if total > limit:
+        largest = max(sizes, key=sizes.get)
+        field = ("encoder_depth" if sum(sizes.values()) <= limit
+                 else "max_tokens" if largest == "encoder.pos_emb" else "hidden_dim")
+        raise DataError(f"config field {field!r}: the model's {total} parameter values "
+                        f"are more than one array can hold")
 
 
 def prepare_graph(graph: StockGraph, config: TrainConfig) -> StockGraph:
@@ -193,7 +213,10 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
           split: Split, config: TrainConfig,
           log_stream: Optional[TextIO] = None) -> list[dict]:
     """Fit the model in place; returns one log entry per epoch. ``config``
-    must equal ``model.config``, which the forward pass reads."""
+    must equal ``model.config``, which the forward pass reads. During the
+    call each target's subgraph is sampled once, and the encoder computes
+    its frozen prefix once per token sequence
+    (``TextEncoder.frozen_prefix_cache``)."""
     if config != model.config:
         raise ContractError("train runs the forward pass from model.config; "
                             "the config given differs from it")
@@ -206,8 +229,8 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
 
     history = []
     try:
-        # frozen encoder layers, the texts and the graph cannot change during this call
-        with model.train_cache():
+        # frozen encoder layers and the graph cannot change during this call
+        with model.encoder.frozen_prefix_cache():
             subs = {target: sample_subgraph(g, target, config.neighbor_direction)
                     for target in split.train}
             for epoch in range(config.epochs):

@@ -4,9 +4,12 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import setn
 from setn import autodiff as ad
@@ -278,6 +281,70 @@ def test_batched_take_rows_gradient_equals_a_whole_table_scatter_per_slice(index
     monkeypatch.setattr(ad, "_accum", lambda t, gx: scattered.append(gx.copy()))
     take_rows(table, idx)._backward_fn(g)
     assert len(scattered) == 1 and scattered[0].tobytes() == expected.tobytes()
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _take_rows_gradient(table, idx, g, axis):
+    """The table gradient ``take_rows``' backward hands to ``_accum``."""
+    scattered = []
+    with mock.patch.object(ad, "_accum", lambda t, gx: scattered.append(gx.copy())):
+        take_rows(table, idx, axis=axis)._backward_fn(g)
+    assert len(scattered) == 1
+    return scattered[0]
+
+
+_GRADIENTS = st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | st.floats(-8, 8, width=64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n_rows=st.integers(1, 6), width=st.integers(1, 3),
+       index_shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+       both_ends=st.booleans())
+def test_take_rows_backward_equals_a_whole_table_scatter_per_slice_for_any_index(
+        data, n_rows, width, index_shape, both_ends):
+    """For a 1-3-D index array, possibly with -1 and V - 1 in one slice, the
+    gradient equals byte for byte scattering each slice (the whole array if
+    it is 1-D) into a zero table with ``np.add.at`` and adding the tables in
+    slice order; read-only inputs and -0.0 gradients included."""
+    idx = data.draw(hnp.arrays(np.int64, index_shape, elements=st.integers(-n_rows, n_rows - 1)))
+    first = idx[0] if idx.ndim > 1 else idx
+    if both_ends and first.size >= 2:
+        first.flat[0], first.flat[-1] = -1, n_rows - 1
+    g = data.draw(hnp.arrays(np.float64, index_shape + (width,), elements=_GRADIENTS))
+    table = Tensor(data.draw(hnp.arrays(np.float64, (n_rows, width), elements=_GRADIENTS)),
+                   requires_grad=True)
+    _read_only(table.data)
+    expected = np.zeros_like(table.data)
+    for rows, g_rows in zip(idx, g) if idx.ndim > 1 else [(idx, g)]:
+        part = np.zeros_like(table.data)
+        np.add.at(part, rows, g_rows)
+        expected += part
+    got = _take_rows_gradient(table, _read_only(idx.copy()), _read_only(g.copy()), axis=0)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3)),
+       as_list=st.booleans())
+def test_take_rows_backward_along_axis_minus_2_with_a_single_index(data, shape, as_list):
+    """``pool``'s CLS read: one index along axis -2, as a scalar or a list of
+    one, routes the gradient to that row of every slice and leaves zeros
+    elsewhere, byte for byte."""
+    batch, length, width = shape
+    i = data.draw(st.integers(-length, length - 1))
+    x = Tensor(np.arange(batch * length * width, dtype=np.float64).reshape(shape),
+               requires_grad=True)
+    _read_only(x.data)
+    out_shape = (batch, 1, width) if as_list else (batch, width)
+    g = data.draw(hnp.arrays(np.float64, out_shape, elements=_GRADIENTS))
+    expected = np.zeros(shape)
+    expected[:, i, :] += g[:, 0, :] if as_list else g
+    got = _take_rows_gradient(x, [i] if as_list else i, _read_only(g.copy()), axis=-2)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_place_rows_interleaves_and_routes_gradients_back():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 
 import pytest
 
@@ -427,6 +428,48 @@ def test_non_utf8_input_is_one_error_line_naming_the_file(dataset_dir, tmp_path,
     lines = _error_lines(stderr)
     assert len(lines) == 1
     assert f"{bad}: not UTF-8 text" in lines[0]
+
+
+@pytest.mark.parametrize("which", ["nodes", "themes", "taxonomy"])
+def test_json_integer_past_the_digit_limit_is_one_error_line(dataset_dir, tmp_path, capsys,
+                                                             request, which):
+    long_int = "1" + "0" * sys.get_int_max_str_digits()
+    files = {"nodes": dataset_dir / "nodes.jsonl", "edges": dataset_dir / "edges.tsv",
+             "themes": dataset_dir / "themes.jsonl", "taxonomy": dataset_dir / "taxonomy.json"}
+    checkpoint = request.getfixturevalue("checkpoint") if which == "themes" else None
+    bad = files[which]
+    if which == "taxonomy":
+        bad.write_text('{"sectors": [' + long_int + "]}")
+        where = f"{bad}: taxonomy JSON"
+    else:
+        bad.write_text('{"topix33": ' + long_int + "}\n" + bad.read_text())
+        where = f"{bad}:1: JSON"
+    data = ["--nodes", str(files["nodes"]), "--edges", str(files["edges"])]
+    if which == "themes":
+        argv = ["eval-theme", "--model", str(checkpoint), *data,
+                "--themes", str(bad), "--min-theme-size", "2"]
+    else:
+        argv = ["train", *data, "--out", str(tmp_path / "m.setn"), "--taxonomy", str(files["taxonomy"])]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert _error_lines(stderr) == [
+        f"error: {where} holds an integer of more than {sys.get_int_max_str_digits()} digits"]
+
+
+@pytest.mark.parametrize("field, value", [("hidden_dim", 2 ** 62), ("max_tokens", 2 ** 62),
+                                          ("encoder_depth", 2 ** 62)])
+def test_config_sizes_no_array_can_hold_are_one_error_line(dataset_dir, tmp_path, capsys,
+                                                           field, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    code, _, stderr = run_cli(
+        capsys, "train", "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"), "--config", str(config),
+        "--out", str(tmp_path / "m.setn"))
+    assert code == 1
+    lines = _error_lines(stderr)
+    assert len(lines) == 1 and lines[0].startswith(f"error: config field {field!r}: ")
+    assert "than one array can" in lines[0]
 
 
 @pytest.mark.parametrize("members", [5, "S0001"])

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setn.autodiff import Adam, Tensor, backward, grad_check_params, mul, sum_all
 from setn.errors import ContractError, DataError
@@ -37,6 +38,32 @@ def test_tokenize_empty_text_is_cls_only(vocab):
 def test_tokenize_rejects_empty_vocab():
     with pytest.raises(DataError):
         tokenize("x", Vocab([]))
+
+
+_WORDS = ["a", "B", "steel", "Maker", "blorp", "ß", "İ"]
+_TEXTS = (st.lists(st.sampled_from(_WORDS + ["", " ", "\t", "\n", "\u00a0"]), max_size=12).map(" ".join)
+          | st.text(max_size=20))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=4), shortest_first=st.booleans())
+def test_memoized_tokenize_equals_a_fresh_vocabulary_at_every_length(texts, shortest_first):
+    """The memo keeps a text's whole sequence, whatever ``max_tokens`` the
+    first call asked for, and each call returns a list of its own."""
+    tokens = ["a", "b", "steel", "c", "maker", "ß", "i̇"]
+    vocab = Vocab(tokens)
+    for text in texts:
+        full = len(text.split()) + 1
+        lengths = range(1, full + 2) if shortest_first else range(full + 1, 0, -1)
+        for max_tokens in lengths:
+            expected = tokenize(text, Vocab(tokens), max_tokens)
+            assert len(expected) == min(max_tokens, full)
+            got = tokenize(text, vocab, max_tokens)
+            assert got == expected
+            got.append(CLS_ID)
+            got[0] = UNK_ID
+            again = tokenize(text, vocab, max_tokens)
+            assert again == expected and again is not got
 
 
 def test_vocab_rejects_duplicates():

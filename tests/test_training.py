@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setn import autodiff as ad, model as model_module, training as training_module
+from setn import autodiff as ad, training as training_module
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import CheckpointError, ContractError, DataError, SetnError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
@@ -218,25 +218,40 @@ def test_no_prefix_cache_held_after_training_returns_or_raises():
     assert model.encoder._prefix_cache is None
 
 
+def _count_memo_misses(vocab):
+    """Empty the vocabulary's token memo; count each text it then maps."""
+    misses = Counter()
+
+    class CountingMemo(dict):
+        def __setitem__(self, text, ids):
+            misses[text] += 1
+            super().__setitem__(text, ids)
+
+    vocab._memo = CountingMemo()
+    return misses
+
+
 def test_train_tokenizes_each_text_and_samples_each_target_once_per_call(monkeypatch):
     ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=3, depth=2)
-    texts, targets = Counter(), Counter()
-
-    def counting_tokenize(text, *args, **kwargs):
-        texts[text] += 1
-        return tokenize(text, *args, **kwargs)
+    targets = Counter()
 
     def counting_sample(graph, target, *args):
         targets[target] += 1
         return sample_subgraph(graph, target, *args)
 
-    monkeypatch.setattr(model_module, "tokenize", counting_tokenize)
+    misses = _count_memo_misses(vocab)
     monkeypatch.setattr(training_module, "sample_subgraph", counting_sample)
     train(model, ds.graph, ds.records, split, cfg)
-    # validation inside the call reads the same token cache
-    assert texts and set(texts.values()) == {1}
+    # every epoch and the validation passes read the one memo
+    assert misses and set(misses.values()) == {1}
     assert targets == Counter(split.train)
-    assert model._tokens is None  # the cache closes with the call
+
+
+def test_an_embed_pass_tokenizes_each_text_once():
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=1, depth=2)
+    misses = _count_memo_misses(vocab)
+    embed_universe(model, prepare_graph(ds.graph, cfg), ds.records, [r.stock_id for r in ds.records])
+    assert misses == Counter({r.text for r in ds.records})
 
 
 @pytest.mark.parametrize("policy", ["last", "none"])
