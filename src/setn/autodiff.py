@@ -73,7 +73,7 @@ def _require_finite(arr: Array) -> Array:
 class Tensor:
     """Dense float64 array, optionally tracking gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _require_finite(np.ascontiguousarray(np.asarray(data, dtype=np.float64)))
@@ -81,7 +81,6 @@ class Tensor:
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[Array], None] | None = None
-        self._consumed = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,12 +95,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-# False while any ``no_grad`` context is open, in any thread. A plain module
-# flag, not a thread-local one: a thread-local lookup in every op slowed the
-# per-member forward pass by about 2%. ``_no_grad_open`` counts the open
-# contexts, so recording resumes only when the last one closes, however the
-# exits of contexts in several threads interleave.
-_recording = True
+# The number of ``no_grad`` contexts open, in any thread: ops record while it
+# is 0. A plain module counter, not a thread-local flag: a thread-local lookup
+# in every op slowed the per-member forward pass by about 2%. Recording
+# resumes only when the last context closes, however the exits of contexts in
+# several threads interleave.
 _no_grad_open = 0
 _no_grad_lock = threading.Lock()
 
@@ -113,27 +111,25 @@ def no_grad():
     context exits, also when the block raises. The switch is process-wide:
     several threads may embed at once, but none may train while another is
     inside this context."""
-    global _recording, _no_grad_open
+    global _no_grad_open
     with _no_grad_lock:
         _no_grad_open += 1
-        _recording = False
     try:
         yield
     finally:
         with _no_grad_lock:
             _no_grad_open -= 1
-            _recording = _no_grad_open == 0
 
 
 def is_recording() -> bool:
     """Whether ops record their graph (False inside ``no_grad``)."""
-    return _recording
+    return _no_grad_open == 0
 
 
 def _records(parents: Iterable[Tensor]) -> bool:
     """Whether an op on ``parents`` records its graph: recording is on and
     some parent needs a gradient."""
-    return _recording and any(p.requires_grad for p in parents)
+    return _no_grad_open == 0 and any(p.requires_grad for p in parents)
 
 
 def _op(data: Array, parents: tuple[Tensor, ...], backward_fn: Callable[[Array], None]) -> Tensor:
@@ -181,8 +177,6 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss._consumed:
-        raise ContractError("backward already ran for this recorded graph")
     if loss._backward_fn is None:
         raise ContractError("loss is not attached to a recorded computation")
 
@@ -208,7 +202,6 @@ def backward(loss: Tensor) -> None:
         g = node.grad if node.grad is not None else np.zeros_like(node.data)
         node._backward_fn(g)  # type: ignore[misc]
 
-    loss._consumed = True
     for node in topo:
         node._parents = ()
         node._backward_fn = None

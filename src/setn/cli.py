@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_io
 from . import evaluation as ev
-from .errors import DataError, SetnError, open_text
+from .errors import SetnError, open_text
 from .model import GNN_KINDS
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
 from .training import (AXIS_VALUES, TrainConfig, ablation_axes, build_model,
@@ -55,14 +55,7 @@ def _resolve_config(args) -> TrainConfig:
     config = TrainConfig()
     if args.config:
         with open_text(args.config) as fh:
-            text = fh.read()
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # malformed, or an integer past int's digit limit
-            raise DataError(f"{args.config}: malformed config JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise DataError(f"{args.config}: config JSON nested too deeply") from exc
-        config = TrainConfig.from_dict(obj)
+            config = TrainConfig.from_dict(data_io._parse_json(fh.read(), args.config, "config JSON"))
     return replace(config, **{
         field: value if labels is None else labels[value]
         for field, labels in _CONFIG_FLAGS.values()
@@ -122,6 +115,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # a checkpoint that cannot be written should fail before the training, not after it
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise SetnError(f"--out {args.out}: directory {out_dir} does not exist")
+    if os.path.isdir(args.out):
+        raise SetnError(f"--out {args.out} is a directory")
     config = _resolve_config(args)
     records, _, graph, taxonomy = _load_dataset(args)
     if args.vocab:

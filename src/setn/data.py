@@ -18,6 +18,7 @@ import os
 import re
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -527,8 +528,29 @@ def write_dataset(dataset: Dataset, out_dir) -> list[str]:
 _EMB_MAGIC = b"SETE"
 
 
+@contextmanager
+def replacing(path, mode: str):
+    """A file opened with ``mode`` ("w" or "wb") beside ``path`` that replaces
+    ``path`` when the block completes. When the block or the replacement
+    fails, ``path`` stays as it was and the new file is removed."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        exc.filename = str(path)  # the error names the file asked for
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv") -> None:
-    """Write embeddings as TSV (9 significant digits) or 32-bit binary."""
+    """Write embeddings as TSV (9 significant digits) or 32-bit binary,
+    through a new file that replaces ``path`` only once it is complete."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise DataError(f"expected a non-empty [n, d] matrix, got shape {vectors.shape}")
@@ -536,12 +558,17 @@ def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv"
         raise DataError(f"{len(ids)} ids for {vectors.shape[0]} embedding rows")
     n, d = vectors.shape
     if fmt == "tsv":
-        with open(path, "w", encoding="utf-8") as fh:
+        names = [str(sid) for sid in ids]
+        for name in names:
+            if re.search("[\t\n\r]", name):
+                raise DataError(f"id {name!r} holds a tab or a line break, which a TSV row "
+                                "cannot hold; write the binary format (--format binary)")
+        with replacing(path, "w") as fh:
             fh.write(f"id\tdim={d}\n")
-            for sid, row in zip(ids, vectors):
-                fh.write(str(sid) + "\t" + "\t".join(f"{v:.9g}" for v in row) + "\n")
+            for name, row in zip(names, vectors):
+                fh.write(name + "\t" + "\t".join(f"{v:.9g}" for v in row) + "\n")
     elif fmt == "binary":
-        with open(path, "wb") as fh:
+        with replacing(path, "wb") as fh:
             fh.write(_EMB_MAGIC)
             fh.write(struct.pack("<II", n, d))
             fh.write(np.ascontiguousarray(vectors, dtype="<f4").tobytes())

@@ -173,7 +173,11 @@ def gat_attention(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
 
 
 def gat_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
-    """ReLU(attention-weighted aggregation of W h + b) over the subgraph."""
+    """ReLU(attention-weighted aggregation of W h + b) over the subgraph.
+
+    It reads ``h`` twice, through an identity node of its own, so backward
+    adds its two reads before any other reader's, such as a residual's."""
+    h = ad.reshape(h, h.shape)
     alpha = gat_attention(h, sub, params)
     wh = ad.matmul(h, params.weight)
     return ad.relu(ad.add(ad.matmul(alpha, wh), params.bias))

@@ -127,10 +127,7 @@ class SetnModel:
         if self.gnn is None:
             return target_text
         layer = gcn_layer if self.config.gnn == "gcn" else gat_layer
-        # The GNN reads the rows through a node of its own, so backward sums
-        # its reads first and then adds the residual's: the order of a loop
-        # that encodes member by member.
-        target_gnn = ad.take_rows(layer(ad.reshape(h_text, h_text.shape), sub, self.gnn), [0])
+        target_gnn = ad.take_rows(layer(h_text, sub, self.gnn), [0])
         return ad.add(target_text, target_gnn) if self.config.residual else target_gnn
 
     def forward(self, sub: Subgraph, records: Sequence,

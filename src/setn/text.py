@@ -141,8 +141,6 @@ class TextEncoder:
 
     def __init__(self, vocab_size: int, dim: int, depth: int,
                  rng: np.random.Generator, max_len: int = MAX_TOKENS):
-        if vocab_size < NUM_RESERVED:
-            raise DataError(f"vocab size must cover the {NUM_RESERVED} reserved ids")
         self.token_emb = ad.normal_param(rng, (vocab_size, dim))
         self.pos_emb = ad.normal_param(rng, (max_len, dim))
         self.blocks = [EncoderBlock(dim, rng) for _ in range(depth)]

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .autodiff import Adam, backward
-from .data import Dataset, StockRecord
+from .data import Dataset, StockRecord, replacing
 from .errors import CheckpointError, ContractError, DataError, NonFiniteError, SetnError, TrainingError
 from .evaluation import evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
@@ -346,7 +346,8 @@ def run_ablation(dataset: Dataset, base_config: TrainConfig, axes: Sequence[str]
 
 
 def save_model(model: SetnModel, path, config: TrainConfig) -> None:
-    """Write ``model`` with ``model.config``, which ``config`` must equal."""
+    """Write ``model`` with ``model.config``, which ``config`` must equal,
+    through a new file that replaces ``path`` only once it is complete."""
     if config != model.config:
         raise ContractError("save_model writes model.config; the config given differs from it")
     manifest = [{"name": name, "shape": list(p.data.shape)} for name, p in model.named_params()]
@@ -368,7 +369,7 @@ def save_model(model: SetnModel, path, config: TrainConfig) -> None:
     for _, p in model.named_params():
         buf += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
     checksum = hashlib.sha256(bytes(buf)).digest()[:8]
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(bytes(buf))
         fh.write(checksum)
 

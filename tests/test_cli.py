@@ -231,7 +231,8 @@ def test_gnn_kind_mismatch_on_eval(dataset_dir, checkpoint, capsys):
                  "config field 'learning_rate': expected a finite number", id="learning_rate-1e400"),
     pytest.param('{"proportions": [1' + "0" * 400 + ", 1, 1]}",
                  "config field 'proportions'", id="proportions-1e400"),
-    pytest.param('{"seed": 1' + "0" * 5000 + "}", "malformed config JSON", id="seed-5001-digits"),
+    pytest.param('{"seed": 1' + "0" * 5000 + "}", "config JSON holds an integer of more than 4300 digits",
+                 id="seed-5001-digits"),
 ])
 def test_bad_config_is_one_honest_error_line(dataset_dir, tmp_path, capsys,
                                              config_text, expected):
@@ -552,3 +553,94 @@ def test_json_nested_too_deeply_is_one_error_line(dataset_dir, tmp_path, capsys,
     code, _, stderr = run_cli(capsys, "train", *[x for pair in args.items() for x in pair])
     assert code == 1
     assert _error_lines(stderr) == [f"error: {expected.format(path=path)}"]
+
+
+@pytest.mark.parametrize("command, k, expected", [
+    ("eval-map", "5,x", "--k expects a comma-separated integer list, got '5,x'"),
+    ("ablate", "1.5", "--k expects a comma-separated integer list, got '1.5'"),
+    ("eval-map", ",", "--k list is empty"),
+    ("ablate", " , ", "--k list is empty"),
+])
+def test_k_that_is_not_an_integer_list_is_one_error_line(tmp_path, capsys, command, k, expected):
+    extra = (["--model", str(tmp_path / "missing.setn")] if command == "eval-map"
+             else ["--axes", "residual"])
+    code, _, stderr = run_cli(
+        capsys, command, *extra,
+        "--nodes", str(tmp_path / "missing.jsonl"),
+        "--edges", str(tmp_path / "missing.tsv"),
+        "--k", k)
+    assert code == 1
+    assert _error_lines(stderr) == [f"error: {expected}"]
+
+
+def test_eval_theme_with_no_theme_left_is_one_error_line(dataset_dir, checkpoint, capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "eval-theme",
+        "--model", str(checkpoint),
+        "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"),
+        "--themes", str(dataset_dir / "themes.jsonl"),
+        "--min-theme-size", "1000")
+    assert code == 1 and stdout == ""
+    assert _error_lines(stderr) == [
+        "error: no themes with at least 1000 members in the test universe"]
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_embed_split_exports_that_split_only(dataset_dir, checkpoint, tmp_path, capsys, split):
+    from setn.data import Taxonomy, load_embeddings, load_nodes
+    from setn.training import split_records
+
+    out = tmp_path / "emb.tsv"
+    code, stdout, _ = run_cli(
+        capsys, "embed", "--model", str(checkpoint),
+        "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"),
+        "--split", split, "--out", str(out))
+    assert code == 0
+    records, _ = load_nodes(dataset_dir / "nodes.jsonl",
+                            Taxonomy.from_file(dataset_dir / "taxonomy.json"))
+    expected = getattr(split_records(records, TrainConfig(seed=1)), split)
+    assert json.loads(stdout)["count"] == len(expected)
+    assert load_embeddings(out)[0] == [records[i].ticker for i in expected]
+
+
+@pytest.mark.parametrize("ticker", ["a\tb", "a\nb", "a\rb"])
+def test_embed_of_a_ticker_with_a_tab_or_line_break_is_one_error_line_and_no_file(
+        dataset_dir, checkpoint, tmp_path, capsys, ticker):
+    from setn.data import load_embeddings
+
+    nodes = dataset_dir / "nodes.jsonl"
+    lines = nodes.read_text().splitlines()
+    first = json.loads(lines[0])
+    lines[0] = json.dumps({**first, "ticker": ticker})
+    nodes.write_text("\n".join(lines) + "\n")
+    data = ["--model", str(checkpoint), "--nodes", str(nodes),
+            "--edges", str(dataset_dir / "edges.tsv")]
+    out = tmp_path / "emb.tsv"
+    code, stdout, stderr = run_cli(capsys, "embed", *data, "--out", str(out))
+    assert code == 1 and stdout == ""
+    lines = _error_lines(stderr)
+    assert len(lines) == 1 and repr(ticker) in lines[0] and "--format binary" in lines[0]
+    assert not out.exists()
+    code, _, _ = run_cli(capsys, "embed", *data, "--out", str(out), "--format", "binary")
+    assert code == 0 and load_embeddings(out)[0][0] == ticker
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_train_with_an_out_path_it_cannot_write_fails_before_any_training(
+        dataset_dir, tmp_path, capsys, monkeypatch, where):
+    import setn.cli as cli_module
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached model building or training")
+
+    monkeypatch.setattr(cli_module, "build_model", unreachable)
+    monkeypatch.setattr(cli_module, "train", unreachable)
+    out = tmp_path / "missing" / "m.setn" if where == "missing-directory" else tmp_path
+    code, stdout, stderr = run_cli(
+        capsys, "train", "--nodes", str(dataset_dir / "nodes.jsonl"),
+        "--edges", str(dataset_dir / "edges.tsv"), "--out", str(out))
+    assert code == 1 and stdout == ""
+    lines = _error_lines(stderr)
+    assert len(lines) == 1 and lines[0].startswith(f"error: --out {out}")

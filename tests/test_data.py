@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import errno
 import json
 import re
 import struct
@@ -8,12 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setn import data as data_module
 from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, Taxonomy,
                        export_embeddings,
                        generate_synthetic, load_edges, load_embeddings,
                        load_nodes, load_themes, write_dataset)
 from setn.errors import DataError, SetnError
 from setn.text import Vocab
+from setn.training import TrainConfig, build_model, save_model
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +134,20 @@ def test_load_nodes_reports_line_numbers(tmp_path):
     with pytest.raises(DataError) as exc:
         load_nodes(path)
     assert ":2" in str(exc.value)
+
+
+def test_blank_lines_in_jsonl_files_are_skipped_and_keep_line_numbers(tmp_path):
+    path = tmp_path / "nodes.jsonl"
+    path.write_text('\n{"ticker": "A", "text": "x", "topix33": "Banks"}\n   \n\n'
+                    '{"ticker": "B", "text": "y", "topix33": "Banks"}\n\n')
+    records, id_map = load_nodes(path)
+    assert id_map == {"A": 0, "B": 1} and [r.text for r in records] == ["x", "y"]
+    path.write_text(path.read_text() + '{"ticker": "A", "text": "z", "topix33": "Banks"}\n')
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:7: "):
+        load_nodes(path)
+    themes = tmp_path / "themes.jsonl"
+    themes.write_text('\n\n{"theme": "t", "members": ["A", "B"]}\n  \n')
+    assert load_themes(themes, id_map, min_size=2) == {"t": (0, 1)}
 
 
 def test_load_nodes_unknown_label(tmp_path):
@@ -360,6 +378,13 @@ def test_load_themes_empty_file(tmp_path):
     path = tmp_path / "themes.jsonl"
     path.write_text("")
     assert len(load_themes(path, {}, min_size=2)) == 0
+
+
+def test_load_themes_rejects_a_repeated_theme_name_naming_the_line(tmp_path):
+    id_map = {f"T{i}": i for i in range(4)}
+    path = _write_themes(tmp_path, [("a", ["T0", "T1"]), ("b", ["T2", "T3"]), ("a", ["T2", "T3"])])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: duplicate theme 'a'$"):
+        load_themes(path, id_map, min_size=2)
 
 
 @pytest.mark.parametrize("members", [5, "T0", {"T0": 1}, None])
@@ -657,6 +682,79 @@ def test_binary_embeddings_with_a_byte_appended_are_data_error_naming_the_path(t
     with pytest.raises(DataError, match="unexpected bytes after the id table") as exc:
         load_embeddings(path)
     assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_binary_embeddings_cut_inside_an_id_length_prefix_are_data_error(tmp_path):
+    path = tmp_path / "emb.bin"
+    export_embeddings(["LONGID", "B"], np.ones((2, 3)), path, "binary")
+    blob = path.read_bytes()
+    # the vectors and id 0 whole, then 2 of id 1's 4 length bytes: as many
+    # bytes as the smallest id table needs, so only the prefix read sees the cut
+    path.write_bytes(blob[:12 + 2 * 3 * 4 + 4 + 6 + 2])
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: truncated id table at id 1 of 2$"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("sid", ["a\tb", "a\nb", "a\rb", "\t", "ab\r\n"])
+def test_tsv_export_of_an_id_with_a_tab_or_line_break_is_data_error_before_any_write(
+        tmp_path, sid):
+    path = tmp_path / "emb.tsv"
+    ids = ["A", sid, "C"]
+    with pytest.raises(DataError, match="--format binary") as exc:
+        export_embeddings(ids, np.ones((3, 2)), path, "tsv")
+    assert repr(sid) in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old")
+    with pytest.raises(DataError):
+        export_embeddings(ids, np.ones((3, 2)), path, "tsv")
+    assert path.read_bytes() == b"old" and list(tmp_path.iterdir()) == [path]
+    export_embeddings(ids, np.ones((3, 2)), path, "binary")
+    assert load_embeddings(path)[0] == ids
+
+
+def _open_failing_on_the_second_write(*args, **kwargs):
+    """``open`` whose file raises ENOSPC on its second write, as a full disk would."""
+    fh = builtins.open(*args, **kwargs)
+    write, count = fh.write, [0]
+
+    def failing_write(data):
+        count[0] += 1
+        if count[0] > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(data)
+
+    fh.write = failing_write
+    return fh
+
+
+def _write_embeddings_or_checkpoint(path, writer, seed):
+    if writer == "checkpoint":
+        config = TrainConfig(hidden_dim=4, encoder_depth=1, max_tokens=4, seed=seed)
+        save_model(build_model(config, Vocab.build(["a b"]), 2, 3), path, config)
+    else:
+        export_embeddings([f"A{seed}", "B"], np.full((2, 3), seed), path, writer)
+
+
+@pytest.mark.parametrize("writer", ["tsv", "binary", "checkpoint"])
+def test_a_write_that_fails_midway_leaves_the_old_file_byte_identical_and_no_temporary(
+        tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    _write_embeddings_or_checkpoint(path, writer, 0)
+    old = path.read_bytes()
+    monkeypatch.setattr(data_module, "open", _open_failing_on_the_second_write, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        _write_embeddings_or_checkpoint(path, writer, 1)
+    assert path.read_bytes() == old and list(tmp_path.iterdir()) == [path]
+    monkeypatch.undo()
+    _write_embeddings_or_checkpoint(path, writer, 1)
+    assert path.read_bytes() != old and list(tmp_path.iterdir()) == [path]
+
+
+def test_export_into_a_missing_directory_names_the_path_asked_for(tmp_path):
+    path = tmp_path / "missing" / "emb.tsv"
+    with pytest.raises(FileNotFoundError) as exc:
+        export_embeddings(["A"], np.ones((1, 2)), path, "tsv")
+    assert exc.value.filename == str(path)
 
 
 def _loads_valid_embeddings_or_setn_error(path):

@@ -7,12 +7,15 @@ output and the same gradients, bit for bit.
 """
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setn import autodiff as ad
-from setn.autodiff import Tensor, _accum, _op, _unbroadcast, backward, mul, no_grad, sum_all
+from setn.autodiff import (Adam, Tensor, _accum, _op, _unbroadcast, backward, mul, no_grad,
+                           sum_all)
 from setn.errors import NonFiniteError
 from setn.text import ENCODER_POLICIES, EncoderBlock, TextEncoder
 
@@ -143,3 +146,82 @@ def test_minus_infinite_scores_that_the_softmax_absorbs_still_raise():
             with pytest.raises(NonFiniteError):
                 forward(x)
     assert np.isneginf(scores[0, 0, 1]) and np.isfinite(scores.max(axis=-1)).all()
+
+
+def _with_signed_zeros(a, rng):
+    a[rng.random(a.shape) < 0.2] = -0.0
+    return a
+
+
+def _run_frozen(forward, x, weights, params, zero_grads):
+    """``_run`` on read-only arrays: the output, each gradient of ``x`` and
+    ``params``, the incoming gradient of a recorded output with its bytes as
+    handed over, and the arrays its backward closure keeps."""
+    out = forward(x)
+    incoming, kept = [], []
+    if out.requires_grad:
+        kept = [c.cell_contents for c in out._backward_fn.__closure__ or ()
+                if isinstance(c.cell_contents, np.ndarray)]
+        inner = out._backward_fn
+
+        def spy(g):
+            g.flags.writeable = False
+            incoming.append((g, g.tobytes()))
+            inner(g)
+
+        out._backward_fn = spy
+        backward(sum_all(mul(out, Tensor(weights))))
+    grads = [None if p.grad is None else p.grad.tobytes() for p in (x, *params)]
+    zero_grads()
+    return out, grads, incoming, kept
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(batch=st.lists(st.integers(1, 3), max_size=2), length=st.integers(1, 6),
+       dim=st.integers(1, 9), input_grad=st.booleans(),
+       trained=st.lists(st.booleans(), min_size=16, max_size=16), recorded=st.booleans(),
+       arena=st.booleans(), seed=st.integers(0, 2**16))
+def test_fused_block_equals_the_op_by_op_graph_for_any_case(batch, length, dim, input_grad,
+                                                            trained, recorded, arena, seed):
+    """Any batch axes, length and width, any trainable subset, recorded or
+    not: the fused block's output and gradients are the op-by-op graph's byte
+    for byte, it writes none of the read-only arrays it is handed (input with
+    -0.0 entries, parameters, possibly Adam arena views, and the incoming
+    gradient), and the arrays a recorded block keeps share no memory."""
+    shape = (*batch, length, dim)
+    block = _random_block(dim, seed)
+    params = [p for _, p in block.named_params()]
+    for p, flag in zip(params, trained):
+        p.requires_grad = flag
+    rng = np.random.default_rng(seed + 2)
+    x = Tensor(_with_signed_zeros(rng.normal(size=shape), rng), requires_grad=input_grad)
+    weights = _with_signed_zeros(rng.normal(size=shape), rng)
+    adam = Adam(params) if arena else None
+
+    def zero_grads():
+        x.grad = None
+        if adam is None:
+            for p in params:
+                p.grad = None
+        else:
+            adam.zero_grad()
+
+    handed = [x.data, *(p.data for p in params)]
+    for a in handed:
+        a.flags.writeable = False
+    before = [a.tobytes() for a in handed]
+    runs = []
+    for forward in (block.forward, lambda t: reference_forward(block, t)):
+        with nullcontext() if recorded else no_grad():
+            runs.append(_run_frozen(forward, x, weights, params, zero_grads))
+    (out, grads, incoming, kept), (ref_out, ref_grads, _, _) = runs
+    assert out.data.tobytes() == ref_out.data.tobytes()
+    assert grads == ref_grads
+    assert [a.tobytes() for a in handed] == before
+    assert all(g.tobytes() == then for g, then in incoming)
+    will_record = recorded and (input_grad or any(trained))
+    assert out.requires_grad == will_record and len(incoming) == will_record
+    assert len(kept) == (13 if will_record else 0)
+    for i, a in enumerate(kept):
+        for b in kept[i + 1:]:
+            assert not np.shares_memory(a, b)

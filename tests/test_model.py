@@ -271,6 +271,24 @@ def test_embed_universe_reads_the_fused_row_and_runs_no_head(chain, gnn):
     assert row.shape == (1, model.dim) and np.array_equal(row.data[0], before[1])
 
 
+@pytest.mark.parametrize("gnn", ["gcn", "gat"])
+def test_an_all_zero_embedding_falls_back_to_all_ones_and_is_logged(chain, caplog, gnn):
+    records, graph = chain
+    model = make_model(gnn=gnn, residual=False)
+    model.gnn.weight.data[...] = 0.0
+    model.gnn.bias.data[...] = -1.0  # the layer's ReLU outputs zero for every member
+    ids = [0, 2, 4]
+    with caplog.at_level("DEBUG", logger="setn.evaluation"):
+        emb = embed_universe(model, graph, records, ids)
+    assert emb.vectors.tobytes() == np.ones((3, model.dim)).tobytes()
+    for sid in ids:
+        sub = sample_subgraph(graph, sid)
+        stock = model.embed_stock(sub, [records[m] for m in sub.members])
+        assert np.array_equal(stock, np.zeros(model.dim))  # -0.0 where ReLU cut a negative
+    assert [r.getMessage() for r in caplog.records] == [
+        "3 of 3 embeddings were all-zero; using the shared fallback direction"]
+
+
 def test_recorded_text_stage_rows_require_grad_and_equal_no_grad_rows(monkeypatch):
     monkeypatch.setattr(model_module, "TEXT_BATCH_TOKENS", 8)
     records, _ = _mixed_length_universe()

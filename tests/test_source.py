@@ -78,3 +78,22 @@ def test_every_definition_is_used_or_kept_for_a_reason():
                           for where, name, line in loads)}
     assert sorted(set(unused) - set(KEPT_UNCALLED)) == []
     assert sorted(set(KEPT_UNCALLED) - set(unused)) == []
+
+
+def test_json_text_is_parsed_only_by_parse_json_and_the_checkpoint_reader():
+    # every JSON input file goes through ``data._parse_json``, so each failure
+    # gets one message; the checkpoint header turns its own into CheckpointError
+    parsers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
+                       for node in ast.walk(tree))
+        functions = [fn for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "loads"
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                inside = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+                name = max(inside, key=lambda fn: fn.lineno).name if inside else "<module>"
+                parsers.add(f"{path.stem}.{name}")
+    assert parsers == {"data._parse_json", "training.load_model"}

@@ -669,6 +669,75 @@ def test_checkpoint_version_mismatch(tmp_path):
     assert "version" in str(exc.value)
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """The bytes of a valid GAT checkpoint of 2-wide vectors."""
+    config = TrainConfig(hidden_dim=2, encoder_depth=1, max_tokens=2, gnn="gat", seed=3)
+    path = tmp_path_factory.mktemp("ckpt") / "model.setn"
+    save_model(build_model(config, Vocab.build(["a b", "c"]), 2, 3), path, config)
+    return path.read_bytes()
+
+
+def _checkpoint_headers(header):
+    """The header with any of its values replaced by any JSON, or any JSON."""
+    values = lambda valid: st.just(valid) | _NUMBER | _ANY_JSON  # noqa: E731
+    manifest = header["params"]
+    shapes = st.lists(st.integers(-1, 9) | _NUMBER, max_size=3) | _ANY_JSON
+    return _ANY_JSON | st.fixed_dictionaries({
+        "config": st.builds(lambda extra: {**header["config"], **extra}, st.dictionaries(
+            st.sampled_from([*header["config"], "adam_eps", "frozen_text_cache", "warp"]),
+            _NUMBER | _ANY_JSON, max_size=2)) | _ANY_JSON,
+        "model": st.fixed_dictionaries({key: values(header["model"][key])
+                                        for key in header["model"]}) | _ANY_JSON,
+        "vocab": st.just(header["vocab"]) | st.lists(st.text(max_size=3), max_size=5) | _ANY_JSON,
+        "params": st.just(manifest) | st.permutations(manifest)
+        | st.builds(lambda i, shape: [{**e, "shape": shape} if j == i else e
+                                      for j, e in enumerate(manifest)],
+                    st.integers(0, len(manifest) - 1), shapes)
+        | st.lists(st.sampled_from(manifest) | _ANY_JSON, max_size=len(manifest) + 1),
+    })
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checkpoint_with_any_bytes_loads_or_raises_only_setn_errors(tmp_path_factory,
+                                                                     small_checkpoint, data):
+    """Flipped, cut or appended bytes, with the checksum kept or recomputed,
+    and any header JSON under a recomputed checksum, so that validation runs
+    past the checksum: ``load_model`` returns a model or raises a SetnError."""
+    blob = small_checkpoint
+    body = blob[:-8]
+    kind = data.draw(st.sampled_from(["flip", "cut", "append", "header"]))
+    if kind == "header":
+        (header_len,) = struct.unpack("<Q", body[8:16])
+        header = json.loads(body[16:16 + header_len])
+        payload = json.dumps(data.draw(_checkpoint_headers(header))).encode("utf-8")
+        body = body[:8] + struct.pack("<Q", len(payload)) + payload + body[16 + header_len:]
+        content = body + hashlib.sha256(body).digest()[:8]
+    else:
+        rechecksum = data.draw(st.booleans())
+        target = bytearray(body if rechecksum else blob)
+        if kind == "flip":
+            for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(target) - 1),
+                                                         st.integers(1, 255)), min_size=1, max_size=4)):
+                target[at] ^= mask
+        elif kind == "cut":
+            del target[data.draw(st.integers(0, len(target) - 1)):]
+        else:
+            target += data.draw(st.binary(min_size=1, max_size=16))
+        content = bytes(target)
+        if rechecksum:
+            content += hashlib.sha256(content).digest()[:8]
+    path = tmp_path_factory.mktemp("ckpt") / "model.setn"
+    path.write_bytes(content)
+    try:
+        model, config = load_model(path)
+    except SetnError:
+        return
+    assert model.config == config
+    assert all(np.isfinite(p.data).all() for _, p in model.named_params())
+
+
 # ---------------------------------------------------------------------------
 # defaults
 
