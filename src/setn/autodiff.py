@@ -280,22 +280,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def bw(g: Array) -> None:
-        _accum(x, g * mask)
-
-    return _op(x.data * mask, (x,), bw)
-
-
-def leaky_relu(x: Tensor) -> Tensor:
-    factor = np.where(x.data > 0, 1.0, _LEAKY_SLOPE)
-
+def _scale(x: Tensor, factor: Array) -> Tensor:
+    """``x`` times a constant array of its shape, elementwise."""
     def bw(g: Array) -> None:
         _accum(x, g * factor)
 
     return _op(x.data * factor, (x,), bw)
+
+
+def relu(x: Tensor) -> Tensor:
+    return _scale(x, x.data > 0)
+
+
+def leaky_relu(x: Tensor) -> Tensor:
+    return _scale(x, np.where(x.data > 0, 1.0, _LEAKY_SLOPE))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -320,12 +318,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> T
         raise DataError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-
-    def bw(g: Array) -> None:
-        _accum(x, g * keep)
-
-    return _op(x.data * keep, (x,), bw)
+    return _scale(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
 
 
 def cross_entropy(logits: Tensor, target: int) -> Tensor:
@@ -558,14 +551,6 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 def normal_param(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(rng.normal(0.0, _INIT_STD, shape), requires_grad=True)
-
-
-def zeros_param(*shape: int) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def ones_param(*shape: int) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------

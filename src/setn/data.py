@@ -5,7 +5,8 @@ File formats (all bit-exact):
   nodes.jsonl   one {"ticker", "text", "topix17", "topix33"} object per line
   edges.tsv     one "src<TAB>dst" integer pair per line, direction cause -> effect
   themes.jsonl  one {"theme", "members": [tickers]} object per line
-  vocab.txt     one token per line, line k holds id k + 3
+  vocab.txt     one token per line; empty lines are skipped, and the k-th
+                token (from 0) has id k + 3
   embeddings    .tsv (header "id\\tdim=<d>") or binary ("SETE", n, d, float32 LE)
 """
 
@@ -18,14 +19,13 @@ import os
 import re
 import struct
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, open_text
+from .errors import DataError, open_text, replacing
 from .graph import StockGraph
 from .text import Vocab
 
@@ -194,7 +194,7 @@ class Taxonomy:
             "industry_to_sector": {self.industries[i]: self.sectors[s]
                                    for i, s in sorted(self.industry_to_sector.items())},
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w") as fh:
             json.dump(obj, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -207,11 +207,22 @@ DEFAULT_TAXONOMY = Taxonomy.default()
 
 
 def _parse_json(text: str, where, what: str):
-    """``json.loads(text)``; a failure is a DataError at ``where`` naming ``what``."""
+    """``json.loads(text)`` of text in which no object repeats a key; a
+    failure is a DataError at ``where`` naming ``what``."""
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DataError(f"{where}: {what} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: malformed {what} ({exc.msg})") from exc
+    except DataError:  # a repeated key, which is a ValueError too
+        raise
     except ValueError as exc:  # the only other ValueError: an integer past int's digit limit
         raise DataError(f"{where}: {what} holds an integer of more than "
                         f"{sys.get_int_max_str_digits()} digits") from exc
@@ -290,8 +301,10 @@ def load_edges(path, n_nodes: int) -> StockGraph:
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
             try:
+                if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):  # not "+1" or "1_0"
+                    raise ValueError(line)
                 s, d = int(parts[0]), int(parts[1])
-            except ValueError as exc:
+            except ValueError as exc:  # also an id past int's digit limit
                 raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
             if not (0 <= s < n_nodes and 0 <= d < n_nodes):
                 raise DataError(f"{path}:{lineno}: edge ({s}, {d}) outside node range [0, {n_nodes})")
@@ -496,7 +509,7 @@ def write_dataset(dataset: Dataset, out_dir) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     tax = dataset.taxonomy
     nodes = out / "nodes.jsonl"
-    with open(nodes, "w", encoding="utf-8") as fh:
+    with replacing(nodes, "w") as fh:
         for r in dataset.records:
             fh.write(json.dumps({
                 "ticker": r.ticker,
@@ -505,12 +518,12 @@ def write_dataset(dataset: Dataset, out_dir) -> list[str]:
                 "topix33": tax.industries[r.industry],
             }, sort_keys=True) + "\n")
     edges = out / "edges.tsv"
-    with open(edges, "w", encoding="utf-8") as fh:
+    with replacing(edges, "w") as fh:
         for s, d in dataset.graph.edges:
             fh.write(f"{s}\t{d}\n")
     themes = out / "themes.jsonl"
     ticker_of = {r.stock_id: r.ticker for r in dataset.records}
-    with open(themes, "w", encoding="utf-8") as fh:
+    with replacing(themes, "w") as fh:
         for name, members in dataset.themes.items():
             fh.write(json.dumps({"theme": name,
                                  "members": [ticker_of[m] for m in members]},
@@ -528,26 +541,6 @@ def write_dataset(dataset: Dataset, out_dir) -> list[str]:
 _EMB_MAGIC = b"SETE"
 
 
-@contextmanager
-def replacing(path, mode: str):
-    """A file opened with ``mode`` ("w" or "wb") beside ``path`` that replaces
-    ``path`` when the block completes. When the block or the replacement
-    fails, ``path`` stays as it was and the new file is removed."""
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    try:
-        fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
-    except OSError as exc:
-        exc.filename = str(path)  # the error names the file asked for
-        raise
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv") -> None:
     """Write embeddings as TSV (9 significant digits) or 32-bit binary,
     through a new file that replaces ``path`` only once it is complete."""
@@ -557,8 +550,13 @@ def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv"
     if len(ids) != vectors.shape[0]:
         raise DataError(f"{len(ids)} ids for {vectors.shape[0]} embedding rows")
     n, d = vectors.shape
+    names: dict[str, int] = {}  # each id as written -> its index
+    for i, sid in enumerate(ids):
+        first = names.setdefault(str(sid), i)
+        if first != i:
+            raise DataError(f"ids {ids[first]!r} and {sid!r} are both written as {str(sid)!r}, "
+                            "which would load as one repeated id")
     if fmt == "tsv":
-        names = [str(sid) for sid in ids]
         for name in names:
             if re.search("[\t\n\r]", name):
                 raise DataError(f"id {name!r} holds a tab or a line break, which a TSV row "
@@ -572,8 +570,8 @@ def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv"
             fh.write(_EMB_MAGIC)
             fh.write(struct.pack("<II", n, d))
             fh.write(np.ascontiguousarray(vectors, dtype="<f4").tobytes())
-            for sid in ids:
-                encoded = str(sid).encode("utf-8")
+            for name in names:
+                encoded = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)
     else:

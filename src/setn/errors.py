@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the text-file reader
-that reports undecodable input as one of them."""
+"""Exception types shared across the package, the text-file reader that
+reports undecodable input as one of them, and the one way the package
+writes a file."""
 
+import os
 from contextlib import contextmanager
 
 
@@ -45,3 +47,23 @@ def open_text(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextmanager
+def replacing(path, mode: str):
+    """A file opened with ``mode`` ("w" or "wb") beside ``path`` that replaces
+    ``path`` when the block completes. When the block or the replacement
+    fails, ``path`` stays as it was and the new file is removed."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        exc.filename = str(path)  # the error names the file asked for
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -65,8 +65,10 @@ class SetnModel:
         self.gnn: Optional[GnnParams] = None
         if config.gnn != "none":
             self.gnn = init_gnn_params(dim, rng, with_attention=(config.gnn == "gat"))
-        self.head_sector = Head(ad.xavier_uniform(rng, dim, n_sectors), ad.zeros_param(n_sectors))
-        self.head_industry = Head(ad.xavier_uniform(rng, dim, n_industries), ad.zeros_param(n_industries))
+        self.head_sector = Head(ad.xavier_uniform(rng, dim, n_sectors),
+                                Tensor(np.zeros(n_sectors), requires_grad=True))
+        self.head_industry = Head(ad.xavier_uniform(rng, dim, n_industries),
+                                  Tensor(np.zeros(n_industries), requires_grad=True))
         self.encoder.set_trainable(config.encoder_train)
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DataError, open_text
+from .errors import ContractError, DataError, open_text, replacing
 
 PAD_ID = 0
 UNK_ID = 1
@@ -60,7 +60,8 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path) -> "Vocab":
-        """Read one token per line; line k holds the token with id k + 3."""
+        """Read one token per line. Empty lines are skipped: the k-th token
+        (from 0) has id k + 3, whatever empty lines come before it."""
         tokens: dict[str, None] = {}
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -72,7 +73,7 @@ class Vocab:
         return cls(list(tokens))
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w") as fh:
             for tok in self.tokens:
                 fh.write(tok + "\n")
 
@@ -105,7 +106,8 @@ class EncoderBlock:
             if name.endswith("_w"):
                 param = ad.xavier_uniform(rng, *shape)  # draws from rng in table order
             else:
-                param = (ad.ones_param if name.endswith("_gain") else ad.zeros_param)(*shape)
+                param = Tensor((np.ones if name.endswith("_gain") else np.zeros)(shape),
+                               requires_grad=True)
             setattr(self, name, param)
 
     @staticmethod

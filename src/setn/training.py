@@ -22,8 +22,9 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .autodiff import Adam, backward
-from .data import Dataset, StockRecord, replacing
-from .errors import CheckpointError, ContractError, DataError, NonFiniteError, SetnError, TrainingError
+from .data import Dataset, StockRecord
+from .errors import (CheckpointError, ContractError, DataError, NonFiniteError, SetnError,
+                     TrainingError, replacing)
 from .evaluation import evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
@@ -247,8 +248,6 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                         raise TrainingError(
                             f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
                     value = loss.item()
-                    if not math.isfinite(value):
-                        raise TrainingError(f"non-finite loss {value} at epoch {epoch}, stock {target}")
                     backward(loss)
                     if not np.isfinite(optimizer.gradient()).all():
                         # an overflow in backward: stop before it reaches the parameters

@@ -233,6 +233,7 @@ def test_gnn_kind_mismatch_on_eval(dataset_dir, checkpoint, capsys):
                  "config field 'proportions'", id="proportions-1e400"),
     pytest.param('{"seed": 1' + "0" * 5000 + "}", "config JSON holds an integer of more than 4300 digits",
                  id="seed-5001-digits"),
+    ('{"epochs": 3, "epochs": 5}', "config JSON repeats the key 'epochs'"),
 ])
 def test_bad_config_is_one_honest_error_line(dataset_dir, tmp_path, capsys,
                                              config_text, expected):

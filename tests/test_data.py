@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setn import data as data_module
+from setn import errors as errors_module
 from setn.data import (DEFAULT_TAXONOMY, GeneratorSpec, Taxonomy,
                        export_embeddings,
                        generate_synthetic, load_edges, load_embeddings,
@@ -349,6 +349,33 @@ def test_load_edges_rejects_bad_lines(tmp_path):
         load_edges(path, 3)
 
 
+@pytest.mark.parametrize("line", ["1_0\t2", "+3\t4", "1 \t2", "1\t\u0662"])
+def test_load_edges_reads_a_node_id_only_as_ascii_digits_after_an_optional_minus(tmp_path, line):
+    path = tmp_path / "edges.tsv"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_edges(path, 20)
+    assert str(exc.value) == f"{path}:1: non-integer node id in {line!r}"
+
+
+@pytest.mark.parametrize("kind", ["nodes", "themes", "taxonomy"])
+def test_a_json_object_that_repeats_a_key_is_a_data_error_naming_the_key(tmp_path, kind):
+    path = tmp_path / kind
+    if kind == "nodes":
+        path.write_text('{"ticker": "A", "ticker": "B", "text": "t", "topix33": "Banks"}\n')
+        load, message = load_nodes, f"{path}:1: JSON repeats the key 'ticker'"
+    elif kind == "themes":
+        path.write_text('{"theme": "t", "members": ["A"], "theme": "u"}\n')
+        load, message = (lambda p: load_themes(p, {"A": 0})), f"{path}:1: JSON repeats the key 'theme'"
+    else:
+        path.write_text('{"sectors": ["S"], "industries": ["I"], '
+                        '"industry_to_sector": {"I": "S", "I": "S"}}')
+        load, message = Taxonomy.from_file, f"{path}: taxonomy JSON repeats the key 'I'"
+    with pytest.raises(DataError) as exc:
+        load(path)
+    assert str(exc.value) == message
+
+
 def _write_themes(tmp_path, themes):
     path = tmp_path / "themes.jsonl"
     path.write_text("\n".join(json.dumps({"theme": n, "members": m})
@@ -644,7 +671,9 @@ def test_non_finite_binary_value_is_data_error_naming_the_path(tmp_path):
 @pytest.mark.parametrize("fmt", ["tsv", "binary"])
 def test_repeated_embedding_id_is_data_error_naming_the_path(tmp_path, fmt):
     path = tmp_path / "emb"
-    export_embeddings([7, "x", 7], np.ones((3, 2)), path, fmt)
+    # export refuses a repeated id, so the third id is made a repeat afterwards
+    export_embeddings([7, "x", 8], np.ones((3, 2)), path, fmt)
+    path.write_bytes(path.read_bytes().replace(b"8", b"7"))
     with pytest.raises(DataError, match="repeated id 7") as exc:
         load_embeddings(path)
     assert str(exc.value).startswith(f"{path}:4: " if fmt == "tsv" else f"{path}: ")
@@ -712,6 +741,16 @@ def test_tsv_export_of_an_id_with_a_tab_or_line_break_is_data_error_before_any_w
     assert load_embeddings(path)[0] == ids
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "binary"])
+def test_export_of_two_ids_written_alike_is_a_data_error_before_any_write(tmp_path, fmt):
+    path = tmp_path / "emb"
+    with pytest.raises(DataError) as exc:
+        export_embeddings([1, "x", "1"], np.ones((3, 2)), path, fmt)
+    assert str(exc.value) == ("ids 1 and '1' are both written as '1', "
+                              "which would load as one repeated id")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _open_failing_on_the_second_write(*args, **kwargs):
     """``open`` whose file raises ENOSPC on its second write, as a full disk would."""
     fh = builtins.open(*args, **kwargs)
@@ -727,27 +766,40 @@ def _open_failing_on_the_second_write(*args, **kwargs):
     return fh
 
 
-def _write_embeddings_or_checkpoint(path, writer, seed):
+def _write_output(path, writer, seed):
     if writer == "checkpoint":
         config = TrainConfig(hidden_dim=4, encoder_depth=1, max_tokens=4, seed=seed)
         save_model(build_model(config, Vocab.build(["a b"]), 2, 3), path, config)
+    elif writer == "vocab":
+        Vocab.build([f"a{seed} b"]).to_file(path)
+    elif writer == "taxonomy":
+        Taxonomy([f"S{seed}"], ["I0", "I1"], {0: 0, 1: 0}).to_file(path)
+    elif writer == "dataset":
+        write_dataset(generate_synthetic(GeneratorSpec(n=30, sectors=3, industries=5,
+                                                       vocab_size=60, seed=seed)), path)
     else:
         export_embeddings([f"A{seed}", "B"], np.full((2, 3), seed), path, writer)
 
 
-@pytest.mark.parametrize("writer", ["tsv", "binary", "checkpoint"])
+def _files(root):
+    """Every file under ``root``: its path relative to ``root`` -> its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("writer", ["tsv", "binary", "checkpoint", "vocab", "taxonomy", "dataset"])
 def test_a_write_that_fails_midway_leaves_the_old_file_byte_identical_and_no_temporary(
         tmp_path, monkeypatch, writer):
     path = tmp_path / "out"
-    _write_embeddings_or_checkpoint(path, writer, 0)
-    old = path.read_bytes()
-    monkeypatch.setattr(data_module, "open", _open_failing_on_the_second_write, raising=False)
+    _write_output(path, writer, 0)
+    old = _files(tmp_path)
+    monkeypatch.setattr(errors_module, "open", _open_failing_on_the_second_write, raising=False)
     with pytest.raises(OSError, match="No space left"):
-        _write_embeddings_or_checkpoint(path, writer, 1)
-    assert path.read_bytes() == old and list(tmp_path.iterdir()) == [path]
+        _write_output(path, writer, 1)
+    assert _files(tmp_path) == old
     monkeypatch.undo()
-    _write_embeddings_or_checkpoint(path, writer, 1)
-    assert path.read_bytes() != old and list(tmp_path.iterdir()) == [path]
+    _write_output(path, writer, 1)
+    new = _files(tmp_path)
+    assert new.keys() == old.keys() and new != old
 
 
 def test_export_into_a_missing_directory_names_the_path_asked_for(tmp_path):

@@ -97,3 +97,31 @@ def test_json_text_is_parsed_only_by_parse_json_and_the_checkpoint_reader():
                 name = max(inside, key=lambda fn: fn.lineno).name if inside else "<module>"
                 parsers.add(f"{path.stem}.{name}")
     assert parsers == {"data._parse_json", "training.load_model"}
+
+
+def _opens_to_write(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``open`` with a mode that is not a string
+    literal free of "w", "a", "x" and "+"."""
+    if not (isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "open")):
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")) for mode in modes)
+
+
+def test_every_file_is_written_through_replacing():
+    # ``errors.replacing`` writes a new file beside the target and renames it
+    # over the target, so a write that fails leaves the old file as it was
+    writers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = [fn for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if _opens_to_write(node):
+                inside = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+                name = max(inside, key=lambda fn: fn.lineno).name if inside else "<module>"
+                writers.append(f"{path.stem}.{name}")
+    assert writers == ["errors.replacing"]
