@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, open_text, replacing
+from .errors import DataError, open_text, replacing, replacing_together
 from .graph import StockGraph
 from .text import Vocab
 
@@ -504,34 +504,38 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, out_dir) -> list[str]:
-    """Write nodes.jsonl, edges.tsv, themes.jsonl and vocab.txt; returns paths."""
+    """Write nodes.jsonl, edges.tsv, themes.jsonl, vocab.txt and
+    taxonomy.json; returns their paths. No file replaces its old version
+    until all five are written, so a write that fails leaves the old
+    dataset as it was."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tax = dataset.taxonomy
-    nodes = out / "nodes.jsonl"
-    with replacing(nodes, "w") as fh:
-        for r in dataset.records:
-            fh.write(json.dumps({
-                "ticker": r.ticker,
-                "text": r.text,
-                "topix17": tax.sectors[r.sector],
-                "topix33": tax.industries[r.industry],
-            }, sort_keys=True) + "\n")
-    edges = out / "edges.tsv"
-    with replacing(edges, "w") as fh:
-        for s, d in dataset.graph.edges:
-            fh.write(f"{s}\t{d}\n")
-    themes = out / "themes.jsonl"
-    ticker_of = {r.stock_id: r.ticker for r in dataset.records}
-    with replacing(themes, "w") as fh:
-        for name, members in dataset.themes.items():
-            fh.write(json.dumps({"theme": name,
-                                 "members": [ticker_of[m] for m in members]},
-                                sort_keys=True) + "\n")
-    vocab = out / "vocab.txt"
-    Vocab.build(r.text for r in dataset.records).to_file(vocab)
-    taxonomy = out / "taxonomy.json"
-    dataset.taxonomy.to_file(taxonomy)
+    with replacing_together():
+        nodes = out / "nodes.jsonl"
+        with replacing(nodes, "w") as fh:
+            for r in dataset.records:
+                fh.write(json.dumps({
+                    "ticker": r.ticker,
+                    "text": r.text,
+                    "topix17": tax.sectors[r.sector],
+                    "topix33": tax.industries[r.industry],
+                }, sort_keys=True) + "\n")
+        edges = out / "edges.tsv"
+        with replacing(edges, "w") as fh:
+            for s, d in dataset.graph.edges:
+                fh.write(f"{s}\t{d}\n")
+        themes = out / "themes.jsonl"
+        ticker_of = {r.stock_id: r.ticker for r in dataset.records}
+        with replacing(themes, "w") as fh:
+            for name, members in dataset.themes.items():
+                fh.write(json.dumps({"theme": name,
+                                     "members": [ticker_of[m] for m in members]},
+                                    sort_keys=True) + "\n")
+        vocab = out / "vocab.txt"
+        Vocab.build(r.text for r in dataset.records).to_file(vocab)
+        taxonomy = out / "taxonomy.json"
+        dataset.taxonomy.to_file(taxonomy)
     return [str(nodes), str(edges), str(themes), str(vocab), str(taxonomy)]
 
 

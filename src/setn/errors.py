@@ -4,6 +4,7 @@ writes a file."""
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class SetnError(Exception):
@@ -49,10 +50,16 @@ def open_text(path):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+# (new file, target) of each ``replacing`` block that completed inside the
+# innermost open ``replacing_together`` of this thread or task
+_staged: ContextVar[list | None] = ContextVar("_staged", default=None)
+
+
 @contextmanager
 def replacing(path, mode: str):
     """A file opened with ``mode`` ("w" or "wb") beside ``path`` that replaces
-    ``path`` when the block completes. When the block or the replacement
+    ``path`` when the block completes, or when an enclosing
+    ``replacing_together`` block does. When the block or the replacement
     fails, ``path`` stays as it was and the new file is removed."""
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
@@ -63,7 +70,32 @@ def replacing(path, mode: str):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        staged = _staged.get()
+        if staged is None:
+            os.replace(tmp, path)
+        else:
+            staged.append((tmp, path))
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextmanager
+def replacing_together():
+    """Hold back every ``replacing`` that completes inside the block: their
+    files replace their targets one after another once the whole block
+    completes. When the block fails, no target changes and every new file
+    is removed."""
+    staged: list = []
+    token = _staged.set(staged)
+    try:
+        try:
+            yield
+        finally:
+            _staged.reset(token)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)

@@ -233,8 +233,10 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     """Embedding matrix for the given stocks, sampling each one's subgraph
     on the (already direction-prepared) graph.
 
-    Two stages: every distinct member of the sampled subgraphs is encoded
-    once, in batches, then the graph stage, and no head, runs on each target's
+    Two stages: the text stage runs once over the distinct members of the
+    sampled subgraphs, encoding only the texts the model's memo does not
+    hold for its current parameters, so embedding in slices encodes each
+    text once. Then the graph stage, and no head, runs on each target's
     members' rows. Each row equals ``model.embed_stock``, bit for bit.
 
     A model without the residual path can emit an exactly-zero vector (its

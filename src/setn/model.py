@@ -70,6 +70,9 @@ class SetnModel:
         self.head_industry = Head(ad.xavier_uniform(rng, dim, n_industries),
                                   Tensor(np.zeros(n_industries), requires_grad=True))
         self.encoder.set_trainable(config.encoder_train)
+        # (encoder parameter snapshot, token sequence -> pooled row): the
+        # ``no_grad`` text stage's memo, valid while the snapshot holds
+        self._text_memo: tuple[list[np.ndarray], dict] | None = None
 
     # ------------------------------------------------------------------
 
@@ -100,15 +103,46 @@ class SetnModel:
     def text_stage(self, records: Sequence) -> Tensor:
         """Tokenize, encode and pool: one text vector per record, [m, d].
 
-        ``tokenize`` maps each text once per vocabulary; the encoding runs on
-        every call, because it reads the parameters. Records whose token
-        sequences have one length are encoded together, and every row equals
+        ``tokenize`` maps each text once per vocabulary. Under ``no_grad``
+        each distinct token sequence is encoded once per parameter state: its
+        pooled row is kept in a memo that lasts while every encoder parameter
+        keeps its bits, and the result is a new array built from the memo. A
+        recorded pass neither reads nor fills the memo and encodes every
+        record, since backward needs its graph. Either way every row equals
+        its own encoding bit for bit (see ``_encode_rows``)."""
+        tokens = [tuple(tokenize(r.text, self.vocab, max_tokens=self.config.max_tokens))
+                  for r in records]
+        if ad.is_recording():
+            return self._encode_rows(tokens)
+        rows = self._text_rows()
+        missing = [seq for seq in dict.fromkeys(tokens) if seq not in rows]
+        if missing:
+            rows.update(zip(missing, self._encode_rows(missing).data))
+        return Tensor(np.stack([rows[seq] for seq in tokens]))
+
+    def _text_rows(self) -> dict:
+        """The memo of pooled text rows by token sequence, emptied first if
+        any encoder parameter changed a bit since it was started (``==``
+        would take ``-0.0`` for ``0.0``). The snapshot and the rows are
+        replaced in one assignment, so a thread that still holds the old
+        rows fills only those."""
+        params = [p.data for _, p in self.encoder.named_params()]
+        memo = self._text_memo
+        if memo is None or not all(
+                a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                for a, b in zip(memo[0], params)):
+            memo = self._text_memo = ([a.copy() for a in params], {})
+        return memo[1]
+
+    def _encode_rows(self, tokens: Sequence[tuple[int, ...]]) -> Tensor:
+        """Encode and pool token sequences: one row per sequence, [m, d].
+
+        Sequences of one length are encoded together, and every row equals
         its own encoding bit for bit. Under ``no_grad`` a batch holds at most
         ``TEXT_BATCH_TOKENS`` tokens. A recorded pass keeps every activation
         until ``backward`` whatever the batching, so there one batch holds
-        every record of a length. The batches pay off only where token
-        lengths repeat: texts of many distinct lengths encode one by one."""
-        tokens = [tokenize(r.text, self.vocab, max_tokens=self.config.max_tokens) for r in records]
+        every sequence of a length. The batches pay off only where token
+        lengths repeat: sequences of many distinct lengths encode one by one."""
         by_length: dict[int, list[int]] = {}
         for i, seq in enumerate(tokens):
             by_length.setdefault(len(seq), []).append(i)
@@ -152,7 +186,8 @@ class SetnModel:
         return ForwardResult(ad.reshape(h, (-1,)), logits_s, logits_i)
 
     def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
-        """Deterministic embedding vector [d] (dropout off)."""
+        """Deterministic embedding vector [d] (dropout off), computed under
+        ``no_grad``, so the member texts come from the text memo."""
         with ad.no_grad():
             return self.forward(sub, records).embedding.data.copy()
 

@@ -802,6 +802,34 @@ def test_a_write_that_fails_midway_leaves_the_old_file_byte_identical_and_no_tem
     assert new.keys() == old.keys() and new != old
 
 
+@pytest.mark.parametrize("failing", ["themes.jsonl", "vocab.txt", "taxonomy.json"])
+def test_a_dataset_write_that_fails_on_a_later_file_replaces_none_of_the_five(
+        tmp_path, monkeypatch, failing):
+    def dataset(seed):
+        return generate_synthetic(GeneratorSpec(n=30, sectors=3, industries=5,
+                                                vocab_size=60, seed=seed))
+
+    write_dataset(dataset(0), tmp_path)
+    old = _files(tmp_path)
+    assert len(old) == 5
+
+    def open_on_a_full_disk(file, *args, **kwargs):
+        fh = builtins.open(file, *args, **kwargs)
+        if str(file).startswith(str(tmp_path / failing) + "."):
+            def full(_data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            fh.write = full
+        return fh
+
+    monkeypatch.setattr(errors_module, "open", open_on_a_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_dataset(dataset(1), tmp_path)
+    assert _files(tmp_path) == old  # every old file, and no temporary one
+    monkeypatch.undo()
+    write_dataset(dataset(1), tmp_path)
+    assert sum(_files(tmp_path)[name] != old[name] for name in old) >= 3
+
+
 def test_export_into_a_missing_directory_names_the_path_asked_for(tmp_path):
     path = tmp_path / "missing" / "emb.tsv"
     with pytest.raises(FileNotFoundError) as exc:

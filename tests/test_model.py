@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from setn import autodiff as ad
 from setn.autodiff import (add, backward, dropout, grad_check_params, linear, no_grad,
                            place_rows, relu, reshape, take_rows)
 from setn.data import GeneratorSpec, StockRecord, generate_synthetic
@@ -192,9 +196,10 @@ def test_frozen_text_cache_matches_uncached_path(chain):
         recs = [records[m] for m in sub.members]
         plain = model.embed_stock(sub, recs)
         with model.encoder.frozen_prefix_cache():
-            cached = model.embed_stock(sub, recs)
+            # recorded passes, the path train takes: no_grad ones read the text memo
+            cached = model.forward(sub, recs).embedding.data
             assert model.encoder._prefix_cache  # populated on first use
-            again = model.embed_stock(sub, recs)
+            again = model.forward(sub, recs).embedding.data
         assert model.encoder._prefix_cache is None
         assert np.array_equal(cached, plain)
         assert np.array_equal(again, plain)
@@ -374,3 +379,175 @@ def test_batched_training_pass_matches_per_member_reference(gnn, mixed):
                         scale = max(np.max(np.abs(b)) for b in ref_grads)
                         for a, b in zip(grads, ref_grads):
                             assert np.max(np.abs(a - b)) <= 1e-12 * scale, where
+
+
+# ---------------------------------------------------------------------------
+# the no_grad text stage's memo of pooled rows
+
+
+def _token_key(model, record):
+    return tuple(tokenize(record.text, model.vocab, max_tokens=model.config.max_tokens))
+
+
+def _encoder_bytes(model):
+    return [p.data.tobytes() for _, p in model.encoder.named_params()]
+
+
+def _recorded_row(model, graph, records, sid):
+    """The recorded forward pass's embedding of ``sid``, the path training
+    takes, with ``embed_universe``'s fallback for an all-zero row."""
+    sub = sample_subgraph(graph, sid)
+    row = model.forward(sub, [records[m] for m in sub.members]).embedding.data
+    return row if np.any(row) else np.ones_like(row)
+
+
+def _change_parameters(model, change, draw, records, graph):
+    """Change the model's parameters in place as ``change`` names: the
+    encoder's, and the rest too for one Adam step on a target of the graph."""
+    encoder = model.encoder
+    if change == "token_emb":
+        encoder.token_emb.data[draw(st.integers(0, len(model.vocab) - 1))] += 0.25
+    elif change == "pos_emb":
+        encoder.pos_emb.data[draw(st.integers(0, model.config.max_tokens - 1))] -= 0.25
+    elif change == "block_weight":
+        block = encoder.blocks[draw(st.integers(0, encoder.depth - 1))]
+        weight = getattr(block, draw(st.sampled_from(["attn_q_w", "attn_v_w", "ff1_w", "ff2_w"])))
+        weight.data[(0,) * weight.data.ndim] *= 1.5
+    elif change == "adam":
+        optimizer = ad.Adam(model.trainable_params(), lr=0.01)
+        sid = draw(st.integers(0, len(records) - 1))
+        sub = sample_subgraph(graph, sid)
+        result = model.forward(sub, [records[m] for m in sub.members])
+        backward(compute_loss(result, records[sid].sector, records[sid].industry))
+        optimizer.step()
+        for p in model.trainable_params():
+            p.grad = None
+    elif change == "negative_zero":
+        zeros = [(p.data, i) for name, p in encoder.named_params() if name.endswith("_b")
+                 for i in np.flatnonzero((p.data == 0) & ~np.signbit(p.data))]
+        if zeros:
+            array, i = draw(st.sampled_from(zeros))
+            array.reshape(-1)[i] = -0.0
+
+
+@st.composite
+def _small_universes(draw):
+    """Records whose texts have mixed lengths and often repeat, and a graph."""
+    n = draw(st.integers(2, 9))
+    records = []
+    for i in range(n):
+        length, offset = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+        records.append(StockRecord(i, f"S{i:04d}",
+                                   " ".join(WORDS[(offset + j) % 4] for j in range(length)),
+                                   i % 3, i % 5))
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    return records, StockGraph(n, tuple(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(universe=_small_universes(),
+       gnn=st.sampled_from(["gcn", "gat", "none"]),
+       pooling=st.sampled_from(["mean", "max", "cls"]),
+       policy=st.sampled_from(["last", "all", "none"]),
+       depth=st.integers(1, 2),
+       data=st.data())
+def test_no_grad_text_rows_come_from_a_memo_that_any_parameter_bit_resets(
+        universe, gnn, pooling, policy, depth, data):
+    records, graph = universe
+    model = make_model(gnn=gnn, pooling=pooling, encoder_train=policy, depth=depth, dropout=0.0)
+    encode, encoded = model.encoder.encode, []
+    model.encoder.encode = lambda ids: encoded.append(len(ids)) or encode(ids)
+    seen: set = set()  # token sequences encoded since the encoder's bits last changed
+    n = len(records)
+    changes = st.sampled_from(
+        [None, "token_emb", "pos_emb", "block_weight", "adam", "negative_zero"])
+    for _ in range(data.draw(st.integers(1, 4))):
+        before = _encoder_bytes(model)
+        _change_parameters(model, data.draw(changes), data.draw, records, graph)
+        if _encoder_bytes(model) != before:
+            seen = set()
+        ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        keys = {_token_key(model, records[m])
+                for sid in ids for m in model.text_members(sample_subgraph(graph, sid))}
+        encoded.clear()
+        emb = embed_universe(model, graph, records, ids)
+        assert sum(encoded) == len(keys - seen)
+        seen |= keys
+        for sid, row in zip(ids, emb.vectors):
+            assert np.array_equal(row, _recorded_row(model, graph, records, sid)), sid
+
+
+def _embed_in_threads(model, ds, parts):
+    """Each part's embedding matrix rows, every part embedded by its own
+    thread, all started together."""
+    results: dict = {}
+    barrier = threading.Barrier(len(parts))
+
+    def embed(i):
+        barrier.wait()
+        results[i] = embed_universe(model, ds.graph, ds.records, parts[i]).vectors
+
+    threads = [threading.Thread(target=embed, args=(i,)) for i in range(len(parts))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    return [results[i] for i in range(len(parts))]
+
+
+def test_threads_embedding_disjoint_parts_get_the_recorded_rows_and_fill_one_memo():
+    ds = generate_synthetic(GeneratorSpec(n=80, sectors=3, industries=5, vocab_size=60,
+                                          tokens_per_doc=8, min_tokens_per_doc=2,
+                                          avg_degree=6, seed=4))
+    vocab = Vocab.build(r.text for r in ds.records)
+    config = TrainConfig(hidden_dim=6, encoder_depth=2, gnn="gat", max_tokens=16)
+    model = SetnModel(config, vocab, 3, 5, np.random.default_rng(2))
+    parts = [list(range(i, 80, 4)) for i in range(4)]
+    keys = {_token_key(model, ds.records[m])
+            for sid in range(80) for m in sample_subgraph(ds.graph, sid).members}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for stale in (False, True):
+            if stale:
+                model.encoder.token_emb.data[3:] += 0.125  # every thread finds the memo stale
+            else:
+                with no_grad():
+                    model.text_stage(ds.records[:1])  # a valid memo that every thread fills
+            expected = np.stack([_recorded_row(model, ds.graph, ds.records, sid)
+                                 for sid in range(80)])
+            for part, rows in zip(parts, _embed_in_threads(model, ds, parts)):
+                assert np.array_equal(rows, expected[part]), stale
+            memo = model._text_memo[1]
+            if stale:
+                assert set(memo) <= keys  # the memo one of the threads started
+            else:
+                assert set(memo) == keys
+            assert np.array_equal(np.stack(list(memo.values())),
+                                  model._encode_rows(list(memo)).data)  # recorded: no memo
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_no_grad_text_rows_are_new_arrays_and_recorded_passes_leave_the_memo_alone():
+    records, _ = _mixed_length_universe()
+    model = make_model(depth=2)
+    recorded = model.text_stage(records)
+    assert recorded.requires_grad and model._text_memo is None
+    with no_grad():
+        first = model.text_stage(records)
+        kept = first.data.copy()
+        first.data += 1.0
+        second = model.text_stage(records)  # served from the memo
+        assert np.array_equal(second.data, kept)
+        second.data[...] = 7.0
+        assert np.array_equal(model.text_stage(records).data, kept)
+    assert np.array_equal(kept, recorded.data)
+    memo = model._text_memo
+    rows = {key: row.tobytes() for key, row in memo[1].items()}
+    again = model.text_stage(records)
+    assert again.requires_grad and np.array_equal(again.data, kept)
+    assert model._text_memo is memo
+    assert {key: row.tobytes() for key, row in memo[1].items()} == rows
