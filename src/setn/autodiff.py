@@ -6,12 +6,19 @@ graph once in reverse topological order, deposits gradients on the
 participating leaves, and frees the graph, so each recorded forward pass
 supports exactly one backward pass. Inside ``no_grad()`` nothing is recorded.
 
-Matrix ops take optional leading batch axes: ``matmul`` and ``linear`` accept
-``[..., L, k]`` inputs, ``transpose`` swaps the last two axes, row-wise ops
-work over the last axis and the row reductions over axis -2. A rank-2 input
-takes the same arithmetic as a single slice of a batch, and the gradient to an
-operand that every slice shares is the slices' own gradients added in slice
-order, bit for bit what a loop over the slices accumulates.
+Matrix ops take optional leading batch axes: ``linear`` accepts ``[..., L, k]``
+inputs, row-wise ops work over the last axis and the row reductions over axis
+-2. A rank-2 input takes the same arithmetic as a single slice of a batch, and
+the gradient to an operand that every slice shares is the slices' own
+gradients added in slice order, bit for bit what a loop over the slices
+accumulates.
+
+``linear``, ``encoder_block`` and the GNN layers (``graph.gcn_layer``,
+``graph.gat_layer``) are each one recorded op on plain arrays, whose backward
+adds every gradient in the order of the graph of single ops it replaced, so
+outputs and gradients equal that graph's bit for bit. A GAT layer gives W its
+scores' read before its aggregation's, and hands its input one gradient, the
+sum of its two reads, so a residual's read of the input adds after both.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ Array = np.ndarray
 
 # Entries this negative are squashed to exactly zero by a row softmax.
 _MASK_FILL = -1e30
-# The negative slope of ``leaky_relu``, the variance floor of the
+# The negative slope of the GAT scores' leaky ReLU, the variance floor of the
 # ``encoder_block`` layer norms and the std of ``normal_param``'s draws.
 _LEAKY_SLOPE = 0.2
 _NORM_EPS = 1e-5
@@ -224,52 +231,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(data, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _op(data, (a, b), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a [..., m, k] and b [k, n] (shared by every slice of a)
-    or b [..., k, n] (one matrix per slice)."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs operands of rank 2 or more, got {a.data.shape} and {b.data.shape}")
-    if b.data.ndim != 2 and b.data.shape[:-2] != a.data.shape[:-2]:
-        raise ShapeError(f"matmul batch axes differ: {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            # one b for every slice: sum the slices' gradients in slice order
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-
-    return _op(data, (a, b), bw)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"transpose needs a tensor of rank 2 or more, got shape {x.data.shape}")
-
-    def bw(g: Array) -> None:
-        _accum(x, g.swapaxes(-1, -2))
-
-    return _op(x.data.swapaxes(-1, -2), (x,), bw)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight + bias`` for x [..., n, d], weight [d, k], bias [k]."""
+    """Affine map ``x @ weight + bias`` for x [..., n, d], weight [d, k], bias
+    [k]: one recorded op, with the gradients of a matmul node and an add node."""
     if x.data.ndim < 2 or weight.data.ndim != 2:
         raise ShapeError(f"linear needs input of rank 2 or more and a rank-2 weight, "
                          f"got {x.data.shape} and {weight.data.shape}")
@@ -277,7 +241,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear dimension mismatch: input {x.data.shape} vs weight {weight.data.shape}")
     if bias.data.shape != (weight.data.shape[1],):
         raise ShapeError(f"linear bias shape {bias.data.shape} does not match weight {weight.data.shape}")
-    return add(matmul(x, weight), bias)
+
+    def bw(g: Array) -> None:
+        gx = _affine_grad(x.data, weight, bias, g, x.requires_grad)
+        if gx is not None:
+            _accum(x, gx)
+
+    return _op(_affine(x.data, weight, bias), (x, weight, bias), bw)
 
 
 def _scale(x: Tensor, factor: Array) -> Tensor:
@@ -290,25 +260,6 @@ def _scale(x: Tensor, factor: Array) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     return _scale(x, x.data > 0)
-
-
-def leaky_relu(x: Tensor) -> Tensor:
-    return _scale(x, np.where(x.data > 0, 1.0, _LEAKY_SLOPE))
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis with per-row max subtraction for overflow safety."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"softmax_rows needs a tensor of rank 2 or more, got shape {x.data.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g: Array) -> None:
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, (g - inner) * y)
-
-    return _op(y, (x,), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
@@ -476,9 +427,9 @@ def encoder_block(x: Tensor, params: Sequence[Tensor]) -> Tensor:
     ``text.EncoderBlock.param_table``, in that order.
 
     Forward and backward compute the expressions of the same block built from
-    ``linear``, ``transpose``, ``matmul``, ``mul``, ``softmax_rows``, ``add``,
-    ``relu`` and a layer norm, and add the gradients in the order that graph's
-    backward walk adds them, so every result is bit for bit the same.
+    single ops (linear maps, a transpose, matmuls, a scale, a row softmax,
+    adds, a ReLU and a layer norm), and add the gradients in the order that
+    graph's backward walk adds them, so every result is bit for bit the same.
 
     Every elementwise step runs in place on an array the op allocated itself,
     never on ``x.data``, a parameter or the incoming gradient. When nothing
@@ -583,6 +534,7 @@ class Adam:
         self.grad = np.zeros(n)
         self._m = np.zeros(n)
         self._v = np.zeros(n)
+        self._scratch = (np.empty(n), np.empty(n))
         self._grads: list[Array] = []
         offset = 0
         for p in self.params:
@@ -604,17 +556,22 @@ class Adam:
         return self.grad
 
     def step(self) -> None:
-        """Apply one update from the parameters' gradients."""
+        """Apply one update from the parameters' gradients: the usual
+        expressions in place, in two scratch vectors, with the operands of a
+        single ``*`` swapped at most, which is exact."""
         g = self.gradient()
         self.step_count += 1
         bc1 = 1.0 - self.BETA1 ** self.step_count
         bc2 = 1.0 - self.BETA2 ** self.step_count
         m, v = self._m, self._v
+        s1, s2 = self._scratch
         m *= self.BETA1
-        m += (1.0 - self.BETA1) * g
+        m += np.multiply(g, 1.0 - self.BETA1, out=s1)
         v *= self.BETA2
-        v += (1.0 - self.BETA2) * (g * g)
-        self.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+        v += np.multiply(np.multiply(g, g, out=s1), 1.0 - self.BETA2, out=s1)
+        np.multiply(np.divide(m, bc1, out=s1), self.lr, out=s1)
+        np.add(np.sqrt(np.divide(v, bc2, out=s2), out=s2), self.EPS, out=s2)
+        self.data -= np.divide(s1, s2, out=s1)
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)

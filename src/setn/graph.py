@@ -3,6 +3,9 @@
 Edges run cause -> effect. Messages follow the edges, so a node aggregates
 its in-neighbors; adjacency is built with A[i][j] = 1 for edge j -> i.
 Subgraphs are small (one hop), so all layer math is dense.
+
+Each layer is one recorded op on plain arrays, with the output and the
+gradients of the layer built from single ops (see ``setn.autodiff``).
 """
 
 from __future__ import annotations
@@ -100,15 +103,20 @@ def _adjacency(sub: Subgraph) -> np.ndarray:
     return a
 
 
+def _normalized(sub: Subgraph) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 as a plain array (see ``gcn_normalize``)."""
+    a_hat = _adjacency(sub)
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
 def gcn_normalize(sub: Subgraph) -> Tensor:
     """Degree-normalized adjacency with self-loops: D^-1/2 (A + I) D^-1/2.
 
     Row i receives edge j -> i; degrees are row sums, so directed graphs
     normalize by in-degree.
     """
-    a_hat = _adjacency(sub)
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return Tensor(a_hat * inv_sqrt[:, None] * inv_sqrt[None, :])
+    return Tensor(_normalized(sub))
 
 
 @dataclass
@@ -150,34 +158,86 @@ def _check_layer_input(h: Tensor, sub: Subgraph, params: GnnParams) -> None:
 
 
 def gcn_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
-    """ReLU(norm_adj @ h @ W + b) over the subgraph."""
+    """ReLU(norm_adj @ h @ W + b) over the subgraph, as one recorded op."""
     _check_layer_input(h, sub, params)
-    return ad.relu(ad.linear(ad.matmul(gcn_normalize(sub), h), params.weight, params.bias))
+    w, b = params.weight, params.bias
+    a = _normalized(sub)
+    ah = a @ h.data
+    z = ad._affine(ah, w, b)
+    keep = z > 0
+    z *= keep
+
+    def bw(g: np.ndarray) -> None:
+        g_ah = ad._affine_grad(ah, w, b, g * keep + 0.0, h.requires_grad)
+        if g_ah is not None:
+            ad._accum(h, a.swapaxes(-1, -2) @ (g_ah + 0.0))
+
+    return ad._op(z, (h, w, b), bw)
 
 
-def gat_attention(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
-    """Attention coefficients [n, n]: row i softmaxes over i's in-neighbors and i itself."""
+def _attention(h: Tensor, sub: Subgraph, params: GnnParams):
+    """W h, the attention coefficients [n, n], and what the GAT backward
+    reads: the adjacency mask, the leaky ReLU's slopes and the attention
+    vector's halves as [d, 1] copies, as the graph's row gathers made them."""
     _check_layer_input(h, sub, params)
     if params.attention is None:
         raise ValueError("attention layer needs GnnParams.attention")
     d = params.dim
-    wh = ad.matmul(h, params.weight)
-    a_self = ad.reshape(ad.take_rows(params.attention, range(d)), (d, 1))
-    a_neigh = ad.reshape(ad.take_rows(params.attention, range(d, 2 * d)), (d, 1))
-    s_self = ad.matmul(wh, a_self)     # [n, 1], score share of the attending node
-    s_neigh = ad.matmul(wh, a_neigh)   # [n, 1], score share of the neighbor
-    logits = ad.leaky_relu(ad.add(s_self, ad.transpose(s_neigh)))
+    wh = h.data @ params.weight.data
+    a_self, a_neigh = (params.attention.data[part].reshape(d, 1).copy()
+                       for part in (slice(d), slice(d, None)))
+    # [n, n]: the attending node's score share plus the neighbor's
+    scores = wh @ a_self + (wh @ a_neigh).swapaxes(-1, -2)
+    # the one intermediate whose non-finite entries (-inf) the rest can absorb
+    ad._require_finite(scores)
+    slope = np.where(scores > 0, 1.0, ad._LEAKY_SLOPE)
+    scores *= slope
     mask = _adjacency(sub)
-    masked = ad.add(ad.mul(logits, Tensor(mask)), Tensor((1.0 - mask) * _MASK_FILL))
-    return ad.softmax_rows(masked)
+    scores *= mask
+    scores += (1.0 - mask) * _MASK_FILL
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return wh, scores, mask, slope, a_self, a_neigh
+
+
+def gat_attention(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
+    """Attention coefficients [n, n]: row i softmaxes over i's in-neighbors and
+    i itself. A constant: gradients flow through ``gat_layer`` only."""
+    return Tensor(_attention(h, sub, params)[1])
 
 
 def gat_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
-    """ReLU(attention-weighted aggregation of W h + b) over the subgraph.
+    """ReLU(attention-weighted aggregation of W h + b) over the subgraph, as
+    one recorded op."""
+    w, b, att = params.weight, params.bias, params.attention
+    wh, alpha, mask, slope, a_self, a_neigh = _attention(h, sub, params)
+    z = alpha @ wh
+    z += b.data
+    keep = z > 0
+    z *= keep
+    hd, n, d = h.data, *wh.shape
 
-    It reads ``h`` twice, through an identity node of its own, so backward
-    adds its two reads before any other reader's, such as a residual's."""
-    h = ad.reshape(h, h.shape)
-    alpha = gat_attention(h, sub, params)
-    wh = ad.matmul(h, params.weight)
-    return ad.relu(ad.add(ad.matmul(alpha, wh), params.bias))
+    def bw(g: np.ndarray) -> None:
+        g = g * keep + 0.0
+        ad._accum(b, ad._unbroadcast(g, b.data.shape))
+        # alpha's gradient, then back through the softmax, mask and leaky ReLU
+        g_s = g @ wh.swapaxes(-1, -2) + 0.0
+        g_s -= (g_s * alpha).sum(axis=-1, keepdims=True)
+        for factor in (alpha, mask, slope):
+            g_s = g_s * factor + 0.0
+        g_self = ad._unbroadcast(g_s, (n, 1)) + 0.0
+        g_neigh = ad._unbroadcast(g_s, (1, n)).reshape(n, 1) + 0.0
+        # the self half, then the neighbor half, each plus 0.0 as a row gather adds it
+        ad._accum(att, np.concatenate([wh.swapaxes(-1, -2) @ g_self,
+                                       wh.swapaxes(-1, -2) @ g_neigh]).reshape(2 * d) + 0.0)
+        # W h is read by the scores, then by the aggregation
+        g_wh1 = (g_self @ a_self.swapaxes(-1, -2) + 0.0) + g_neigh @ a_neigh.swapaxes(-1, -2)
+        g_wh2 = alpha.swapaxes(-1, -2) @ g + 0.0
+        for g_wh in (g_wh1, g_wh2):
+            ad._accum(w, hd.swapaxes(-1, -2) @ g_wh)
+        if h.requires_grad:
+            wt = w.data.swapaxes(-1, -2)
+            ad._accum(h, (g_wh1 @ wt + 0.0) + g_wh2 @ wt)
+
+    return ad._op(z, (h, w, b, att), bw)

@@ -89,6 +89,29 @@ def test_arena_steps_equal_the_per_tensor_update_over_50_steps():
             assert np.array_equal(p.data, q.data), (step, name)
 
 
+def test_in_place_step_equals_the_expression_form_bit_for_bit_over_three_steps():
+    """The step runs in two scratch vectors; its parameters and moments must
+    be those of the plain expressions, for gradients with -0.0 entries and
+    magnitudes from 1e-300 to 1e150."""
+    rng = np.random.default_rng(3)
+    params = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((40, 30), (30,), (7,))]
+    adam = Adam(params, lr=0.01)
+    data, m, v = adam.data.copy(), np.zeros(adam.data.size), np.zeros(adam.data.size)
+    for step in range(1, 4):
+        g = rng.normal(size=data.size) * 10.0 ** rng.integers(-300, 150, size=data.size)
+        g[rng.random(data.size) < 0.1] = -0.0
+        adam.grad[...] = g
+        adam.step()
+        bc1, bc2 = 1.0 - Adam.BETA1 ** step, 1.0 - Adam.BETA2 ** step
+        m *= Adam.BETA1
+        m += (1.0 - Adam.BETA1) * g
+        v *= Adam.BETA2
+        v += (1.0 - Adam.BETA2) * (g * g)
+        data -= 0.01 * (m / bc1) / (np.sqrt(v / bc2) + Adam.EPS)
+        assert adam.data.tobytes() == data.tobytes(), step
+        assert adam._m.tobytes() == m.tobytes() and adam._v.tobytes() == v.tobytes(), step
+
+
 def test_trainable_parameters_share_one_arena_and_frozen_ones_stay_out():
     _, _, (model, _) = _reference_universe()
     trainable = model.trainable_params()

@@ -15,11 +15,13 @@ import setn
 from setn import autodiff as ad
 from setn.autodiff import (Adam, Tensor, add, backward, cross_entropy,
                            dropout, encoder_block, grad_check_params, is_recording,
-                           leaky_relu, linear, matmul, max_rows,
-                           mean_rows, mul, no_grad, place_rows, relu, softmax_rows,
-                           sum_all, take_rows, transpose)
+                           linear, max_rows, mean_rows, no_grad, place_rows, relu,
+                           sum_all, take_rows)
 from setn.errors import ContractError, DataError, LabelError, ShapeError
 from setn.text import EncoderBlock
+
+import op_by_op
+from op_by_op import leaky_relu, matmul, mul, softmax_rows, transpose
 
 
 def test_tensor_rejects_non_finite():
@@ -561,6 +563,25 @@ def test_rank3_gradient_to_a_shared_operand_sums_its_slices_in_order(name):
         looped = [total + g for total, g in zip(looped, grads(i))]
     for g, expected in zip(batched, looped):
         assert np.array_equal(g, expected)
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("shape", [(1, 4), (3, 4), (2, 3, 4), (2, 2, 1, 4)])
+def test_linear_equals_the_two_op_graph_bit_for_bit(shape, input_grad):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-2])
+    data = [rng.normal(size=s) for s in (shape, (4, 3), (3,), shape[:-1] + (3,))]
+    for a in data:
+        a[rng.random(a.shape) < 0.2] = -0.0
+    x, w, b = (Tensor(a, requires_grad=flag) for a, flag in zip(data, (input_grad, True, True)))
+    runs = []
+    for op in (linear, op_by_op.linear):
+        out = op(x, w, b)
+        backward(sum_all(mul(out, Tensor(data[3]))))
+        runs.append([out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                            for t in (x, w, b)])
+        x.grad = w.grad = b.grad = None
+    assert runs[0] == runs[1]
+    assert (runs[0][1] is not None) == input_grad
 
 
 def test_matmul_rejects_mismatched_batch_axes():

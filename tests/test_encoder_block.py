@@ -2,7 +2,8 @@
 
 ``reference_forward`` is that graph: the block built from recorded
 ``linear``, ``transpose``, ``matmul``, ``mul``, ``softmax_rows``, ``add`` and
-``relu`` nodes and a layer norm op kept here. The fused op must give the same
+``relu`` nodes (all but ``add`` and ``relu`` from the ``op_by_op`` oracle
+module) and a layer norm op kept here. The fused op must give the same
 output and the same gradients, bit for bit.
 """
 
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setn import autodiff as ad
-from setn.autodiff import (Adam, Tensor, _accum, _op, _unbroadcast, backward, mul, no_grad,
+from setn.autodiff import (Adam, Tensor, _accum, _op, _unbroadcast, backward, no_grad,
                            sum_all)
 from setn.errors import NonFiniteError
 from setn.text import ENCODER_POLICIES, EncoderBlock, TextEncoder
+
+from op_by_op import linear, matmul, mul, softmax_rows, transpose
 
 
 def layer_norm_rows(x, gain, bias):
@@ -41,15 +44,15 @@ def layer_norm_rows(x, gain, bias):
 
 def reference_forward(block, x):
     """``EncoderBlock.forward`` as one recorded node per op."""
-    q = ad.linear(x, block.attn_q_w, block.attn_q_b)
-    k = ad.linear(x, block.attn_k_w, block.attn_k_b)
-    v = ad.linear(x, block.attn_v_w, block.attn_v_b)
-    scores = ad.mul(ad.matmul(q, ad.transpose(k)), Tensor(1.0 / math.sqrt(block.dim)))
-    ctx = ad.matmul(ad.softmax_rows(scores), v)
-    attended = ad.linear(ctx, block.attn_o_w, block.attn_o_b)
+    q = linear(x, block.attn_q_w, block.attn_q_b)
+    k = linear(x, block.attn_k_w, block.attn_k_b)
+    v = linear(x, block.attn_v_w, block.attn_v_b)
+    scores = mul(matmul(q, transpose(k)), Tensor(1.0 / math.sqrt(block.dim)))
+    ctx = matmul(softmax_rows(scores), v)
+    attended = linear(ctx, block.attn_o_w, block.attn_o_b)
     x = layer_norm_rows(ad.add(x, attended), block.norm1_gain, block.norm1_bias)
-    hidden = ad.relu(ad.linear(x, block.ff1_w, block.ff1_b))
-    ff = ad.linear(hidden, block.ff2_w, block.ff2_b)
+    hidden = ad.relu(linear(x, block.ff1_w, block.ff1_b))
+    ff = linear(hidden, block.ff2_w, block.ff2_b)
     return layer_norm_rows(ad.add(x, ff), block.norm2_gain, block.norm2_bias)
 
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from setn import autodiff as ad
-from setn.autodiff import Adam, Tensor, backward, mul, no_grad, sum_all
+from setn.autodiff import Adam, Tensor, backward, no_grad, sum_all
 from setn.text import EncoderBlock, TextEncoder
+
+from op_by_op import mul
 
 
 def _block_params(dim, seed):

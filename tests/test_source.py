@@ -18,6 +18,8 @@ KEPT_UNCALLED = {
     "cosine_knn": "the public one-query retrieval API",
     "average_precision_at_k": "the per-query reference that map_at_k is tested against",
     "embed_stock": "the per-stock reference that embed_universe rows equal",
+    "gcn_normalize": "the public normalized adjacency; gcn_layer reads its plain array",
+    "gat_attention": "the public attention coefficients, checked by acceptance criterion 2",
 }
 
 
@@ -78,6 +80,15 @@ def test_every_definition_is_used_or_kept_for_a_reason():
                           for where, name, line in loads)}
     assert sorted(set(unused) - set(KEPT_UNCALLED)) == []
     assert sorted(set(KEPT_UNCALLED) - set(unused)) == []
+
+
+def test_the_op_by_op_oracle_stays_out_of_the_package():
+    # linear, the encoder block and the GNN layers are fused ops; these
+    # single ops serve only as their oracle, in tests/op_by_op.py
+    defined = {node.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert defined & {"mul", "matmul", "transpose", "leaky_relu", "softmax_rows"} == set()
 
 
 def test_json_text_is_parsed_only_by_parse_json_and_the_checkpoint_reader():
