@@ -102,41 +102,41 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-# The number of ``no_grad`` contexts open, in any thread: ops record while it
-# is 0. A plain module counter, not a thread-local flag: a thread-local lookup
-# in every op slowed the per-member forward pass by about 2%. Recording
-# resumes only when the last context closes, however the exits of contexts in
-# several threads interleave.
-_no_grad_open = 0
-_no_grad_lock = threading.Lock()
+class _NoGradCount(threading.local):
+    """The number of ``no_grad`` contexts open in the current thread: its ops
+    record while it is 0. Each thread reads the class attribute until it
+    opens its first context, which is cheaper than ``getattr`` with a
+    default; one thread's contexts never switch off another's recording."""
+
+    open = 0
+
+
+_no_grad = _NoGradCount()
 
 
 @contextmanager
 def no_grad():
-    """Record no graph while the context is open: op results need no
-    gradients, whatever their inputs. Recording resumes when the last open
-    context exits, also when the block raises. The switch is process-wide:
-    several threads may embed at once, but none may train while another is
-    inside this context."""
-    global _no_grad_open
-    with _no_grad_lock:
-        _no_grad_open += 1
+    """Record no graph in this thread while the context is open: op results
+    need no gradients, whatever their inputs. Recording resumes when the
+    thread's last open context exits, also when the block raises. Other
+    threads keep recording: one thread may embed while another trains a
+    different model."""
+    _no_grad.open += 1
     try:
         yield
     finally:
-        with _no_grad_lock:
-            _no_grad_open -= 1
+        _no_grad.open -= 1
 
 
 def is_recording() -> bool:
-    """Whether ops record their graph (False inside ``no_grad``)."""
-    return _no_grad_open == 0
+    """Whether ops record their graph in this thread (False inside ``no_grad``)."""
+    return _no_grad.open == 0
 
 
 def _records(parents: Iterable[Tensor]) -> bool:
     """Whether an op on ``parents`` records its graph: recording is on and
     some parent needs a gradient."""
-    return _no_grad_open == 0 and any(p.requires_grad for p in parents)
+    return _no_grad.open == 0 and any(p.requires_grad for p in parents)
 
 
 def _op(data: Array, parents: tuple[Tensor, ...], backward_fn: Callable[[Array], None]) -> Tensor:

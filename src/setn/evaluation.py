@@ -18,6 +18,7 @@ from .autodiff import no_grad, take_rows
 from .data import StockRecord
 from .errors import DataError
 from .graph import StockGraph, sample_subgraph
+from .model import size_batches
 
 logger = logging.getLogger(__name__)
 
@@ -236,8 +237,12 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     Two stages: the text stage runs once over the distinct members of the
     sampled subgraphs, encoding only the texts the model's memo does not
     hold for its current parameters, so embedding in slices encodes each
-    text once. Then the graph stage, and no head, runs on each target's
-    members' rows. Each row equals ``model.embed_stock``, bit for bit.
+    text once. Then the graph stage, and no head, runs once per batch of
+    targets with the same number of text members: their rows are gathered
+    into one [B, n, d] stack, at most ``TEXT_BATCH_TOKENS`` member rows per
+    batch (a larger subgraph runs alone), and each target's row is written
+    back in request order. Each row equals ``model.embed_stock``, bit for
+    bit.
 
     A model without the residual path can emit an exactly-zero vector (its
     final ReLU saturates); such stocks collapse onto one shared fallback
@@ -247,23 +252,21 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     if not ids:
         raise DataError("embed_universe needs at least one stock id, got an empty list")
     subs = [sample_subgraph(graph, sid, direction) for sid in ids]
-    members = sorted({m for sub in subs for m in model.text_members(sub)})
+    members_of = [model.text_members(sub) for sub in subs]
+    members = sorted({m for sub_members in members_of for m in sub_members})
     row_of = {m: i for i, m in enumerate(members)}
-    rows = []
-    zero_rows = 0
+    vectors = np.empty((len(ids), model.dim))
     with no_grad():
         text = model.text_stage([records[m] for m in members])
-        for sub in subs:
-            h_text = take_rows(text, [row_of[m] for m in model.text_members(sub)])
-            vec = model.graph_stage(h_text, sub).data[0]
-            if not np.any(vec):
-                vec = np.full_like(vec, 1.0)
-                zero_rows += 1
-            rows.append(vec)
-    if zero_rows:
+        for batch in size_batches([len(sub_members) for sub_members in members_of]):
+            h = take_rows(text, [[row_of[m] for m in members_of[i]] for i in batch])
+            vectors[batch] = model.graph_stage(h, [subs[i] for i in batch]).data[:, 0]
+    zero = ~vectors.any(axis=1)
+    vectors[zero] = 1.0
+    if zero.any():
         logger.debug("%d of %d embeddings were all-zero; using the shared fallback direction",
-                     zero_rows, len(ids))
-    return EmbeddingMatrix(ids, np.stack(rows))
+                     np.count_nonzero(zero), len(ids))
+    return EmbeddingMatrix(ids, vectors)
 
 
 def evaluate_map(model, graph: StockGraph, records: Sequence[StockRecord],

@@ -5,13 +5,18 @@ its in-neighbors; adjacency is built with A[i][j] = 1 for edge j -> i.
 Subgraphs are small (one hop), so all layer math is dense.
 
 Each layer is one recorded op on plain arrays, with the output and the
-gradients of the layer built from single ops (see ``setn.autodiff``).
+gradients of the layer built from single ops (see ``setn.autodiff``). A layer
+takes one subgraph with its features [n, d], or a sequence of B subgraphs of
+n members each with their features stacked as [B, n, d]. Its math reads only
+the last two axes, so each slice of a stack gets the output of that subgraph
+on its own, bit for bit, and a parameter's gradient adds the slices' own in
+slice order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -95,22 +100,31 @@ def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgra
     return Subgraph(target, members, tuple(sorted(local)))
 
 
-def _adjacency(sub: Subgraph) -> np.ndarray:
-    """A + I as exact 0/1 values: 1 at [i, i] and at [d, s] for each edge s -> d."""
-    a = np.eye(sub.size)
-    for s, d in sub.edges:
-        a[d, s] = 1.0
-    return a
+# One subgraph, or a sequence of subgraphs with one member count.
+Subgraphs = Union[Subgraph, Sequence[Subgraph]]
 
 
-def _normalized(sub: Subgraph) -> np.ndarray:
+def _adjacency(sub: Subgraphs) -> np.ndarray:
+    """A + I as exact 0/1 values: 1 at [i, i] and at [d, s] for each edge
+    s -> d; [n, n] for one subgraph, [B, n, n] for a sequence of B."""
+    subs = (sub,) if isinstance(sub, Subgraph) else sub
+    n = subs[0].size
+    a = np.zeros((len(subs), n, n))
+    a[:, range(n), range(n)] = 1.0
+    edges = np.array([(i, d, s) for i, one in enumerate(subs) for s, d in one.edges],
+                     dtype=np.intp).reshape(-1, 3)
+    a[edges[:, 0], edges[:, 1], edges[:, 2]] = 1.0
+    return a[0] if isinstance(sub, Subgraph) else a
+
+
+def _normalized(sub: Subgraphs) -> np.ndarray:
     """D^-1/2 (A + I) D^-1/2 as a plain array (see ``gcn_normalize``)."""
     a_hat = _adjacency(sub)
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    return a_hat * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
-def gcn_normalize(sub: Subgraph) -> Tensor:
+def gcn_normalize(sub: Subgraphs) -> Tensor:
     """Degree-normalized adjacency with self-loops: D^-1/2 (A + I) D^-1/2.
 
     Row i receives edge j -> i; degrees are row sums, so directed graphs
@@ -150,15 +164,25 @@ def init_gnn_params(dim: int, rng: np.random.Generator, with_attention: bool = F
     )
 
 
-def _check_layer_input(h: Tensor, sub: Subgraph, params: GnnParams) -> None:
-    if h.data.ndim != 2 or h.data.shape[0] != sub.size:
-        raise ShapeError(f"features {h.data.shape} do not match subgraph of {sub.size} members")
-    if h.data.shape[1] != params.dim:
-        raise ShapeError(f"feature dim {h.data.shape[1]} does not match weight {params.weight.data.shape}")
+def _check_layer_input(h: Tensor, sub: Subgraphs, params: GnnParams) -> None:
+    """Features [n, d] for one subgraph of n members, or [B, n, d] for a
+    sequence of B subgraphs of n members each."""
+    if isinstance(sub, Subgraph):
+        expected = (sub.size,)
+    else:
+        sizes = {one.size for one in sub}
+        if len(sizes) != 1:
+            raise ShapeError(f"a stack of subgraphs needs one member count, got {sorted(sizes)}")
+        expected = (len(sub), sizes.pop())
+    if h.data.shape[:-1] != expected:
+        raise ShapeError(f"features {h.data.shape} do not match subgraphs of shape {expected}")
+    if h.data.shape[-1] != params.dim:
+        raise ShapeError(f"feature dim {h.data.shape[-1]} does not match weight {params.weight.data.shape}")
 
 
-def gcn_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
-    """ReLU(norm_adj @ h @ W + b) over the subgraph, as one recorded op."""
+def gcn_layer(h: Tensor, sub: Subgraphs, params: GnnParams) -> Tensor:
+    """ReLU(norm_adj @ h @ W + b) over the subgraph (each subgraph of a
+    stack), as one recorded op."""
     _check_layer_input(h, sub, params)
     w, b = params.weight, params.bias
     a = _normalized(sub)
@@ -175,10 +199,11 @@ def gcn_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
     return ad._op(z, (h, w, b), bw)
 
 
-def _attention(h: Tensor, sub: Subgraph, params: GnnParams):
-    """W h, the attention coefficients [n, n], and what the GAT backward
-    reads: the adjacency mask, the leaky ReLU's slopes and the attention
-    vector's halves as [d, 1] copies, as the graph's row gathers made them."""
+def _attention(h: Tensor, sub: Subgraphs, params: GnnParams):
+    """W h, the attention coefficients [n, n] ([B, n, n] for a stack), and
+    what the GAT backward reads: the adjacency mask, the leaky ReLU's slopes
+    and the attention vector's halves as [d, 1] copies, as the graph's row
+    gathers made them."""
     _check_layer_input(h, sub, params)
     if params.attention is None:
         raise ValueError("attention layer needs GnnParams.attention")
@@ -186,7 +211,7 @@ def _attention(h: Tensor, sub: Subgraph, params: GnnParams):
     wh = h.data @ params.weight.data
     a_self, a_neigh = (params.attention.data[part].reshape(d, 1).copy()
                        for part in (slice(d), slice(d, None)))
-    # [n, n]: the attending node's score share plus the neighbor's
+    # [..., n, n]: the attending node's score share plus the neighbor's
     scores = wh @ a_self + (wh @ a_neigh).swapaxes(-1, -2)
     # the one intermediate whose non-finite entries (-inf) the rest can absorb
     ad._require_finite(scores)
@@ -201,22 +226,23 @@ def _attention(h: Tensor, sub: Subgraph, params: GnnParams):
     return wh, scores, mask, slope, a_self, a_neigh
 
 
-def gat_attention(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
-    """Attention coefficients [n, n]: row i softmaxes over i's in-neighbors and
-    i itself. A constant: gradients flow through ``gat_layer`` only."""
+def gat_attention(h: Tensor, sub: Subgraphs, params: GnnParams) -> Tensor:
+    """Attention coefficients [n, n] ([B, n, n] for a stack): row i softmaxes
+    over i's in-neighbors and i itself. A constant: gradients flow through
+    ``gat_layer`` only."""
     return Tensor(_attention(h, sub, params)[1])
 
 
-def gat_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
-    """ReLU(attention-weighted aggregation of W h + b) over the subgraph, as
-    one recorded op."""
+def gat_layer(h: Tensor, sub: Subgraphs, params: GnnParams) -> Tensor:
+    """ReLU(attention-weighted aggregation of W h + b) over the subgraph
+    (each subgraph of a stack), as one recorded op."""
     w, b, att = params.weight, params.bias, params.attention
     wh, alpha, mask, slope, a_self, a_neigh = _attention(h, sub, params)
     z = alpha @ wh
     z += b.data
     keep = z > 0
     z *= keep
-    hd, n, d = h.data, *wh.shape
+    hd, batch, (n, d) = h.data, wh.shape[:-2], wh.shape[-2:]
 
     def bw(g: np.ndarray) -> None:
         g = g * keep + 0.0
@@ -226,16 +252,17 @@ def gat_layer(h: Tensor, sub: Subgraph, params: GnnParams) -> Tensor:
         g_s -= (g_s * alpha).sum(axis=-1, keepdims=True)
         for factor in (alpha, mask, slope):
             g_s = g_s * factor + 0.0
-        g_self = ad._unbroadcast(g_s, (n, 1)) + 0.0
-        g_neigh = ad._unbroadcast(g_s, (1, n)).reshape(n, 1) + 0.0
+        g_self = ad._unbroadcast(g_s, (*batch, n, 1)) + 0.0
+        g_neigh = ad._unbroadcast(g_s, (*batch, 1, n)).reshape(*batch, n, 1) + 0.0
         # the self half, then the neighbor half, each plus 0.0 as a row gather adds it
-        ad._accum(att, np.concatenate([wh.swapaxes(-1, -2) @ g_self,
-                                       wh.swapaxes(-1, -2) @ g_neigh]).reshape(2 * d) + 0.0)
+        halves = np.concatenate([wh.swapaxes(-1, -2) @ g_self,
+                                 wh.swapaxes(-1, -2) @ g_neigh], axis=-2)
+        ad._accum(att, ad._unbroadcast(halves, (2 * d, 1)).reshape(2 * d) + 0.0)
         # W h is read by the scores, then by the aggregation
         g_wh1 = (g_self @ a_self.swapaxes(-1, -2) + 0.0) + g_neigh @ a_neigh.swapaxes(-1, -2)
         g_wh2 = alpha.swapaxes(-1, -2) @ g + 0.0
         for g_wh in (g_wh1, g_wh2):
-            ad._accum(w, hd.swapaxes(-1, -2) @ g_wh)
+            ad._accum(w, ad._unbroadcast(hd.swapaxes(-1, -2) @ g_wh, w.data.shape))
         if h.requires_grad:
             wt = w.data.swapaxes(-1, -2)
             ad._accum(h, (g_wh1 @ wt + 0.0) + g_wh2 @ wt)

@@ -10,14 +10,14 @@ dropout, one affine layer per taxonomy): inference computes no logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-from .graph import GnnParams, Subgraph, gat_layer, gcn_layer, init_gnn_params
+from .graph import GnnParams, Subgraph, Subgraphs, gat_layer, gcn_layer, init_gnn_params
 from .text import EncoderBlock, TextEncoder, Vocab, pool, tokenize
 
 if TYPE_CHECKING:
@@ -28,8 +28,23 @@ GNN_KINDS = ("gcn", "gat", "none")
 # Token budget of one batch in the text stage under ``no_grad``: it bounds the
 # batch's activations whatever the sequence length. A longer sequence runs
 # alone. A recorded pass holds every activation until backward, so there the
-# budget would bound nothing.
+# budget would bound nothing. ``embed_universe`` bounds its graph stage's
+# batches by it too, counted in member rows.
 TEXT_BATCH_TOKENS = 512
+
+
+def size_batches(sizes: Sequence[int], whole: bool = False) -> Iterator[list[int]]:
+    """The indices of ``sizes`` grouped by size, in order of each size's first
+    index, every group cut into batches of at most ``TEXT_BATCH_TOKENS //
+    size`` indices, or kept whole with ``whole``. A size past the budget gets
+    batches of one."""
+    groups: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        groups.setdefault(size, []).append(i)
+    for size, group in groups.items():
+        step = len(group) if whole else max(1, TEXT_BATCH_TOKENS // size)
+        for lo in range(0, len(group), step):
+            yield group[lo:lo + step]
 
 
 @dataclass
@@ -143,27 +158,24 @@ class SetnModel:
         until ``backward`` whatever the batching, so there one batch holds
         every sequence of a length. The batches pay off only where token
         lengths repeat: sequences of many distinct lengths encode one by one."""
-        by_length: dict[int, list[int]] = {}
-        for i, seq in enumerate(tokens):
-            by_length.setdefault(len(seq), []).append(i)
-        recording = ad.is_recording()
         parts, placed = [], []
-        for length, rows in by_length.items():
-            step = len(rows) if recording else max(1, TEXT_BATCH_TOKENS // length)
-            for lo in range(0, len(rows), step):
-                batch = rows[lo:lo + step]
-                parts.append(pool(self.encoder.encode([tokens[i] for i in batch]), self.config.pooling))
-                placed.append(batch)
+        for batch in size_batches([len(seq) for seq in tokens], whole=ad.is_recording()):
+            parts.append(pool(self.encoder.encode([tokens[i] for i in batch]), self.config.pooling))
+            placed.append(batch)
         return ad.place_rows(parts, placed)
 
-    def graph_stage(self, h_text: Tensor, sub: Subgraph) -> Tensor:
-        """The fused target row [1, d]: the GNN over the text rows of
-        ``text_members(sub)`` (target first), plus the target's row if residual."""
-        target_text = ad.take_rows(h_text, [0])
+    def graph_stage(self, h_text: Tensor, sub: Subgraphs) -> Tensor:
+        """The fused target row: the GNN over the text rows of
+        ``text_members(sub)`` (target first), plus the target's row if
+        residual. One subgraph's rows [n, d] give [1, d]. A sequence of B
+        subgraphs with n text members each, rows stacked as [B, n, d], gives
+        [B, 1, d], every slice bit for bit that subgraph's own row: one
+        layer call serves the whole stack."""
+        target_text = ad.take_rows(h_text, [0], axis=-2)
         if self.gnn is None:
             return target_text
         layer = gcn_layer if self.config.gnn == "gcn" else gat_layer
-        target_gnn = ad.take_rows(layer(h_text, sub, self.gnn), [0])
+        target_gnn = ad.take_rows(layer(h_text, sub, self.gnn), [0], axis=-2)
         return ad.add(target_text, target_gnn) if self.config.residual else target_gnn
 
     def forward(self, sub: Subgraph, records: Sequence,

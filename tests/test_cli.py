@@ -628,6 +628,35 @@ def test_embed_of_a_ticker_with_a_tab_or_line_break_is_one_error_line_and_no_fil
     assert code == 0 and load_embeddings(out)[0][0] == ticker
 
 
+@pytest.mark.parametrize("gnn", ["gcn", "gat"])
+def test_embed_of_a_model_whose_gnn_overflows_is_one_error_line_and_no_file(
+        dataset_dir, tmp_path, capsys, gnn):
+    import numpy as np
+
+    from setn.data import Taxonomy
+    from setn.text import Vocab
+    from setn.training import build_model, save_model
+
+    taxonomy = Taxonomy.from_file(dataset_dir / "taxonomy.json")
+    config = TrainConfig(hidden_dim=8, encoder_depth=1, max_tokens=16, gnn=gnn, seed=1)
+    model = build_model(config, Vocab.from_file(dataset_dir / "vocab.txt"),
+                        taxonomy.n_sectors, taxonomy.n_industries)
+    # any feature of magnitude above 1 times this weight overflows to inf
+    model.gnn.weight.data[...] = np.finfo(np.float64).max
+    checkpoint = tmp_path / "overflow.setn"
+    save_model(model, checkpoint, config)
+    out = tmp_path / "emb.tsv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, stdout, stderr = run_cli(
+            capsys, "embed", "--model", str(checkpoint),
+            "--nodes", str(dataset_dir / "nodes.jsonl"),
+            "--edges", str(dataset_dir / "edges.tsv"), "--out", str(out))
+    assert code == 1 and stdout == ""
+    lines = _error_lines(stderr)
+    assert len(lines) == 1 and "finite" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
 def test_train_with_an_out_path_it_cannot_write_fails_before_any_training(
         dataset_dir, tmp_path, capsys, monkeypatch, where):

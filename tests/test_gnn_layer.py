@@ -16,7 +16,7 @@ import op_by_op
 from op_by_op import mul
 from setn import autodiff as ad
 from setn.autodiff import Adam, Tensor, backward, no_grad, sum_all
-from setn.errors import NonFiniteError
+from setn.errors import NonFiniteError, ShapeError
 from setn.graph import GnnParams, Subgraph, gat_attention, gat_layer, gcn_layer, init_gnn_params
 
 FUSED = {"gcn": gcn_layer, "gat": gat_layer}
@@ -130,6 +130,60 @@ def test_fused_layer_equals_the_op_by_op_graph_for_any_case(kind, n, dim, densit
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(FUSED)), batch=st.integers(1, 4), n=st.integers(1, 8),
+       dim=st.integers(1, 5), density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       recorded=st.booleans(), seed=st.integers(0, 2**16))
+def test_a_stack_of_subgraphs_gives_every_slice_its_own_layer(kind, batch, n, dim, density,
+                                                              recorded, seed):
+    """B subgraphs of n members with features stacked as [B, n, d]: each
+    output slice and each slice of the features' gradient is that subgraph's
+    own layer, byte for byte. A parameter's gradient is the slices' own
+    added up, within rounding."""
+    cases = [_case(kind, n, dim, density, seed + i) for i in range(batch)]
+    subs = [sub for sub, _, _, _ in cases]
+    params = cases[0][1]
+    named = [p for _, p in params.named_params()]
+
+    def run(h_data, sub, weights):
+        for p in named:
+            p.grad = None
+        h = Tensor(h_data, requires_grad=True)
+        with nullcontext() if recorded else no_grad():
+            out = FUSED[kind](h, sub, params)
+        if recorded:
+            backward(sum_all(mul(out, Tensor(weights))))
+        return out.data, h.grad, [p.grad for p in named]
+
+    singles = [run(h, sub, weights) for sub, _, h, weights in cases]
+    out, h_grad, grads = run(np.stack([c[2] for c in cases]), subs,
+                             np.stack([c[3] for c in cases]))
+    assert [o.tobytes() for o in out] == [o.tobytes() for o, _, _ in singles]
+    if not recorded:
+        assert h_grad is None and grads == [None] * len(named)
+        return
+    assert [g.tobytes() for g in h_grad] == [g.tobytes() for _, g, _ in singles]
+    for i, grad in enumerate(grads):
+        parts = [g[i] for _, _, g in singles]
+        scale = max(np.max(np.abs(part)) for part in parts)
+        assert np.max(np.abs(grad - sum(parts))) <= 1e-12 * scale
+
+
+def test_a_stack_of_subgraphs_needs_one_member_count_and_matching_features():
+    sub2 = Subgraph(target=0, members=(0, 1), edges=((1, 0),))
+    sub3 = Subgraph(target=0, members=(0, 1, 2), edges=())
+    params = init_gnn_params(2, np.random.default_rng(0))
+    for layer in FUSED.values():
+        with pytest.raises(ShapeError, match="one member count"):
+            layer(Tensor(np.ones((2, 3, 2))), [sub2, sub3], params)
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.ones((3, 2, 2))), [sub2, sub2], params)
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.ones((2, 2, 2))), sub2, params)
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.ones((0, 2))), [], params)
 
 
 @pytest.mark.parametrize("kind", sorted(FUSED))

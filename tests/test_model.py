@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
@@ -11,7 +12,7 @@ from setn import autodiff as ad
 from setn.autodiff import (add, backward, dropout, grad_check_params, linear, no_grad,
                            place_rows, relu, reshape, take_rows)
 from setn.data import GeneratorSpec, StockRecord, generate_synthetic
-from setn.errors import DataError, LabelError
+from setn.errors import DataError, LabelError, NonFiniteError
 from setn.evaluation import embed_universe
 from setn.graph import StockGraph, gat_layer, gcn_layer, sample_subgraph
 from setn import model as model_module
@@ -274,6 +275,85 @@ def test_embed_universe_reads_the_fused_row_and_runs_no_head(chain, gnn):
     with no_grad():
         row = model.graph_stage(model.text_stage([records[m] for m in model.text_members(sub)]), sub)
     assert row.shape == (1, model.dim) and np.array_equal(row.data[0], before[1])
+
+
+@pytest.mark.parametrize("budget", [512, 6])
+@pytest.mark.parametrize("gnn", ["gcn", "gat"])
+def test_embed_universe_runs_the_layer_once_per_size_batch(monkeypatch, gnn, budget):
+    """One layer call per batch of targets with one member count, cut by the
+    budget in member rows, not one per target."""
+    monkeypatch.setattr(model_module, "TEXT_BATCH_TOKENS", budget)
+    records, graph = _mixed_length_universe()
+    ids = list(range(len(records)))
+    name = f"{gnn}_layer"
+    layer, stacks = getattr(model_module, name), []
+    monkeypatch.setattr(model_module, name,
+                        lambda h, sub, params: stacks.append(h.shape) or layer(h, sub, params))
+    model = make_model(gnn=gnn)
+    embed_universe(model, graph, records, ids)
+    sizes = Counter(sample_subgraph(graph, sid).size for sid in ids)
+    expected = []
+    for n, count in sizes.items():
+        step = max(1, budget // n)
+        expected += [(min(step, count - lo), n, model.dim) for lo in range(0, count, step)]
+    assert sorted(stacks) == sorted(expected)
+    assert len(stacks) == {512: len(sizes), 6: 6}[budget] < len(ids)
+
+
+@pytest.mark.parametrize("gnn", ["gcn", "gat"])
+def test_embed_universe_raises_when_the_gnn_overflows(chain, gnn):
+    records, graph = chain
+    model = make_model(gnn=gnn)
+    # any feature of magnitude above 1 times this weight overflows to inf
+    model.gnn.weight.data[...] = np.finfo(np.float64).max
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        embed_universe(model, graph, records, list(range(len(records))))
+
+
+@st.composite
+def _hub_universes(draw):
+    """Records of mixed text lengths and a graph with isolated nodes, one hub
+    that every other linked node points to, a ring over the linked nodes (so
+    many targets share one member count) and some extra edges."""
+    n = draw(st.integers(3, 12))
+    isolated = draw(st.sets(st.integers(1, n - 1), max_size=n - 2))
+    linked = [i for i in range(1, n) if i not in isolated]
+    edges = {(i, 0) for i in linked}
+    edges |= {(a, b) for a, b in zip(linked, linked[1:] + linked[:1]) if a != b}
+    pairs = [(s, d) for s in linked for d in linked if s != d]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n // 2)))
+    records = [StockRecord(i, f"S{i:04d}", " ".join(WORDS[(i + j) % 4]
+                                                    for j in range(draw(st.integers(0, 5)))),
+                           i % 3, i % 5)
+               for i in range(n)]
+    return records, StockGraph(n, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(universe=_hub_universes(), budget=st.integers(1, 6), depth=st.integers(1, 2),
+       data=st.data())
+def test_embed_universe_rows_equal_the_recorded_forward_for_any_slicing(gnn, residual, universe,
+                                                                       budget, depth, data):
+    """Any partition of the stocks into slices, in any order, under a graph
+    budget small enough to split batches: every row is the recorded forward
+    pass's embedding of that stock, byte for byte, with the fallback for an
+    all-zero row."""
+    records, graph = universe
+    n = len(records)
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))))
+    slices = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+    model = make_model(gnn=gnn, residual=residual, depth=depth, seed=data.draw(st.integers(0, 3)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "TEXT_BATCH_TOKENS", budget)
+        for part in slices:
+            emb = embed_universe(model, graph, records, part)
+            assert emb.ids == list(part)
+            for sid, row in zip(part, emb.vectors):
+                assert row.tobytes() == _recorded_row(model, graph, records, sid).tobytes(), sid
 
 
 @pytest.mark.parametrize("gnn", ["gcn", "gat"])

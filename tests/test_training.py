@@ -3,6 +3,7 @@ import io
 import json
 import re
 import struct
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -17,6 +18,7 @@ from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import CheckpointError, ContractError, DataError, SetnError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
 from setn.graph import sample_subgraph, to_undirected
+from setn.model import compute_loss
 from setn.text import Vocab, tokenize
 from setn.training import (TrainConfig, build_model, epoch_order, load_model,
                            prepare_graph, save_model, split_dataset, train)
@@ -99,6 +101,49 @@ def test_training_is_bit_deterministic():
         train(model, ds.graph, ds.records, split, cfg)
         hashes.append(_param_bytes(model))
     assert hashes[0] == hashes[1]
+
+
+def test_no_grad_in_another_thread_leaves_every_training_step_whole(tmp_path):
+    """A thread that keeps opening ``no_grad`` contexts while the main thread
+    trains does not switch the main thread's recording off: every step fills
+    every trainable gradient, and the checkpoint is a one-thread run's, byte
+    for byte."""
+    def run(with_thread: bool) -> bytes:
+        ds, cfg, _, split, model = _small_setup(seed=1, epochs=1)
+        params = model.trainable_params()
+        optimizer = ad.Adam(params, lr=cfg.learning_rate)
+        stop, opened = threading.Event(), threading.Event()
+
+        def keep_opening():
+            while not stop.is_set():
+                with ad.no_grad():
+                    opened.set()
+                    stop.wait(0.0005)
+
+        thread = threading.Thread(target=keep_opening, daemon=True)
+        if with_thread:
+            thread.start()
+            assert opened.wait(timeout=30)
+        try:
+            for target in split.train:
+                sub = sample_subgraph(ds.graph, target)
+                for p in params:
+                    p.grad = None
+                result = model.forward(sub, [ds.records[m] for m in sub.members])
+                record = ds.records[target]
+                ad.backward(compute_loss(result, record.sector, record.industry))
+                assert all(p.grad is not None for p in params), target
+                optimizer.step()
+        finally:
+            stop.set()
+            if with_thread:
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        path = tmp_path / f"{with_thread}.setn"
+        save_model(model, path, cfg)
+        return path.read_bytes()
+
+    assert run(True) == run(False)
 
 
 def test_separable_data_loss_drops_under_quarter_of_initial():
