@@ -140,7 +140,7 @@ def _cmd_eval_map(args) -> int:
     ks = _parse_ks(args.k)
     model, config, records, _, g = _load_for_eval(args)
     test_ids = split_records(records, config).test
-    metrics = ev.evaluate_map(model, g, records, test_ids, ks, config.neighbor_direction)
+    metrics = ev.evaluate_map(model, g, records, test_ids, ks)
     payload = {
         "config": config.to_dict(),
         "universe_size": len(test_ids),

@@ -44,18 +44,31 @@ class EmbeddingMatrix:
             raise DataError("embedding matrix has no rows")
         if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate stock ids in embedding matrix")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(norms == 0):
-            bad = [self.ids[i] for i in np.flatnonzero(norms == 0)]
+        # a norm that overflows to inf or underflows to 0 is taken again on
+        # the row scaled by its largest magnitude
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(self.vectors, axis=1)
+        odd = np.flatnonzero(np.isinf(norms) | (norms == 0))
+        peak = np.abs(self.vectors[odd]).max(axis=1, initial=0.0)
+        if np.any(peak == 0):
+            bad = [self.ids[i] for i in odd[peak == 0]]
             raise DataError(f"zero-norm embedding rows for ids {bad}")
         if not np.all(np.isfinite(self.vectors)):
             raise DataError("non-finite embedding entries")
         self._index = {sid: i for i, sid in enumerate(self.ids)}
+        scaled = self.vectors[odd] / peak[:, None]
+        norms[odd] = 1.0
         self._unit = self.vectors / norms[:, None]
-        # each row's place in ascending id order breaks similarity ties
+        self._unit[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+        # each row's place in ascending id order breaks similarity ties;
+        # integer ids rank before string ids when both occur
+        try:
+            order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        except TypeError:
+            order = sorted(range(len(self.ids)),
+                           key=lambda i: (isinstance(self.ids[i], str), self.ids[i]))
         self._id_rank = np.empty(len(self.ids), dtype=np.intp)
-        self._id_rank[sorted(range(len(self.ids)), key=lambda i: self.ids[i])] = \
-            np.arange(len(self.ids))
+        self._id_rank[order] = np.arange(len(self.ids))
         # nearest-neighbour rows of every row, widened on demand
         self._prefix = np.empty((len(self.ids), 0), dtype=np.intp)
         self._ranked_cache: dict = {}
@@ -270,10 +283,11 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
 
 
 def evaluate_map(model, graph: StockGraph, records: Sequence[StockRecord],
-                 ids: Sequence[int], ks: Sequence[int] = (5, 10, 50),
-                 direction: str = "in") -> dict[str, dict[int, float]]:
-    """MAP@k for both taxonomy levels over the given evaluation universe."""
-    emb = embed_universe(model, graph, records, ids, direction)
+                 ids: Sequence[int], ks: Sequence[int] = (5, 10, 50)) -> dict[str, dict[int, float]]:
+    """MAP@k for both taxonomy levels over the given evaluation universe,
+    sampling each subgraph in ``model.config.neighbor_direction`` on a graph
+    the caller has passed through ``prepare_graph``."""
+    emb = embed_universe(model, graph, records, ids, model.config.neighbor_direction)
     sector_labels = {r.stock_id: r.sector for r in records}
     industry_labels = {r.stock_id: r.industry for r in records}
     return {

@@ -33,16 +33,16 @@ GNN_KINDS = ("gcn", "gat", "none")
 TEXT_BATCH_TOKENS = 512
 
 
-def size_batches(sizes: Sequence[int], whole: bool = False) -> Iterator[list[int]]:
+def size_batches(sizes: Sequence[int]) -> Iterator[list[int]]:
     """The indices of ``sizes`` grouped by size, in order of each size's first
-    index, every group cut into batches of at most ``TEXT_BATCH_TOKENS //
-    size`` indices, or kept whole with ``whole``. A size past the budget gets
-    batches of one."""
+    index. Under ``no_grad`` every group is cut into batches of at most
+    ``TEXT_BATCH_TOKENS // size`` indices, and a size past the budget gets
+    batches of one; a recorded pass keeps each group whole."""
     groups: dict[int, list[int]] = {}
     for i, size in enumerate(sizes):
         groups.setdefault(size, []).append(i)
     for size, group in groups.items():
-        step = len(group) if whole else max(1, TEXT_BATCH_TOKENS // size)
+        step = len(group) if ad.is_recording() else max(1, TEXT_BATCH_TOKENS // size)
         for lo in range(0, len(group), step):
             yield group[lo:lo + step]
 
@@ -159,7 +159,7 @@ class SetnModel:
         every sequence of a length. The batches pay off only where token
         lengths repeat: sequences of many distinct lengths encode one by one."""
         parts, placed = [], []
-        for batch in size_batches([len(seq) for seq in tokens], whole=ad.is_recording()):
+        for batch in size_batches([len(seq) for seq in tokens]):
             parts.append(pool(self.encoder.encode([tokens[i] for i in batch]), self.config.pooling))
             placed.append(batch)
         return ad.place_rows(parts, placed)

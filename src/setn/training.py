@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import struct
 import time
@@ -29,8 +28,6 @@ from .evaluation import evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
-
-logger = logging.getLogger(__name__)
 
 _CKPT_MAGIC = b"SETN"
 _CKPT_VERSION = 1
@@ -256,8 +253,7 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                     optimizer.zero_grad()
                     losses.append(value)
 
-                val_map = evaluate_map(model, g, records, split.val, ks=(5,),
-                                       direction=config.neighbor_direction)
+                val_map = evaluate_map(model, g, records, split.val, ks=(5,))
                 seconds = time.perf_counter() - start
                 entry = {
                     "epoch": epoch,
@@ -270,9 +266,6 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                 history.append(entry)
                 if log_stream is not None:
                     log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
-                logger.info("epoch %d: mean loss %.4f, val MAP@5 %.3f/%.3f",
-                            epoch, entry["mean_train_loss"],
-                            entry["val_map5_sector"], entry["val_map5_industry"])
     finally:
         for p in params:  # drop the optimizer's gradient views
             p.grad = None
@@ -326,8 +319,7 @@ def run_ablation(dataset: Dataset, base_config: TrainConfig, axes: Sequence[str]
                                 n_industries=dataset.taxonomy.n_industries)
             train(model, dataset.graph, records, split, config)
             g = prepare_graph(dataset.graph, config)
-            metrics = evaluate_map(model, g, records, split.test, ks,
-                                   direction=config.neighbor_direction)
+            metrics = evaluate_map(model, g, records, split.test, ks)
             row["topix17"] = {f"map@{k}": v for k, v in metrics["topix17"].items()}
             row["topix33"] = {f"map@{k}": v for k, v in metrics["topix33"].items()}
         except SetnError as exc:

@@ -28,6 +28,8 @@ from setn.training import (TrainConfig, build_model, load_model, prepare_graph,
 
 SEEDS = (0, 1, 2, 3, 4)
 
+pytestmark = pytest.mark.slow
+
 
 def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -47,8 +49,7 @@ def _train_and_score(spec: GeneratorSpec, cfg: TrainConfig) -> float:
     model = build_model(cfg, vocab, n_sectors=spec.sectors, n_industries=spec.industries)
     train(model, ds.graph, ds.records, split, cfg)
     g = prepare_graph(ds.graph, cfg)
-    metrics = evaluate_map(model, g, ds.records, split.test, ks=(5,),
-                           direction=cfg.neighbor_direction)
+    metrics = evaluate_map(model, g, ds.records, split.test, ks=(5,))
     return metrics["topix17"][5]
 
 

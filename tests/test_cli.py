@@ -1,13 +1,23 @@
 import argparse
 import filecmp
 import hashlib
+import io
 import json
 import math
+import os
+import re
+import shutil
 import struct
+import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import setn
 from setn.cli import build_parser, main
 from setn.training import TrainConfig
 
@@ -674,3 +684,124 @@ def test_train_with_an_out_path_it_cannot_write_fails_before_any_training(
     assert code == 1 and stdout == ""
     lines = _error_lines(stderr)
     assert len(lines) == 1 and lines[0].startswith(f"error: --out {out}")
+
+
+def test_train_at_log_level_info_reports_each_epoch_once_on_stderr(dataset_dir, tmp_path):
+    # in a fresh interpreter, so that SETN_LOG sets up the real stderr handler
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 2, "hidden_dim": 8, "encoder_depth": 1,
+                                  "max_tokens": 16}))
+    src = str(Path(setn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "setn.cli", "train",
+         "--nodes", str(dataset_dir / "nodes.jsonl"), "--edges", str(dataset_dir / "edges.tsv"),
+         "--config", str(config), "--out", str(tmp_path / "m.setn")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "SETN_LOG": "info"})
+    assert done.returncode == 0, done.stderr
+    epochs = json.loads(done.stdout.splitlines()[-1])["epochs"]
+    assert len(epochs) == 2
+    assert [json.loads(line) for line in done.stderr.splitlines()] == epochs
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on mutated inputs
+
+# Each input file, and the commands that read it
+_READERS = {
+    "nodes.jsonl": ("train", "embed", "eval-map", "eval-theme"),
+    "edges.tsv": ("train", "embed", "eval-map", "eval-theme"),
+    "taxonomy.json": ("train", "embed", "eval-map", "eval-theme"),
+    "themes.jsonl": ("eval-theme",),
+    "vocab.txt": ("train",),
+    "model.setn": ("embed", "eval-map", "eval-theme"),
+    "config.json": ("train",),
+}
+# What a mutation writes: JSON values that are not objects, an overflowing
+# float, a byte that is not UTF-8 and an integer too large for any index
+_LONG_INT = b"12345678901234567890"
+_TOKENS = [b"null", b"5", b"1e999", b"-1", b'"x"', b"[1]", b"true", b"\xff", _LONG_INT]
+_JSON_SCALAR = re.compile(rb'-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|"[^"\\]*"|true|false|null')
+
+
+def _mutate(blob: bytes, kind: str, token: bytes, where: int, flip: int) -> bytes:
+    """``blob`` with one mutation of the given kind at the place ``where``
+    picks (taken modulo the number of places)."""
+    lines = blob.split(b"\n")
+    line = where % len(lines)
+    if kind == "flip":
+        at = where % len(blob)
+        return blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+    if kind == "cut":
+        return blob[:where % len(blob)]
+    if kind == "insert":
+        at = where % (len(blob) + 1)
+        return blob[:at] + token + blob[at:]
+    if kind == "duplicate-line":
+        return b"\n".join(lines[:line + 1] + lines[line:])
+    if kind == "replace-line":
+        return b"\n".join(lines[:line] + [token] + lines[line + 1:])
+    scalars = list(_JSON_SCALAR.finditer(blob))  # "replace-scalar"
+    if not scalars:
+        return blob
+    hit = scalars[where % len(scalars)]
+    return blob[:hit.start()] + token + blob[hit.end():]
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """A 40-stock synthetic dataset with a config and a 1-epoch checkpoint."""
+    base = tmp_path_factory.mktemp("contract")
+    with redirect_stdout(io.StringIO()):
+        assert main(synth_args(base, seed=3, n=40)) == 0
+        (base / "config.json").write_text(json.dumps(
+            {"epochs": 1, "hidden_dim": 8, "encoder_depth": 1, "max_tokens": 8, "seed": 1}))
+        assert main(["train", "--nodes", str(base / "nodes.jsonl"),
+                     "--edges", str(base / "edges.tsv"), "--vocab", str(base / "vocab.txt"),
+                     "--config", str(base / "config.json"),
+                     "--out", str(base / "model.setn")]) == 0
+    return base
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_READERS)),
+       kind=st.sampled_from(["replace-line", "replace-scalar", "insert", "flip", "cut",
+                             "duplicate-line"]),
+       token=st.sampled_from(_TOKENS), where=st.integers(0, 2 ** 16),
+       flip=st.integers(1, 255), pick=st.integers(0, 3))
+def test_every_run_on_a_mutated_input_exits_0_or_with_one_error_line_and_no_file(
+        contract_inputs, name, kind, token, where, flip, pick):
+    if name == "config.json" and token == _LONG_INT:
+        token = b"-1"  # a valid epoch count this large would train for ever
+    command = _READERS[name][pick % len(_READERS[name])]
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, out_dir = Path(tmp) / "in", Path(tmp) / "out"
+        shutil.copytree(contract_inputs, inputs)
+        out_dir.mkdir()
+        target = inputs / name
+        target.write_bytes(_mutate(target.read_bytes(), kind, token, where, flip))
+        argv = [command, "--nodes", str(inputs / "nodes.jsonl"),
+                "--edges", str(inputs / "edges.tsv")]
+        out = out_dir / ("model.setn" if command == "train" else "emb.tsv")
+        if command == "train":
+            argv += ["--vocab", str(inputs / "vocab.txt"),
+                     "--config", str(inputs / "config.json"), "--out", str(out)]
+        else:
+            argv += ["--model", str(inputs / "model.setn")]
+        if command == "embed":
+            argv += ["--out", str(out)]
+        elif command == "eval-map":
+            argv += ["--k", "5"]
+        elif command == "eval-theme":
+            argv += ["--themes", str(inputs / "themes.jsonl"), "--min-theme-size", "2"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)  # an exception here is the traceback a user would see
+        if code == 0:
+            json.loads(stdout.getvalue().splitlines()[-1])
+        else:
+            assert code == 1
+            assert len(_error_lines(stderr.getvalue())) == 1
+            assert not out.exists()
+        assert not list(out_dir.glob("*.tmp"))

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setn import evaluation
-from setn.data import GeneratorSpec, generate_synthetic
+from setn.data import GeneratorSpec, export_embeddings, generate_synthetic, load_embeddings
 from setn.errors import DataError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k,
-                             cosine_knn, format_map_table, map_at_k,
-                             theme_metric)
-from setn.training import TrainConfig, run_ablation
+                             cosine_knn, embed_universe, evaluate_map,
+                             format_map_table, map_at_k, theme_metric)
+from setn.text import Vocab
+from setn.training import TrainConfig, build_model, prepare_graph, run_ablation
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +102,34 @@ def test_knn_invariant_to_positive_scaling():
     b = EmbeddingMatrix(list(range(10)), vectors * scales)
     for q in range(10):
         assert cosine_knn(a, q, 5) == cosine_knn(b, q, 5)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_knn_ranks_rows_whose_norm_overflows_or_underflows_like_unscaled_rows(scale):
+    # at 1e200 the squared entries overflow to inf, at 1e-170 they underflow to 0
+    vectors = np.random.default_rng(0).normal(size=(6, 4))
+    plain = EmbeddingMatrix(list(range(6)), vectors)
+    scaled = EmbeddingMatrix(list(range(6)), vectors * scale)
+    for q in range(6):
+        assert cosine_knn(scaled, q, 5) == cosine_knn(plain, q, 5)
+    assert np.allclose(scaled._unit, plain._unit, rtol=1e-15, atol=0)
+    with pytest.raises(DataError, match=r"zero-norm embedding rows for ids \[2\]"):
+        EmbeddingMatrix(list(range(3)), np.array([[scale, 0.0], [0.0, scale], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "binary"])
+def test_exported_numeric_and_alphabetic_tickers_rank_integers_before_strings(tmp_path, fmt):
+    # numeric tickers load back as integers, beside the strings
+    path = tmp_path / "emb"
+    export_embeddings(["7203", "AAPL", "6758", "MSFT"], np.eye(4), path, fmt)
+    ids, vectors = load_embeddings(path)
+    assert ids == [7203, "AAPL", 6758, "MSFT"]
+    emb = EmbeddingMatrix(ids, vectors)
+    # every similarity ties at 0, so the id order 6758, 7203, "AAPL", "MSFT" ranks
+    assert cosine_knn(emb, 7203, 3) == [6758, "AAPL", "MSFT"]
+    assert cosine_knn(emb, "MSFT", 3) == [6758, 7203, "AAPL"]
+    labels = {7203: "x", "AAPL": "x", 6758: "y", "MSFT": "y"}
+    assert map_at_k(emb, labels, ks=(3,)) == {3: (0.5 + 0.5 + 1 / 3 + 1.0) / 4}
 
 
 def test_embedding_matrix_validation():
@@ -363,6 +392,30 @@ def test_map_rejects_k_below_one():
         map_at_k(emb, {0: "A", 1: "A"}, ks=(0,))
     with pytest.raises(ValueError):
         map_at_k(emb, {0: "A", 1: "A"}, ks=(3, -1))
+
+
+# ---------------------------------------------------------------------------
+# model evaluation pipeline
+
+
+def test_evaluate_map_samples_in_the_models_neighbor_direction():
+    spec = GeneratorSpec(n=60, sectors=3, industries=5, vocab_size=80, tokens_per_doc=6,
+                         avg_degree=4, graph_signal=0.8, text_signal=0.5,
+                         direction_signal=1.0, seed=3)
+    ds = generate_synthetic(spec)
+    config = TrainConfig(hidden_dim=8, encoder_depth=1, max_tokens=8, seed=3,
+                         neighbor_direction="out")
+    model = build_model(config, Vocab.build(r.text for r in ds.records),
+                        n_sectors=3, n_industries=5)
+    g = prepare_graph(ds.graph, config)
+    ids = [r.stock_id for r in ds.records]
+    expected = embed_universe(model, g, ds.records, ids, "out")
+    assert not np.array_equal(expected.vectors,
+                              embed_universe(model, g, ds.records, ids, "in").vectors)
+    assert evaluate_map(model, g, ds.records, ids, ks=(5, 10)) == {
+        "topix17": map_at_k(expected, {r.stock_id: r.sector for r in ds.records}, (5, 10)),
+        "topix33": map_at_k(expected, {r.stock_id: r.industry for r in ds.records}, (5, 10)),
+    }
 
 
 # ---------------------------------------------------------------------------
