@@ -44,9 +44,11 @@ _SYNTH_FIELDS = [f for f in fields(data_io.GeneratorSpec) if f.name != "min_toke
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("SETN_LOG", "error").lower()
+    """Warnings, such as the loaders' dropped lines, print unless SETN_LOG
+    is error; info and debug print more."""
+    level = os.environ.get("SETN_LOG", "").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR),
+    logging.basicConfig(level=levels.get(level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
 
 

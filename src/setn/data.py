@@ -300,11 +300,11 @@ def load_edges(path, n_nodes: int) -> StockGraph:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
+            if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):  # not "+1" or "1_0"
+                raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}")
             try:
-                if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):  # not "+1" or "1_0"
-                    raise ValueError(line)
                 s, d = int(parts[0]), int(parts[1])
-            except ValueError as exc:  # also an id past int's digit limit
+            except ValueError as exc:  # an id past int's digit limit
                 raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
             if not (0 <= s < n_nodes and 0 <= d < n_nodes):
                 raise DataError(f"{path}:{lineno}: edge ({s}, {d}) outside node range [0, {n_nodes})")
@@ -405,6 +405,10 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
     for name in ("seed", "tokens_per_doc", "avg_degree", "theme_count"):
         if getattr(spec, name) < 0:
             raise DataError(f"{name} must be non-negative, got {getattr(spec, name)}")
+    for name in ("graph_signal", "direction_signal", "text_signal"):
+        value = getattr(spec, name)
+        if not (isinstance(value, (int, float)) and 0 <= value <= 1):  # nan fails too
+            raise DataError(f"{name} must be a number in [0, 1], got {value!r}")
     if spec.industries < spec.sectors:
         raise DataError("need at least as many industries as sectors")
     if spec.industries > spec.n:
@@ -579,7 +583,7 @@ def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv"
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)
     else:
-        raise ValueError(f"unknown embedding format {fmt!r}")
+        raise DataError(f"unknown embedding format {fmt!r}")
 
 
 def _parse_id(token: str):

@@ -62,11 +62,8 @@ class EmbeddingMatrix:
         self._unit[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
         # each row's place in ascending id order breaks similarity ties;
         # integer ids rank before string ids when both occur
-        try:
-            order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        except TypeError:
-            order = sorted(range(len(self.ids)),
-                           key=lambda i: (isinstance(self.ids[i], str), self.ids[i]))
+        order = sorted(range(len(self.ids)),
+                       key=lambda i: (isinstance(self.ids[i], str), self.ids[i]))
         self._id_rank = np.empty(len(self.ids), dtype=np.intp)
         self._id_rank[order] = np.arange(len(self.ids))
         # nearest-neighbour rows of every row, widened on demand
@@ -142,9 +139,9 @@ def _top_k(sims: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
 def cosine_knn(emb: EmbeddingMatrix, query_id, k: int) -> list:
     """Top-k ids by cosine similarity to the query, query excluded."""
     if k >= len(emb):
-        raise ValueError(f"k={k} must be smaller than the universe size {len(emb)}")
+        raise DataError(f"k={k} must be smaller than the universe size {len(emb)}")
     if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+        raise DataError(f"k must be non-negative, got {k}")
     return [emb.ids[i] for i in emb.neighbor_rows(k, [emb.row_of(query_id)])[0]]
 
 
@@ -163,7 +160,7 @@ def average_precision_at_k(relevance: Sequence[int], total_relevant: int, k: int
     0.0
     """
     if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+        raise DataError(f"k must be at least 1, got {k}")
     if total_relevant <= 0:
         return 0.0
     hits = 0
@@ -185,7 +182,7 @@ def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[i
         if sid not in labels:
             raise DataError(f"missing label for stock id {sid!r}")
     if min(ks) < 1:
-        raise ValueError(f"k must be at least 1, got {min(ks)}")
+        raise DataError(f"k must be at least 1, got {min(ks)}")
     codes: dict = {}
     code = np.array([codes.setdefault(labels[sid], len(codes)) for sid in emb.ids],
                     dtype=np.intp)

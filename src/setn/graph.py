@@ -87,10 +87,8 @@ def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgra
     if not 0 <= target < g.n_nodes:
         raise DataError(f"target node {target} outside range [0, {g.n_nodes})")
     if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    neigh = set(g._in[target] if direction == "in" else g._out[target])
-    neigh.discard(target)
-    members = (target, *sorted(neigh))
+        raise DataError(f"direction must be 'in' or 'out', got {direction!r}")
+    members = (target, *sorted(g._in[target] if direction == "in" else g._out[target]))
     index = {node: i for i, node in enumerate(members)}
     local = set()
     for u in members:
@@ -206,7 +204,7 @@ def _attention(h: Tensor, sub: Subgraphs, params: GnnParams):
     gathers made them."""
     _check_layer_input(h, sub, params)
     if params.attention is None:
-        raise ValueError("attention layer needs GnnParams.attention")
+        raise DataError("attention layer needs GnnParams.attention")
     d = params.dim
     wh = h.data @ params.weight.data
     a_self, a_neigh = (params.attention.data[part].reshape(d, 1).copy()

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 from .graph import GnnParams, Subgraph, Subgraphs, gat_layer, gcn_layer, init_gnn_params
-from .text import EncoderBlock, TextEncoder, Vocab, pool, tokenize
+from .text import EncoderBlock, TextEncoder, Vocab, _cached_rows, pool, tokenize
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -129,11 +129,7 @@ class SetnModel:
                   for r in records]
         if ad.is_recording():
             return self._encode_rows(tokens)
-        rows = self._text_rows()
-        missing = [seq for seq in dict.fromkeys(tokens) if seq not in rows]
-        if missing:
-            rows.update(zip(missing, self._encode_rows(missing).data))
-        return Tensor(np.stack([rows[seq] for seq in tokens]))
+        return Tensor(_cached_rows(self._text_rows(), tokens, lambda new: self._encode_rows(new).data))
 
     def _text_rows(self) -> dict:
         """The memo of pooled text rows by token sequence, emptied first if

@@ -93,6 +93,16 @@ def tokenize(text: str, vocab: Vocab, max_tokens: int = MAX_TOKENS) -> TokenSequ
     return list(ids[:max_tokens])
 
 
+def _cached_rows(cache: dict, keys: Sequence, compute) -> np.ndarray:
+    """The rows ``cache[key]`` of the keys, stacked, after one
+    ``compute(missing)`` call fills the keys the cache lacks, in first-seen
+    order: it returns one row per key given."""
+    missing = [key for key in dict.fromkeys(keys) if key not in cache]
+    if missing:
+        cache.update(zip(missing, compute(missing)))
+    return np.stack([cache[key] for key in keys])
+
+
 def _integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
@@ -164,13 +174,9 @@ class TextEncoder:
         if cache is None:
             start, h = 0, self._prefix(ids, 0)
         else:
+            # frozen layers only, so the cached states carry no graph
             start = self._prefix_depth
-            missing = [key for key in dict.fromkeys(keys) if key not in cache]
-            if missing:
-                # frozen layers only, so the cached states carry no graph
-                fresh = self._prefix(np.array(missing), start)
-                cache.update(zip(missing, fresh.data))
-            h = Tensor(np.stack([cache[key] for key in keys]))
+            h = Tensor(_cached_rows(cache, keys, lambda new: self._prefix(np.array(new), start).data))
         for block in self.blocks[start:]:
             h = block.forward(h)
         return h
@@ -232,9 +238,9 @@ class TextEncoder:
         The embedding tables follow 'all' only.
         """
         if policy not in ENCODER_POLICIES:
-            raise ValueError(f"unknown encoder training policy {policy!r}")
+            raise DataError(f"unknown encoder training policy {policy!r}")
         if policy == "last" and not self.blocks:
-            raise ValueError("policy 'last' needs at least one encoder block")
+            raise DataError("policy 'last' needs at least one encoder block")
         emb = policy == "all"
         self.token_emb.requires_grad = emb
         self.pos_emb.requires_grad = emb
@@ -256,7 +262,7 @@ def pool(h: Tensor, strategy: str) -> Tensor:
     if strategy not in POOLING_STRATEGIES:
         raise DataError(f"unknown pooling strategy {strategy!r}")
     if strategy == "cls":
-        return ad.reshape(ad.take_rows(h, [0], axis=-2), h.data.shape[:-2] + h.data.shape[-1:])
+        return ad.take_rows(h, 0, axis=-2)
     if strategy == "mean":
         return ad.mean_rows(h)
     return ad.max_rows(h)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from itertools import islice, product
@@ -94,7 +95,8 @@ class TrainConfig:
             if not isinstance(value, str) or value not in choices:
                 fail(name, f"unknown {what} {value!r}; choose from {list(choices)}")
         for name, ok, rule in (
-                ("epochs", self.epochs >= 1, "must be at least 1"),
+                # ``train`` returns one history entry per epoch
+                ("epochs", 1 <= self.epochs <= sys.maxsize, f"must be in [1, {sys.maxsize}]"),
                 ("hidden_dim", self.hidden_dim >= 1, "must be at least 1"),
                 ("encoder_depth", self.encoder_depth >= 0, "must be at least 0"),
                 ("seed", self.seed >= 0, "must be at least 0"),

@@ -349,7 +349,8 @@ def test_load_edges_rejects_bad_lines(tmp_path):
         load_edges(path, 3)
 
 
-@pytest.mark.parametrize("line", ["1_0\t2", "+3\t4", "1 \t2", "1\t\u0662"])
+@pytest.mark.parametrize("line", ["1_0\t2", "+3\t4", "1 \t2", "1\t\u0662",
+                                  pytest.param("1" * 5000 + "\t2", id="past-the-digit-limit")])
 def test_load_edges_reads_a_node_id_only_as_ascii_digits_after_an_optional_minus(tmp_path, line):
     path = tmp_path / "edges.tsv"
     path.write_text(line + "\n", encoding="utf-8")
@@ -464,6 +465,13 @@ def test_generator_rejects_infeasible_specs():
 def test_generator_rejects_negative_counts_naming_the_field(name):
     with pytest.raises(DataError, match=rf"^{name} must be non-negative, got -1$"):
         generate_synthetic(dataclasses.replace(GeneratorSpec(n=40), **{name: -1}))
+
+
+@pytest.mark.parametrize("name", ["graph_signal", "direction_signal", "text_signal"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0, 1.5, None])
+def test_generator_rejects_a_signal_that_is_not_a_probability_naming_the_field(name, value):
+    with pytest.raises(DataError, match=rf"^{name} must be a number in \[0, 1\], got {value!r}$"):
+        generate_synthetic(dataclasses.replace(GeneratorSpec(n=40), **{name: value}))
 
 
 def test_generator_varied_lengths_truncate_the_fixed_length_universe():

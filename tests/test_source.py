@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import setn
+from setn import errors
 
 EXEMPT = {"self", "cls"}
 SOURCES = sorted(Path(setn.__file__).parent.glob("*.py"))
@@ -136,3 +137,18 @@ def test_every_file_is_written_through_replacing():
                 name = max(inside, key=lambda fn: fn.lineno).name if inside else "<module>"
                 writers.append(f"{path.stem}.{name}")
     assert writers == ["errors.replacing"]
+
+
+def test_every_raise_re_raises_or_names_a_package_error():
+    # callers catch what the package raises on purpose with ``except SetnError``
+    named = {node.name for node in ast.parse(Path(errors.__file__).read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ClassDef)}
+    others = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in named):
+                others.append(f"{path.name}:{node.lineno} {ast.unparse(node.exc)}")
+    assert others == []

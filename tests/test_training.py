@@ -3,6 +3,7 @@ import io
 import json
 import re
 import struct
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -73,13 +74,14 @@ def test_epoch_order_is_pure_function_of_seed_and_epoch():
 # training runs (small synthetic universes)
 
 
-def _small_setup(seed=0, epochs=3, gnn="gcn", encoder_train="last", n=40, depth=1):
+def _small_setup(seed=0, epochs=3, gnn="gcn", encoder_train="last", n=40, depth=1,
+                 pooling="mean", min_tokens=0):
     spec = GeneratorSpec(n=n, sectors=3, industries=5, vocab_size=80,
-                         tokens_per_doc=8, avg_degree=4, graph_signal=0.8,
-                         text_signal=0.9, theme_count=2, seed=seed)
+                         tokens_per_doc=8, min_tokens_per_doc=min_tokens, avg_degree=4,
+                         graph_signal=0.8, text_signal=0.9, theme_count=2, seed=seed)
     ds = generate_synthetic(spec)
     cfg = TrainConfig(epochs=epochs, hidden_dim=8, encoder_depth=depth, seed=seed,
-                      gnn=gnn, encoder_train=encoder_train, max_tokens=16)
+                      gnn=gnn, encoder_train=encoder_train, max_tokens=16, pooling=pooling)
     vocab = Vocab.build(r.text for r in ds.records)
     split = split_dataset([r.stock_id for r in ds.records], cfg.proportions, cfg.seed)
     model = build_model(cfg, vocab, n_sectors=3, n_industries=5)
@@ -206,6 +208,45 @@ def test_frozen_text_cache_training_is_exact():
                                                     encoder_train=policy, depth=2)
         train(model, ds.graph, ds.records, split, cfg)
         assert _param_bytes(model) == digest, (gnn, policy)
+
+
+# The same digests for cls and max pooling, and for texts of 3 to 8 tokens
+# (min_tokens 3), whose batches group them by length; then a digest of the
+# rows ``embed_universe`` gives every stock with the trained parameters.
+_POOLING_DIGESTS = {
+    ("cls", "gcn", "last", 0): (
+        "d781840779e828384570c56d9da51cfe669a75ecb59142adf0f715bcbdd522a0",
+        "07449da8483b3ce8ed7ef4e18d77be3cd6b91d0b887831e8ab6f6cd11c865aa4"),
+    ("cls", "gat", "all", 0): (
+        "bede88893c2c56d91814f84237745e7ec1a80318fe3ef6a5c44d766c5eb2d7d3",
+        "d50aa4fa0473835277057bddf715752e546f05367d0e9f91ae07e03ba8c54d66"),
+    ("max", "gcn", "last", 0): (
+        "0ae90dbfd67859680d0aafd891a57f56f6a109736a78a1fb2299651799c46995",
+        "e7e66ca9485428b7b962c40dd8fa41339b1d061defa66736c22693cc7b73c97c"),
+    ("max", "gat", "all", 0): (
+        "214b240016fe2b2c620beacb123964541e789061a30d39e034ef5f3934f2a18c",
+        "32838ffacdab2318c62c1c53b88809bc853e861b2461fdcb526ad215792db678"),
+    ("cls", "gat", "last", 3): (
+        "adee198eef9a21cd9c84f595d0d5e79a72785c42471a513f0f8f18cca9ea070c",
+        "5717cccd0833ac3f76b7f7e3186132d249799218b2d5ab53c2292fe33ab93ed9"),
+    ("mean", "gcn", "all", 3): (
+        "1dd4130555c740b2207f032cb282ec231724ba5b9a9b2d090f7cfd96802fa995",
+        "8a9409ff134d5c5cb029a699836505c9c35eb8460d4a602341f9c1d8200a4251"),
+    ("max", "gat", "last", 3): (
+        "6d8a270ca89f0c0d6d344236d676a809c7875658d2fd2495d9e15680642406fa",
+        "cbdfa51b19771e15723a18d8d6c88438fb260a38f20f93b3dfe621b05287d92b"),
+}
+
+
+@pytest.mark.parametrize("key", _POOLING_DIGESTS, ids=lambda key: "-".join(map(str, key)))
+def test_pooling_and_mixed_length_training_keeps_its_digests(key):
+    pooling, gnn, policy, min_tokens = key
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2, gnn=gnn, encoder_train=policy,
+                                                depth=2, pooling=pooling, min_tokens=min_tokens)
+    train(model, ds.graph, ds.records, split, cfg)
+    emb = embed_universe(model, ds.graph, ds.records, [r.stock_id for r in ds.records])
+    rows = hashlib.sha256(emb.vectors.tobytes()).hexdigest()
+    assert (_param_bytes(model), rows) == _POOLING_DIGESTS[key]
 
 
 def _count_block0_calls(model):
@@ -410,6 +451,7 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", "x"), ("epochs", 0), ("epochs", 2.0), ("epochs", True),
+    ("epochs", sys.maxsize + 1), ("epochs", 12345678901234567890),
     ("hidden_dim", 0), ("encoder_depth", -1), ("seed", -1), ("max_tokens", 0),
     ("learning_rate", 0.0), ("learning_rate", float("nan")), ("learning_rate", "fast"),
     ("dropout", 1.0), ("dropout", -0.1), ("learning_rate", float("inf")), ("seed", 1.5),
@@ -427,6 +469,10 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_bad_values_naming_the_field(field, value):
     with pytest.raises(DataError, match=f"config field '{field}'"):
         TrainConfig.from_dict({field: value})
+
+
+def test_config_takes_as_many_epochs_as_a_history_list_can_hold():
+    assert TrainConfig.from_dict({"epochs": sys.maxsize}).epochs == sys.maxsize
 
 
 _ANY_JSON = st.recursive(
