@@ -205,9 +205,9 @@ def backward(loss: Tensor) -> None:
                 stack.append(p)
 
     loss.grad = np.ones_like(loss.data)
+    # reverse topological order: every consumer has added into a node's grad
     for node in reversed(topo):
-        g = node.grad if node.grad is not None else np.zeros_like(node.data)
-        node._backward_fn(g)  # type: ignore[misc]
+        node._backward_fn(node.grad)  # type: ignore[misc]
 
     for node in topo:
         node._parents = ()

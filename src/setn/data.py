@@ -402,19 +402,26 @@ class Dataset:
 def generate_synthetic(spec: GeneratorSpec) -> Dataset:
     """Deterministic synthetic universe: labels first, then class-conditional
     texts, preferential edges, and themes."""
+    for name in ("n", "sectors", "industries", "vocab_size", "tokens_per_doc",
+                 "min_tokens_per_doc", "avg_degree", "theme_count", "seed"):
+        value = getattr(spec, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise DataError(f"{name} must be an integer, got {value!r}")
     for name in ("seed", "tokens_per_doc", "avg_degree", "theme_count"):
         if getattr(spec, name) < 0:
             raise DataError(f"{name} must be non-negative, got {getattr(spec, name)}")
     for name in ("graph_signal", "direction_signal", "text_signal"):
         value = getattr(spec, name)
-        if not (isinstance(value, (int, float)) and 0 <= value <= 1):  # nan fails too
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 <= value <= 1):  # nan fails too
             raise DataError(f"{name} must be a number in [0, 1], got {value!r}")
     if spec.industries < spec.sectors:
         raise DataError("need at least as many industries as sectors")
     if spec.industries > spec.n:
         raise DataError(f"{spec.industries} industries exceed {spec.n} stocks")
     if spec.sectors < 1 or spec.n < 2:
-        raise DataError("universe needs at least 2 stocks and 1 sector")
+        raise DataError(f"universe needs at least 2 stocks and 1 sector, "
+                        f"got n={spec.n} and sectors={spec.sectors}")
     shared_vocab = max(2, spec.vocab_size // 3)
     per_class = (spec.vocab_size - shared_vocab) // spec.industries
     if per_class < 1:

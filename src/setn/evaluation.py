@@ -80,12 +80,13 @@ class EmbeddingMatrix:
 
     def neighbor_rows(self, k: int, rows=None) -> np.ndarray:
         """Rows of the k most similar other stocks of each given row (every
-        row by default), most similar first, ties by ascending id; k is
-        capped at n - 1.
+        row by default), most similar first, ties by ascending id; k is a
+        non-negative integer, capped at n - 1.
 
         A ranking of every row is cached and then serves any smaller k for
         any rows; the matrix is immutable by convention.
         """
+        _require_k(k, 0)
         k = min(k, len(self) - 1)
         if k <= self._prefix.shape[1]:
             top = self._prefix[:, :k]
@@ -106,8 +107,6 @@ class EmbeddingMatrix:
         """Top-k neighbour rows of the given rows, a block of rows at a time."""
         n = len(self)
         top = np.empty((len(rows), k), dtype=np.intp)
-        if k == 0:
-            return top
         step = max(1, _RANK_BLOCK_BYTES // (8 * n))
         block = np.empty((min(step, len(rows)), n))
         for start in range(0, len(rows), step):
@@ -136,13 +135,19 @@ def _top_k(sims: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
     return top
 
 
+def _require_k(k, least: int) -> None:
+    """The one rule for a retrieval depth: an integer (numpy's too, never a
+    bool) of at least ``least``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
+        raise DataError(f"k must be an integer of at least {least}, got {k!r}")
+
+
 def cosine_knn(emb: EmbeddingMatrix, query_id, k: int) -> list:
     """Top-k ids by cosine similarity to the query, query excluded."""
-    if k >= len(emb):
+    top = emb.neighbor_rows(k, [emb.row_of(query_id)])[0]
+    if len(top) < k:
         raise DataError(f"k={k} must be smaller than the universe size {len(emb)}")
-    if k < 0:
-        raise DataError(f"k must be non-negative, got {k}")
-    return [emb.ids[i] for i in emb.neighbor_rows(k, [emb.row_of(query_id)])[0]]
+    return [emb.ids[i] for i in top]
 
 
 def average_precision_at_k(relevance: Sequence[int], total_relevant: int, k: int) -> float:
@@ -159,8 +164,7 @@ def average_precision_at_k(relevance: Sequence[int], total_relevant: int, k: int
     >>> average_precision_at_k([0, 0, 0], 5, 3)
     0.0
     """
-    if k < 1:
-        raise DataError(f"k must be at least 1, got {k}")
+    _require_k(k, 1)
     if total_relevant <= 0:
         return 0.0
     hits = 0
@@ -181,8 +185,10 @@ def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[i
     for sid in emb.ids:
         if sid not in labels:
             raise DataError(f"missing label for stock id {sid!r}")
-    if min(ks) < 1:
-        raise DataError(f"k must be at least 1, got {min(ks)}")
+    if not len(ks):
+        raise DataError("map_at_k needs at least one k, got none")
+    for k in ks:
+        _require_k(k, 1)
     codes: dict = {}
     code = np.array([codes.setdefault(labels[sid], len(codes)) for sid in emb.ids],
                     dtype=np.intp)
@@ -195,8 +201,9 @@ def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[i
     n = len(emb)
     result = {}
     for k in ks:
+        # no stock has n relevant neighbours, so capping k at n is exact
         ap = np.where(relevant > 0,
-                      score[:, min(k, top.shape[1])] / np.minimum(k, np.maximum(relevant, 1)),
+                      score[:, min(k, top.shape[1])] / np.minimum(min(k, n), np.maximum(relevant, 1)),
                       0.0)
         result[k] = float(np.cumsum(ap)[-1]) / n  # summed in query order
     return result
@@ -214,10 +221,19 @@ def theme_metric(emb: EmbeddingMatrix,
     for name, members in themes.items():
         if len(members) < 2:
             raise DataError(f"theme {name!r} needs at least 2 members")
-        missing = [sid for sid in members if sid not in emb._index]
+        member_of: dict = {}  # row -> the member that named it first
+        missing = []
+        for sid in members:
+            row = emb._index.get(sid)
+            if row is None:
+                missing.append(sid)
+            elif row in member_of:
+                raise DataError(f"theme {name!r} names stock id {member_of[row]!r} twice")
+            else:
+                member_of[row] = sid
         if missing:
             raise DataError(f"theme {name!r} members missing from embeddings: {missing}")
-        theme_rows.append((name, np.array([emb.row_of(sid) for sid in members])))
+        theme_rows.append((name, np.fromiter(member_of, dtype=np.intp, count=len(member_of))))
     if not theme_rows:
         return 0.0, {}
     top = emb.neighbor_rows(max(len(rows) for _, rows in theme_rows),

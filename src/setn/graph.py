@@ -90,11 +90,7 @@ def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgra
         raise DataError(f"direction must be 'in' or 'out', got {direction!r}")
     members = (target, *sorted(g._in[target] if direction == "in" else g._out[target]))
     index = {node: i for i, node in enumerate(members)}
-    local = set()
-    for u in members:
-        for v in g._out[u]:
-            if v in index:
-                local.add((index[u], index[v]))
+    local = [(index[u], index[v]) for u in members for v in g._out[u] if v in index]
     return Subgraph(target, members, tuple(sorted(local)))
 
 
@@ -115,20 +111,15 @@ def _adjacency(sub: Subgraphs) -> np.ndarray:
     return a[0] if isinstance(sub, Subgraph) else a
 
 
-def _normalized(sub: Subgraphs) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 as a plain array (see ``gcn_normalize``)."""
-    a_hat = _adjacency(sub)
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
-    return a_hat * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
-
-
 def gcn_normalize(sub: Subgraphs) -> Tensor:
     """Degree-normalized adjacency with self-loops: D^-1/2 (A + I) D^-1/2.
 
     Row i receives edge j -> i; degrees are row sums, so directed graphs
     normalize by in-degree.
     """
-    return Tensor(_normalized(sub))
+    a_hat = _adjacency(sub)
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    return Tensor(a_hat * inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
 
 
 @dataclass
@@ -183,7 +174,7 @@ def gcn_layer(h: Tensor, sub: Subgraphs, params: GnnParams) -> Tensor:
     stack), as one recorded op."""
     _check_layer_input(h, sub, params)
     w, b = params.weight, params.bias
-    a = _normalized(sub)
+    a = gcn_normalize(sub).data
     ah = a @ h.data
     z = ad._affine(ah, w, b)
     keep = z > 0

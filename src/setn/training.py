@@ -144,15 +144,13 @@ def split_dataset(ids: Sequence[int], proportions=(0.7, 0.1, 0.2), seed: int = 0
     """Seeded shuffle, then a contiguous train/val/test cut.
 
     The validation and test splits get their rounded shares; the training
-    split takes the remainder.
+    split takes the remainder. ``proportions`` and ``seed`` must pass the
+    checks of the ``TrainConfig`` fields of the same names.
     """
     ids = list(ids)
     if not ids:
         raise DataError("cannot split an empty id list")
-    if len(proportions) != 3 or any(p <= 0 for p in proportions):
-        raise DataError(f"proportions must be three positive numbers, got {proportions}")
-    if abs(sum(proportions) - 1.0) > 1e-9:
-        raise DataError(f"proportions must sum to 1, got {sum(proportions)}")
+    TrainConfig(proportions=proportions, seed=seed)  # the config's own field checks
     n = len(ids)
     n_val = _round_half_up(n * proportions[1])
     n_test = _round_half_up(n * proportions[2])

@@ -468,10 +468,27 @@ def test_generator_rejects_negative_counts_naming_the_field(name):
 
 
 @pytest.mark.parametrize("name", ["graph_signal", "direction_signal", "text_signal"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0, 1.5, None])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0, 1.5, None, True])
 def test_generator_rejects_a_signal_that_is_not_a_probability_naming_the_field(name, value):
     with pytest.raises(DataError, match=rf"^{name} must be a number in \[0, 1\], got {value!r}$"):
         generate_synthetic(dataclasses.replace(GeneratorSpec(n=40), **{name: value}))
+
+
+_INTEGER_FIELDS = ["n", "sectors", "industries", "vocab_size", "tokens_per_doc",
+                   "min_tokens_per_doc", "avg_degree", "theme_count", "seed"]
+
+
+@pytest.mark.parametrize("name", _INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [2.0, 1.5, True, "3"])
+def test_generator_refuses_an_integer_field_that_is_not_an_int_naming_it(name, value):
+    with pytest.raises(DataError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        generate_synthetic(dataclasses.replace(GeneratorSpec(n=40), **{name: value}))
+
+
+def test_generator_takes_numpy_integers_as_ints():
+    spec = GeneratorSpec(n=40, sectors=3, industries=5, vocab_size=80, theme_count=2, seed=2)
+    numpy_spec = dataclasses.replace(spec, n=np.int64(40), seed=np.int32(2))
+    assert generate_synthetic(numpy_spec).records == generate_synthetic(spec).records
 
 
 def test_generator_varied_lengths_truncate_the_fixed_length_universe():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,14 @@ def test_theme_metric_missing_member_is_error():
         theme_metric(emb, {"t": (0, 99)})
 
 
+@pytest.mark.parametrize("members, repeated", [((1, 2, 2, 3), 2), ((1, 2, True), 1)])
+def test_theme_metric_refuses_a_member_named_twice(members, repeated):
+    # True is the key 1 in a dict, so beside id 1 it names that stock again
+    emb = EmbeddingMatrix(list(range(6)), np.random.default_rng(8).normal(size=(6, 3)))
+    with pytest.raises(DataError, match=rf"^theme 't' names stock id {repeated} twice$"):
+        theme_metric(emb, {"t": members})
+
+
 # ---------------------------------------------------------------------------
 # blocked ranking against the oracles
 
@@ -392,6 +401,38 @@ def test_map_rejects_k_below_one():
         map_at_k(emb, {0: "A", 1: "A"}, ks=(0,))
     with pytest.raises(ValueError):
         map_at_k(emb, {0: "A", 1: "A"}, ks=(3, -1))
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, float("nan"), float("inf"), True, "3"])
+def test_every_ranking_refuses_a_k_that_is_not_an_integer_naming_it(k):
+    emb = EmbeddingMatrix(list(range(6)), np.random.default_rng(9).normal(size=(6, 3)))
+    emb.neighbor_rows(3)  # with this prefix cached, k=-1 used to return 2 columns
+    labels = {i: i % 2 for i in range(6)}
+    for least, call in ((0, lambda: emb.neighbor_rows(k)),
+                        (0, lambda: cosine_knn(emb, 0, k)),
+                        (1, lambda: map_at_k(emb, labels, [5, k])),
+                        (1, lambda: average_precision_at_k([1, 0, 1], 2, k))):
+        with pytest.raises(DataError, match=rf"^k must be an integer of at least {least}, "
+                                            rf"got {re.escape(repr(k))}$"):
+            call()
+
+
+def test_map_refuses_an_empty_list_of_ks():
+    emb = EmbeddingMatrix([0, 1], np.eye(2))
+    with pytest.raises(DataError, match="needs at least one k"):
+        map_at_k(emb, {0: "A", 1: "A"}, ks=[])
+
+
+def test_a_k_past_n_minus_one_ranks_as_n_minus_one():
+    rng = np.random.default_rng(10)
+    n = 12
+    emb = EmbeddingMatrix(list(range(n)), rng.normal(size=(n, 4)))
+    labels = {i: i % 3 for i in range(n)}
+    got = map_at_k(emb, labels, [n - 1, n, 10**30, np.int64(n + 5)])
+    assert len(set(got.values())) == 1
+    assert got[n - 1] == brute_map(list(range(n)), emb.vectors, labels, n - 1)
+    assert emb.neighbor_rows(10**30).shape == (n, n - 1)
+    assert emb.neighbor_rows(np.int64(2), [0]).shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ KEPT_UNCALLED = {
     "cosine_knn": "the public one-query retrieval API",
     "average_precision_at_k": "the per-query reference that map_at_k is tested against",
     "embed_stock": "the per-stock reference that embed_universe rows equal",
-    "gcn_normalize": "the public normalized adjacency; gcn_layer reads its plain array",
     "gat_attention": "the public attention coefficients, checked by acceptance criterion 2",
 }
 

@@ -63,6 +63,17 @@ def test_split_rejects_bad_input():
         split_dataset(list(range(3)), (0.98, 0.01, 0.01), seed=0)
 
 
+@pytest.mark.parametrize("proportions, seed, field", [
+    ((0.7, float("nan"), 0.2), 0, "proportions"),
+    (np.array([0.7, 0.1, 0.2]), 0, "proportions"),
+    ((0.7, 0.1, 0.2), -1, "seed"),
+    ((0.7, 0.1, 0.2), 1.5, "seed"),
+])
+def test_split_checks_its_arguments_by_the_config_fields(proportions, seed, field):
+    with pytest.raises(DataError, match=rf"^config field '{field}': "):
+        split_dataset(list(range(10)), proportions, seed)
+
+
 def test_epoch_order_is_pure_function_of_seed_and_epoch():
     ids = list(range(20))
     assert epoch_order(3, 0, ids) == epoch_order(3, 0, ids)
