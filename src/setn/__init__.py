@@ -2,7 +2,7 @@
 graphs: joint encoder/GNN training with residual fusion, plus the retrieval
 evaluation suite (related-company MAP@K, thematic-fund metric, ablations)."""
 
-from .autodiff import Adam, Tensor, backward, grad_check_params
+from .autodiff import Adam, Tensor, backward
 from .data import (Dataset, GeneratorSpec, StockRecord, Taxonomy,
                    export_embeddings, generate_synthetic, load_edges,
                    load_embeddings, load_nodes, load_themes)

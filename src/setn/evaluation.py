@@ -42,6 +42,8 @@ class EmbeddingMatrix:
             raise DataError(f"{len(self.ids)} ids for {self.vectors.shape[0]} rows")
         if not len(self.ids):
             raise DataError("embedding matrix has no rows")
+        for sid in self.ids:
+            _require_id(sid)
         if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate stock ids in embedding matrix")
         # a norm that overflows to inf or underflows to 0 is taken again on
@@ -74,6 +76,7 @@ class EmbeddingMatrix:
         return len(self.ids)
 
     def row_of(self, stock_id) -> int:
+        _require_id(stock_id)
         if stock_id not in self._index:
             raise DataError(f"unknown stock id {stock_id!r}")
         return self._index[stock_id]
@@ -98,8 +101,9 @@ class EmbeddingMatrix:
 
     def ranked_neighbors(self, stock_id) -> list:
         """All other ids, most similar first, ties by ascending id (memoized)."""
+        row = self.row_of(stock_id)
         if stock_id not in self._ranked_cache:
-            top = self.neighbor_rows(len(self) - 1, [self.row_of(stock_id)])[0]
+            top = self.neighbor_rows(len(self) - 1, [row])[0]
             self._ranked_cache[stock_id] = [self.ids[i] for i in top]
         return self._ranked_cache[stock_id]
 
@@ -135,11 +139,24 @@ def _top_k(sims: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
     return top
 
 
-def _require_k(k, least: int) -> None:
-    """The one rule for a retrieval depth: an integer (numpy's too, never a
-    bool) of at least ``least``."""
+def _require_k(k, least: int, name: str = "k") -> None:
+    """The one rule for a retrieval depth or count: an integer (numpy's too,
+    never a bool) of at least ``least``."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
-        raise DataError(f"k must be an integer of at least {least}, got {k!r}")
+        raise DataError(f"{name} must be an integer of at least {least}, got {k!r}")
+
+
+def _require_id(stock_id) -> None:
+    """The one rule for an embedding's stock id: an integer (numpy's too,
+    never a bool, which would find stock 1 or 0) or a string ticker."""
+    if isinstance(stock_id, bool) or not isinstance(stock_id, (int, np.integer, str)):
+        raise DataError(f"a stock id must be an integer or a string, got {stock_id!r}")
+
+
+def _require_records(records: Sequence[StockRecord], graph: StockGraph) -> None:
+    """Records are indexed by stock id, so there must be one per graph node."""
+    if len(records) != graph.n_nodes:
+        raise DataError(f"{len(records)} records for a graph of {graph.n_nodes} nodes")
 
 
 def cosine_knn(emb: EmbeddingMatrix, query_id, k: int) -> list:
@@ -165,7 +182,8 @@ def average_precision_at_k(relevance: Sequence[int], total_relevant: int, k: int
     0.0
     """
     _require_k(k, 1)
-    if total_relevant <= 0:
+    _require_k(total_relevant, 0, "total_relevant")
+    if total_relevant == 0:
         return 0.0
     hits = 0
     score = 0.0
@@ -224,13 +242,14 @@ def theme_metric(emb: EmbeddingMatrix,
         member_of: dict = {}  # row -> the member that named it first
         missing = []
         for sid in members:
-            row = emb._index.get(sid)
-            if row is None:
+            try:
+                row = emb.row_of(sid)
+            except DataError:  # an unknown id, or a value of no id type
                 missing.append(sid)
-            elif row in member_of:
+                continue
+            if row in member_of:
                 raise DataError(f"theme {name!r} names stock id {member_of[row]!r} twice")
-            else:
-                member_of[row] = sid
+            member_of[row] = sid
         if missing:
             raise DataError(f"theme {name!r} members missing from embeddings: {missing}")
         theme_rows.append((name, np.fromiter(member_of, dtype=np.intp, count=len(member_of))))
@@ -260,6 +279,9 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     """Embedding matrix for the given stocks, sampling each one's subgraph
     on the (already direction-prepared) graph.
 
+    ``records`` holds one record per graph node, stock ``m`` at position
+    ``m``; the records the subgraphs read are checked.
+
     Two stages: the text stage runs once over the distinct members of the
     sampled subgraphs, encoding only the texts the model's memo does not
     hold for its current parameters, so embedding in slices encodes each
@@ -277,9 +299,14 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     ids = list(ids)
     if not ids:
         raise DataError("embed_universe needs at least one stock id, got an empty list")
+    _require_records(records, graph)
     subs = [sample_subgraph(graph, sid, direction) for sid in ids]
     members_of = [model.text_members(sub) for sub in subs]
     members = sorted({m for sub_members in members_of for m in sub_members})
+    for m in members:
+        if records[m].stock_id != m:
+            raise DataError(f"record of stock {records[m].stock_id} at position {m}, "
+                            f"where stock {m}'s belongs")
     row_of = {m: i for i, m in enumerate(members)}
     vectors = np.empty((len(ids), model.dim))
     with no_grad():

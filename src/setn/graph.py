@@ -83,7 +83,10 @@ class Subgraph:
 def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgraph:
     """1-hop neighborhood of ``target``: its in-neighbors, or its
     out-neighbors with ``direction='out'``. On a symmetric edge set both are
-    all of its neighbors."""
+    all of its neighbors. ``target`` is a node id: an integer (numpy's too,
+    never a bool) in [0, n_nodes)."""
+    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+        raise DataError(f"target node must be an integer, got {target!r}")
     if not 0 <= target < g.n_nodes:
         raise DataError(f"target node {target} outside range [0, {g.n_nodes})")
     if direction not in DIRECTIONS:

@@ -25,7 +25,7 @@ from .autodiff import Adam, backward
 from .data import Dataset, StockRecord
 from .errors import (CheckpointError, ContractError, DataError, NonFiniteError, SetnError,
                      TrainingError, replacing)
-from .evaluation import evaluate_map
+from .evaluation import _require_records, evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
@@ -211,13 +211,15 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
           split: Split, config: TrainConfig,
           log_stream: Optional[TextIO] = None) -> list[dict]:
     """Fit the model in place; returns one log entry per epoch. ``config``
-    must equal ``model.config``, which the forward pass reads. During the
+    must equal ``model.config``, which the forward pass reads, and
+    ``records`` holds stock ``m``'s record at position ``m``. During the
     call each target's subgraph is sampled once, and the encoder computes
     its frozen prefix once per token sequence
     (``TextEncoder.frozen_prefix_cache``)."""
     if config != model.config:
         raise ContractError("train runs the forward pass from model.config; "
                             "the config given differs from it")
+    _require_records(records, graph)
     g = prepare_graph(graph, config)
     params = model.trainable_params()
     if not params:

@@ -4,8 +4,8 @@ and the layers built from them.
 ``setn.autodiff.linear`` and ``setn.graph.gcn_layer`` and ``gat_layer`` are
 each one recorded op; ``linear``, ``gcn_layer`` and ``gat_layer`` here are
 the graphs of single ops they replaced, whose outputs and gradients they must
-equal bit for bit. ``mul`` is also the tests' way to weight an output before
-``sum_all``.
+equal bit for bit. ``sum_all`` is the tests' scalar reduction for gradient
+references, and ``mul`` their way to weight an output before it.
 """
 
 import numpy as np
@@ -14,6 +14,13 @@ from setn import autodiff as ad
 from setn.autodiff import Tensor, _accum, _op, _scale, _unbroadcast
 from setn.errors import ShapeError
 from setn.graph import _adjacency, _check_layer_input, gcn_normalize
+
+
+def sum_all(x: Tensor) -> Tensor:
+    def bw(g):
+        _accum(x, np.full(x.data.shape, float(g.sum())))
+
+    return _op(np.asarray(x.data.sum()), (x,), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

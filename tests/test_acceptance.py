@@ -10,13 +10,14 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from setn.autodiff import grad_check_params
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.evaluation import EmbeddingMatrix, evaluate_map, map_at_k, theme_metric
 from setn.graph import (SUBGRAPH_HOPS, Subgraph, gat_attention, gat_layer,
@@ -25,6 +26,8 @@ from setn.model import compute_loss
 from setn.text import MAX_TOKENS, Vocab
 from setn.training import (TrainConfig, build_model, load_model, prepare_graph,
                            split_dataset, train)
+
+from gradcheck import grad_check_params
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -70,14 +73,19 @@ def _mean_scores(graph_signal, text_signal, direction_signal, *config_variants):
     """Mean score over SEEDS for each config variant, in order.
 
     The runs are independent and deterministic, so two worker processes
-    share them; each variant's mean is the same as a sequential loop's.
+    share them; each variant's mean is the same as a sequential loop's. Each
+    worker's BLAS runs one thread, so the two do not share the cores with
+    threads of their own.
     """
     specs, cfgs = [], []
     for overrides in config_variants:
         for seed in SEEDS:
             specs.append(_spec(seed, graph_signal, text_signal, direction_signal))
             cfgs.append(_cfg(seed, **overrides))
-    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+    # the spawned workers inherit the environment as it is when they start
+    with (mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+          ProcessPoolExecutor(max_workers=2,
+                              mp_context=multiprocessing.get_context("spawn")) as pool):
         scores = list(pool.map(_train_and_score, specs, cfgs))
     n = len(SEEDS)
     return [float(np.mean(scores[i:i + n])) for i in range(0, len(scores), n)]

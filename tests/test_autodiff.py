@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 import setn
 from setn import autodiff as ad
 from setn.autodiff import (Adam, Tensor, add, backward, cross_entropy,
-                           dropout, encoder_block, grad_check_params, is_recording,
-                           linear, max_rows, mean_rows, no_grad, place_rows, relu,
-                           sum_all, take_rows)
+                           dropout, encoder_block, is_recording, linear, max_rows,
+                           mean_rows, no_grad, place_rows, relu, take_rows)
 from setn.errors import ContractError, DataError, LabelError, ShapeError
 from setn.text import EncoderBlock
 
 import op_by_op
-from op_by_op import leaky_relu, matmul, mul, softmax_rows, transpose
+from gradcheck import grad_check_params
+from op_by_op import leaky_relu, matmul, mul, softmax_rows, sum_all, transpose
 
 
 def test_tensor_rejects_non_finite():
@@ -425,6 +425,12 @@ def test_grad_check_clears_the_gradient_of_a_leaf_left_out_of_params():
 def test_grad_check_constant_function():
     x = Tensor([1.0, 2.0], requires_grad=True)
     assert grad_check_params(lambda: Tensor(4.0), [x]) == 0.0
+
+
+def test_grad_check_rejects_a_vector_valued_function():
+    with pytest.raises(ContractError) as exc:
+        grad_check_params(lambda: Tensor(np.ones(2)), [])
+    assert type(exc.value) is ContractError and "shape (2,)" in str(exc.value)
 
 
 def test_grad_check_rejects_nondeterministic_function():

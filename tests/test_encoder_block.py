@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setn import autodiff as ad
-from setn.autodiff import (Adam, Tensor, _accum, _op, _unbroadcast, backward, no_grad,
-                           sum_all)
+from setn.autodiff import Adam, Tensor, _accum, _op, _unbroadcast, backward, no_grad
 from setn.errors import NonFiniteError
 from setn.text import ENCODER_POLICIES, EncoderBlock, TextEncoder
 
-from op_by_op import linear, matmul, mul, softmax_rows, transpose
+from op_by_op import linear, matmul, mul, softmax_rows, sum_all, transpose
 
 
 def layer_norm_rows(x, gain, bias):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from setn import autodiff as ad
-from setn.autodiff import Adam, Tensor, backward, no_grad, sum_all
+from setn.autodiff import Adam, Tensor, backward, no_grad
 from setn.text import EncoderBlock, TextEncoder
 
-from op_by_op import mul
+from op_by_op import mul, sum_all
 
 
 def _block_params(dim, seed):

@@ -142,6 +142,30 @@ def test_embedding_matrix_validation():
         EmbeddingMatrix([], np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, float("nan"), None, (1,)])
+def test_a_stock_id_is_an_integer_or_a_string_never_a_bool_or_a_float(bad):
+    # a dict finds stock 1 under True and 1.0, so every lookup refuses them first
+    ids = [0, 1, 2, 3, 4, 5]
+    emb = EmbeddingMatrix(ids, np.random.default_rng(8).normal(size=(6, 3)))
+    emb.ranked_neighbors(1)  # cached under a key True and 1.0 would hit
+    message = rf"^a stock id must be an integer or a string, got {re.escape(repr(bad))}$"
+    for call in (lambda: EmbeddingMatrix([bad, 7], np.eye(2)),
+                 lambda: emb.row_of(bad),
+                 lambda: emb.ranked_neighbors(bad),
+                 lambda: cosine_knn(emb, bad, 2)):
+        with pytest.raises(DataError, match=message):
+            call()
+    with pytest.raises(DataError, match=r"^theme 't' members missing from embeddings: "):
+        theme_metric(emb, {"t": (bad, 2)})
+
+
+def test_numpy_integer_and_string_ids_find_their_rows():
+    emb = EmbeddingMatrix([np.int64(3), "AAPL", 5], np.eye(3))
+    assert emb.row_of(3) == 0 and emb.row_of(np.int32(5)) == 2
+    assert emb.row_of(np.str_("AAPL")) == 1
+    assert cosine_knn(emb, "AAPL", 2) == [3, 5]
+
+
 # ---------------------------------------------------------------------------
 # average precision
 
@@ -174,6 +198,14 @@ def test_ap_reaches_one_when_pool_smaller_than_k():
 def test_ap_rejects_bad_k():
     with pytest.raises(ValueError):
         average_precision_at_k([1], 1, 0)
+
+
+@pytest.mark.parametrize("total", [float("nan"), -1, 1.5, True, "3"])
+def test_ap_refuses_a_relevant_count_that_is_not_a_non_negative_integer(total):
+    # min(3, nan) is 3 and nan <= 0 is false, so nan once scored 0.5556
+    with pytest.raises(DataError, match=rf"^total_relevant must be an integer of at least 0, "
+                                        rf"got {re.escape(repr(total))}$"):
+        average_precision_at_k([1, 0, 1], total, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +326,8 @@ def test_theme_metric_missing_member_is_error():
         theme_metric(emb, {"t": (0, 99)})
 
 
-@pytest.mark.parametrize("members, repeated", [((1, 2, 2, 3), 2), ((1, 2, True), 1)])
+@pytest.mark.parametrize("members, repeated", [((1, 2, 2, 3), 2), ((1, 2, np.int64(2)), 2)])
 def test_theme_metric_refuses_a_member_named_twice(members, repeated):
-    # True is the key 1 in a dict, so beside id 1 it names that stock again
     emb = EmbeddingMatrix(list(range(6)), np.random.default_rng(8).normal(size=(6, 3)))
     with pytest.raises(DataError, match=rf"^theme 't' names stock id {repeated} twice$"):
         theme_metric(emb, {"t": members})

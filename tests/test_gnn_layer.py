@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import op_by_op
-from op_by_op import mul
+from op_by_op import mul, sum_all
 from setn import autodiff as ad
-from setn.autodiff import Adam, Tensor, backward, no_grad, sum_all
+from setn.autodiff import Adam, Tensor, backward, no_grad
 from setn.errors import NonFiniteError, ShapeError
 from setn.graph import GnnParams, Subgraph, gat_attention, gat_layer, gcn_layer, init_gnn_params
 

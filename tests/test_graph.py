@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from setn.autodiff import Tensor, grad_check_params, sum_all
+from setn.autodiff import Tensor
 from setn.errors import DataError, ShapeError
 from setn.graph import (GnnParams, StockGraph, Subgraph, gat_attention,
                         gat_layer, gcn_layer, gcn_normalize, init_gnn_params,
                         sample_subgraph, to_undirected)
+
+from gradcheck import grad_check_params
+from op_by_op import sum_all
 
 
 def test_graph_validation():
@@ -74,6 +79,19 @@ def test_sample_out_direction_switch():
 def test_sample_target_out_of_range():
     with pytest.raises(DataError):
         sample_subgraph(StockGraph(2, ()), 5)
+
+
+@pytest.mark.parametrize("target", [1.5, 1.0, True, False, "1", None, float("nan")])
+def test_sample_target_must_be_an_integer_never_a_bool(target):
+    # 1.5 once failed with a TypeError, and True sampled stock 1 as target True
+    with pytest.raises(DataError, match=rf"^target node must be an integer, got "
+                                        rf"{re.escape(repr(target))}$"):
+        sample_subgraph(StockGraph(3, ((0, 1), (1, 2))), target)
+
+
+def test_sample_target_may_be_a_numpy_integer():
+    g = StockGraph(3, ((0, 1), (1, 2)))
+    assert sample_subgraph(g, np.int64(1)) == sample_subgraph(g, 1)
 
 
 def test_sample_includes_edges_between_neighbors():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from setn import autodiff as ad
 from setn.autodiff import Tensor
 from setn.data import GeneratorSpec, export_embeddings, generate_synthetic
-from setn.errors import ContractError, DataError, SetnError, ShapeError, TrainingError
+from setn.errors import DataError, SetnError, ShapeError, TrainingError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k, cosine_knn,
                              map_at_k, theme_metric)
 from setn.graph import StockGraph, gcn_layer, init_gnn_params, sample_subgraph
@@ -52,10 +52,19 @@ def _configure(name, value):
 _K_SLOTS = {
     "map_at_k k": lambda k: map_at_k(_matrix(), {i: i % 2 for i in range(8)}, [3, k]),
     "average_precision_at_k k": lambda k: average_precision_at_k([1, 0, 1], 2, k),
+    "average_precision_at_k total_relevant": lambda t: average_precision_at_k([1, 0, 1], t, 3),
     "cosine_knn k": lambda k: cosine_knn(_matrix(), 0, k),
     "neighbor_rows k": lambda k: _matrix().neighbor_rows(k),
 }
+# stock ids: none of the values drawn for these names a stock
+_ID_SLOTS = {
+    "sample_subgraph target": lambda v: sample_subgraph(StockGraph(3, ((0, 1), (1, 2))), v),
+    "row_of id": lambda v: _matrix().row_of(v),
+    "ranked_neighbors id": lambda v: _matrix().ranked_neighbors(v),
+    "cosine_knn query": lambda v: cosine_knn(_matrix(), v, 2),
+}
 _OTHER_SLOTS = {
+    "EmbeddingMatrix id": lambda v: EmbeddingMatrix([0, v], np.eye(2)),
     **{f"split_dataset proportion {i}": partial(_split_proportion, i) for i in range(3)},
     "split_dataset seed": lambda v: split_dataset(range(20), seed=v),
     "theme_metric member": lambda v: theme_metric(_matrix(), {"t": (1, 2, v)}),
@@ -67,8 +76,9 @@ _OTHER_SLOTS = {
 
 @st.composite
 def _slot_and_value(draw):
-    slot = draw(st.sampled_from(sorted(_K_SLOTS) + sorted(_OTHER_SLOTS)))
-    values = _BAD + [_HUGE] if slot in _K_SLOTS else _BAD
+    slot = draw(st.sampled_from(sorted(_K_SLOTS) + sorted(_ID_SLOTS) + sorted(_OTHER_SLOTS)))
+    values = (_BAD + [_HUGE] if slot in _K_SLOTS
+              else _BAD + [1.0, None] if slot in _ID_SLOTS else _BAD)
     return slot, draw(st.sampled_from(values))
 
 
@@ -76,11 +86,13 @@ def _slot_and_value(draw):
 @given(case=_slot_and_value())
 def test_a_bad_number_in_any_library_argument_returns_or_raises_a_package_error(case):
     slot, value = case
-    call = _K_SLOTS.get(slot) or _OTHER_SLOTS[slot]
+    call = _K_SLOTS.get(slot) or _ID_SLOTS.get(slot) or _OTHER_SLOTS[slot]
     try:
         call(value)
     except SetnError:
         pass
+    else:
+        assert slot not in _ID_SLOTS, f"{slot} took {value!r}"
 
 
 def _no_trainable_parameters(_tmp):
@@ -112,8 +124,6 @@ _UNREACHED = {
     "encoder block width": (lambda _: EncoderBlock(4, np.random.default_rng(0)).forward(
                                 Tensor(np.ones((2, 3)))),
                             ShapeError, "input of shape (2, 3)"),
-    "grad check of a vector": (lambda _: ad.grad_check_params(lambda: Tensor(np.ones(2)), []),
-                               ContractError, "shape (2,)"),
     "one-stock universe": (lambda _: generate_synthetic(
                                GeneratorSpec(n=1, sectors=1, industries=1)),
                            DataError, "n=1"),

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setn import autodiff as ad
-from setn.autodiff import (add, backward, dropout, grad_check_params, linear, no_grad,
-                           place_rows, relu, reshape, take_rows)
+from setn.autodiff import (add, backward, dropout, linear, no_grad, place_rows, relu,
+                           reshape, take_rows)
 from setn.data import GeneratorSpec, StockRecord, generate_synthetic
 from setn.errors import DataError, LabelError, NonFiniteError
 from setn.evaluation import embed_universe
@@ -19,6 +19,8 @@ from setn import model as model_module
 from setn.model import ForwardResult, SetnModel, compute_loss, param_shapes
 from setn.text import Vocab, tokenize
 from setn.training import TrainConfig
+
+from gradcheck import grad_check_params
 
 
 TEXTS = [

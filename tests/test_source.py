@@ -14,8 +14,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Definitions that nothing in the package or the benchmark calls, each kept
 # for a stated reason; every other one must be used
 KEPT_UNCALLED = {
-    "sum_all": "the tests' scalar reduction for gradient references",
-    "grad_check_params": "the tests' one gradient checker",
     "cosine_knn": "the public one-query retrieval API",
     "average_precision_at_k": "the per-query reference that map_at_k is tested against",
     "embed_stock": "the per-stock reference that embed_universe rows equal",

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setn.autodiff import Adam, Tensor, backward, grad_check_params, sum_all
+from setn.autodiff import Adam, Tensor, backward
 from setn.errors import ContractError, DataError
 from setn.text import (CLS_ID, UNK_ID, MAX_TOKENS, TextEncoder, Vocab, pool,
                        tokenize)
 
-from op_by_op import mul
+from gradcheck import grad_check_params
+from op_by_op import mul, sum_all
 
 
 @pytest.fixture

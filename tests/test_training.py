@@ -400,6 +400,37 @@ def test_train_rejects_a_config_other_than_the_models_before_any_step(change):
     assert _param_bytes(model) == before
 
 
+def test_records_out_of_stock_id_order_are_refused_naming_the_stock():
+    # records[m] is read as stock m's record; reversed, stock 7 read stock 32's text
+    ds, cfg, vocab, split, model = _small_setup(seed=5, epochs=1)
+    g = prepare_graph(ds.graph, cfg)
+    with pytest.raises(DataError) as exc:
+        embed_universe(model, g, ds.records[::-1], [7])
+    stock, position = map(int, re.fullmatch(
+        r"record of stock (\d+) at position (\d+), where stock \2's belongs",
+        str(exc.value)).groups())
+    assert stock == 39 - position
+    before = _param_bytes(model)
+    for call in (lambda records: embed_universe(model, g, records, [7]),
+                 lambda records: train(model, ds.graph, records, split, cfg)):
+        with pytest.raises(DataError, match=r"^5 records for a graph of 40 nodes$"):
+            call(ds.records[:5])
+    with pytest.raises(DataError, match="misaligned with subgraph member"):
+        train(model, ds.graph, ds.records[::-1], split, cfg)
+    assert _param_bytes(model) == before
+
+
+def test_embed_universe_checks_only_the_records_its_subgraphs_read():
+    # embedding a universe in slices must not scan all n records per slice
+    ds, cfg, vocab, split, model = _small_setup(seed=5, epochs=1)
+    g = prepare_graph(ds.graph, cfg)
+    far = [m for m in range(40) if m not in sample_subgraph(g, 7).members][:2]
+    swapped = list(ds.records)
+    swapped[far[0]], swapped[far[1]] = swapped[far[1]], swapped[far[0]]
+    assert np.array_equal(embed_universe(model, g, swapped, [7]).vectors,
+                          embed_universe(model, g, ds.records, [7]).vectors)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_non_finite_gradient_aborts_before_the_update(monkeypatch):
     ds, cfg, vocab, split, model = _small_setup(seed=6, epochs=1)
