@@ -25,7 +25,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, open_text, replacing, replacing_together
+from .errors import (DataError, is_int_type, open_text, replacing, replacing_together,
+                     require_int)
 from .graph import StockGraph
 from .text import Vocab
 
@@ -95,16 +96,28 @@ class StockRecord:
 
 @dataclass
 class Taxonomy:
-    """Two-level label hierarchy; every industry maps to exactly one sector."""
+    """Two-level label hierarchy; every industry maps to exactly one sector:
+    ``industry_to_sector`` maps each industry index, and nothing else, to a
+    sector index."""
 
     sectors: list[str]
     industries: list[str]
     industry_to_sector: dict[int, int]
 
     def __post_init__(self):
-        missing = set(range(len(self.industries))) - set(self.industry_to_sector)
+        indices = range(len(self.industries))
+        extra = [key for key in self.industry_to_sector
+                 if not (is_int_type(type(key)) and key in indices)]
+        if extra:
+            raise DataError(f"industry_to_sector keys {extra} are not industry indices "
+                            f"in [0, {len(indices)})")
+        missing = set(indices) - set(self.industry_to_sector)
         if missing:
             raise DataError(f"industries without a sector: {sorted(missing)}")
+        self.industry_to_sector = {
+            i: require_int(self.industry_to_sector[i], f"the sector of industry {i} ({name!r})",
+                           0, len(self.sectors) - 1)
+            for i, name in enumerate(self.industries)}
         self._sector_ids = self._label_ids("sector", self.sectors)
         self._industry_ids = self._label_ids("industry", self.industries)
         for alias, canonical in _SECTOR_ALIASES.items():
@@ -402,14 +415,10 @@ class Dataset:
 def generate_synthetic(spec: GeneratorSpec) -> Dataset:
     """Deterministic synthetic universe: labels first, then class-conditional
     texts, preferential edges, and themes."""
-    for name in ("n", "sectors", "industries", "vocab_size", "tokens_per_doc",
-                 "min_tokens_per_doc", "avg_degree", "theme_count", "seed"):
-        value = getattr(spec, name)
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise DataError(f"{name} must be an integer, got {value!r}")
-    for name in ("seed", "tokens_per_doc", "avg_degree", "theme_count"):
-        if getattr(spec, name) < 0:
-            raise DataError(f"{name} must be non-negative, got {getattr(spec, name)}")
+    for name, least in (("n", 2), ("sectors", 1), ("industries", 1), ("vocab_size", 1),
+                        ("tokens_per_doc", 0), ("min_tokens_per_doc", 0), ("avg_degree", 0),
+                        ("theme_count", 0), ("seed", 0)):
+        require_int(getattr(spec, name), name, least)
     for name in ("graph_signal", "direction_signal", "text_signal"):
         value = getattr(spec, name)
         if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -419,9 +428,6 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
         raise DataError("need at least as many industries as sectors")
     if spec.industries > spec.n:
         raise DataError(f"{spec.industries} industries exceed {spec.n} stocks")
-    if spec.sectors < 1 or spec.n < 2:
-        raise DataError(f"universe needs at least 2 stocks and 1 sector, "
-                        f"got n={spec.n} and sectors={spec.sectors}")
     shared_vocab = max(2, spec.vocab_size // 3)
     per_class = (spec.vocab_size - shared_vocab) // spec.industries
     if per_class < 1:
@@ -571,6 +577,7 @@ def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv"
         if first != i:
             raise DataError(f"ids {ids[first]!r} and {sid!r} are both written as {str(sid)!r}, "
                             "which would load as one repeated id")
+    _require_finite_rows(ids, vectors, "a non-finite value, which no format can load")
     if fmt == "tsv":
         for name in names:
             if re.search("[\t\n\r]", name):
@@ -581,16 +588,27 @@ def export_embeddings(ids: Sequence, vectors: np.ndarray, path, fmt: str = "tsv"
             for name, row in zip(names, vectors):
                 fh.write(name + "\t" + "\t".join(f"{v:.9g}" for v in row) + "\n")
     elif fmt == "binary":
+        with np.errstate(over="ignore"):
+            single = vectors.astype("<f4")
+        _require_finite_rows(ids, single, "a value beyond the 32-bit float range; "
+                                          "write the TSV format (--format tsv)")
         with replacing(path, "wb") as fh:
             fh.write(_EMB_MAGIC)
             fh.write(struct.pack("<II", n, d))
-            fh.write(np.ascontiguousarray(vectors, dtype="<f4").tobytes())
+            fh.write(single.tobytes())
             for name in names:
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)
     else:
         raise DataError(f"unknown embedding format {fmt!r}")
+
+
+def _require_finite_rows(ids: Sequence, vectors: np.ndarray, holds: str) -> None:
+    """A DataError naming the id of the first row that is not all finite."""
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise DataError(f"the embedding of id {ids[bad[0]]!r} holds {holds}")
 
 
 def _parse_id(token: str):

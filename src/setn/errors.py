@@ -1,10 +1,12 @@
-"""Exception types shared across the package, the text-file reader that
-reports undecodable input as one of them, and the one way the package
-writes a file."""
+"""Exception types shared across the package, the one rule for an integer
+argument, the text-file reader that reports undecodable input as one of
+them, and the one way the package writes a file."""
 
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
+
+import numpy as np
 
 
 class SetnError(Exception):
@@ -37,6 +39,21 @@ class CheckpointError(SetnError, RuntimeError):
 
 class TrainingError(SetnError, RuntimeError):
     """Training aborted, e.g. on a non-finite loss."""
+
+
+def is_int_type(kind: type) -> bool:
+    """The package's one rule for an integer's type: ``int`` or a numpy
+    integer, never ``bool``, which would count as 1 or 0."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def require_int(value, name: str, least: int, most: int | None = None) -> int:
+    """``value`` as an ``int`` if its type passes ``is_int_type`` and it lies in
+    [least, most], no upper bound by default; else a DataError starting with ``name``."""
+    if not (is_int_type(type(value)) and least <= value and (most is None or value <= most)):
+        bounds = f"of at least {least}" if most is None else f"in [{least}, {most}]"
+        raise DataError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
 
 
 @contextmanager

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import no_grad, take_rows
 from .data import StockRecord
-from .errors import DataError
+from .errors import DataError, is_int_type, require_int
 from .graph import StockGraph, sample_subgraph
 from .model import size_batches
 
@@ -89,8 +89,7 @@ class EmbeddingMatrix:
         A ranking of every row is cached and then serves any smaller k for
         any rows; the matrix is immutable by convention.
         """
-        _require_k(k, 0)
-        k = min(k, len(self) - 1)
+        k = min(require_int(k, "k", 0), len(self) - 1)
         if k <= self._prefix.shape[1]:
             top = self._prefix[:, :k]
             return top if rows is None else top[rows]
@@ -139,24 +138,23 @@ def _top_k(sims: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
     return top
 
 
-def _require_k(k, least: int, name: str = "k") -> None:
-    """The one rule for a retrieval depth or count: an integer (numpy's too,
-    never a bool) of at least ``least``."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
-        raise DataError(f"{name} must be an integer of at least {least}, got {k!r}")
-
-
 def _require_id(stock_id) -> None:
-    """The one rule for an embedding's stock id: an integer (numpy's too,
-    never a bool, which would find stock 1 or 0) or a string ticker."""
-    if isinstance(stock_id, bool) or not isinstance(stock_id, (int, np.integer, str)):
+    """The one rule for an embedding's stock id: an integer by
+    ``errors.is_int_type`` or a string ticker."""
+    if not (isinstance(stock_id, str) or is_int_type(type(stock_id))):
         raise DataError(f"a stock id must be an integer or a string, got {stock_id!r}")
 
 
-def _require_records(records: Sequence[StockRecord], graph: StockGraph) -> None:
-    """Records are indexed by stock id, so there must be one per graph node."""
+def _require_records(records: Sequence[StockRecord], graph: StockGraph,
+                     members: Sequence[int]) -> None:
+    """Records are indexed by stock id, so there must be one per graph node,
+    and the record of each given member must sit at that member's id."""
     if len(records) != graph.n_nodes:
         raise DataError(f"{len(records)} records for a graph of {graph.n_nodes} nodes")
+    for m in members:
+        if records[m].stock_id != m:
+            raise DataError(f"record of stock {records[m].stock_id} at position {m}, "
+                            f"where stock {m}'s belongs")
 
 
 def cosine_knn(emb: EmbeddingMatrix, query_id, k: int) -> list:
@@ -181,8 +179,8 @@ def average_precision_at_k(relevance: Sequence[int], total_relevant: int, k: int
     >>> average_precision_at_k([0, 0, 0], 5, 3)
     0.0
     """
-    _require_k(k, 1)
-    _require_k(total_relevant, 0, "total_relevant")
+    require_int(k, "k", 1)
+    require_int(total_relevant, "total_relevant", 0)
     if total_relevant == 0:
         return 0.0
     hits = 0
@@ -206,7 +204,7 @@ def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[i
     if not len(ks):
         raise DataError("map_at_k needs at least one k, got none")
     for k in ks:
-        _require_k(k, 1)
+        require_int(k, "k", 1)
     codes: dict = {}
     code = np.array([codes.setdefault(labels[sid], len(codes)) for sid in emb.ids],
                     dtype=np.intp)
@@ -299,14 +297,10 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     ids = list(ids)
     if not ids:
         raise DataError("embed_universe needs at least one stock id, got an empty list")
-    _require_records(records, graph)
     subs = [sample_subgraph(graph, sid, direction) for sid in ids]
     members_of = [model.text_members(sub) for sub in subs]
     members = sorted({m for sub_members in members_of for m in sub_members})
-    for m in members:
-        if records[m].stock_id != m:
-            raise DataError(f"record of stock {records[m].stock_id} at position {m}, "
-                            f"where stock {m}'s belongs")
+    _require_records(records, graph, members)
     row_of = {m: i for i, m in enumerate(members)}
     vectors = np.empty((len(ids), model.dim))
     with no_grad():

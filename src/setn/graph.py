@@ -16,13 +16,14 @@ slice order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _MASK_FILL
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, is_int_type, require_int
 
 SUBGRAPH_HOPS = 1  # sampling depth is fixed by design
 DIRECTIONS = ("in", "out")
@@ -37,6 +38,12 @@ class StockGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_nodes", require_int(self.n_nodes, "n_nodes", 0))
+        # the rule runs over the set of endpoint types, which keeps a large edge list cheap
+        if not all(map(is_int_type, set(map(type, chain.from_iterable(self.edges))))):
+            edge = next(e for e in self.edges if not all(map(is_int_type, map(type, e))))
+            for node in edge:
+                require_int(node, f"node id in edge {edge!r}", 0, self.n_nodes - 1)
         object.__setattr__(self, "edges", tuple((int(s), int(d)) for s, d in self.edges))
         seen = set()
         out_adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
@@ -83,12 +90,9 @@ class Subgraph:
 def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgraph:
     """1-hop neighborhood of ``target``: its in-neighbors, or its
     out-neighbors with ``direction='out'``. On a symmetric edge set both are
-    all of its neighbors. ``target`` is a node id: an integer (numpy's too,
-    never a bool) in [0, n_nodes)."""
-    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
-        raise DataError(f"target node must be an integer, got {target!r}")
-    if not 0 <= target < g.n_nodes:
-        raise DataError(f"target node {target} outside range [0, {g.n_nodes})")
+    all of its neighbors. ``target`` is a node id: an integer by
+    ``errors.require_int`` in [0, n_nodes)."""
+    target = require_int(target, "target node", 0, g.n_nodes - 1)
     if direction not in DIRECTIONS:
         raise DataError(f"direction must be 'in' or 'out', got {direction!r}")
     members = (target, *sorted(g._in[target] if direction == "in" else g._out[target]))

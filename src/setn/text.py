@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DataError, open_text, replacing
+from .errors import ContractError, DataError, is_int_type, open_text, replacing, require_int
 
 PAD_ID = 0
 UNK_ID = 1
@@ -101,10 +101,6 @@ def _cached_rows(cache: dict, keys: Sequence, compute) -> np.ndarray:
     if missing:
         cache.update(zip(missing, compute(missing)))
     return np.stack([cache[key] for key in keys])
-
-
-def _integer_type(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 class EncoderBlock:
@@ -193,12 +189,12 @@ class TextEncoder:
         max_len = self.pos_emb.shape[0]
         if length > max_len:
             raise DataError(f"sequence of {length} tokens exceeds max length {max_len}")
-        # numpy would cast a float or bool id to an integer, so check the types
-        if not all(map(_integer_type, set(map(type, chain.from_iterable(rows))))):
-            token = next(t for t in chain.from_iterable(rows) if not _integer_type(type(t)))
-            raise DataError(f"token id {token!r} is not an integer")
-        ids = np.asarray(rows)  # range-checked before the cast to int64, which could overflow
         vocab_size = self.token_emb.shape[0]
+        # numpy would cast a float or bool id to an integer, so check the types
+        if not all(map(is_int_type, set(map(type, chain.from_iterable(rows))))):
+            token = next(t for t in chain.from_iterable(rows) if not is_int_type(type(t)))
+            require_int(token, "token id", 0, vocab_size - 1)
+        ids = np.asarray(rows)  # range-checked before the cast to int64, which could overflow
         bad = (ids < 0) | (ids >= vocab_size)
         if bad.any():
             raise DataError(f"token id {ids[bad][0]} outside vocabulary of size {vocab_size}")

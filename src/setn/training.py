@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import Adam, backward
 from .data import Dataset, StockRecord
 from .errors import (CheckpointError, ContractError, DataError, NonFiniteError, SetnError,
-                     TrainingError, replacing)
+                     TrainingError, replacing, require_int)
 from .evaluation import _require_records, evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
@@ -75,10 +75,11 @@ class TrainConfig:
             except OverflowError:
                 return False
 
-        for name in ("epochs", "hidden_dim", "encoder_depth", "seed", "max_tokens"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                fail(name, f"expected an integer, got {value!r}")
+        for name, least, most in (("epochs", 1, sys.maxsize),  # one history entry per epoch
+                                  ("hidden_dim", 1, None), ("encoder_depth", 0, None),
+                                  ("seed", 0, None), ("max_tokens", 1, None)):
+            object.__setattr__(self, name, require_int(getattr(self, name),
+                                                       f"config field {name!r}:", least, most))
         for name in ("learning_rate", "dropout"):
             value = getattr(self, name)
             if not finite(value):
@@ -95,12 +96,6 @@ class TrainConfig:
             if not isinstance(value, str) or value not in choices:
                 fail(name, f"unknown {what} {value!r}; choose from {list(choices)}")
         for name, ok, rule in (
-                # ``train`` returns one history entry per epoch
-                ("epochs", 1 <= self.epochs <= sys.maxsize, f"must be in [1, {sys.maxsize}]"),
-                ("hidden_dim", self.hidden_dim >= 1, "must be at least 1"),
-                ("encoder_depth", self.encoder_depth >= 0, "must be at least 0"),
-                ("seed", self.seed >= 0, "must be at least 0"),
-                ("max_tokens", self.max_tokens >= 1, "must be at least 1"),
                 ("learning_rate", self.learning_rate > 0, "must be positive"),
                 ("dropout", 0 <= self.dropout < 1, "dropout rate must be in [0, 1)")):
             if not ok:
@@ -173,6 +168,8 @@ def split_records(records: Sequence[StockRecord], config: TrainConfig) -> Split:
 
 def build_model(config: TrainConfig, vocab: Vocab, n_sectors: int, n_industries: int) -> SetnModel:
     """Fresh model whose initialization derives from the config seed."""
+    n_sectors = require_int(n_sectors, "n_sectors", 1)
+    n_industries = require_int(n_industries, "n_industries", 1)
     _check_model_size(config, len(vocab), n_sectors, n_industries)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     return SetnModel(config, vocab, n_sectors, n_industries, rng)
@@ -212,15 +209,17 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
           log_stream: Optional[TextIO] = None) -> list[dict]:
     """Fit the model in place; returns one log entry per epoch. ``config``
     must equal ``model.config``, which the forward pass reads, and
-    ``records`` holds stock ``m``'s record at position ``m``. During the
-    call each target's subgraph is sampled once, and the encoder computes
+    ``records`` holds stock ``m``'s record at position ``m``, checked for
+    every member of the training subgraphs before the first step. During
+    the call each target's subgraph is sampled once, and the encoder computes
     its frozen prefix once per token sequence
     (``TextEncoder.frozen_prefix_cache``)."""
     if config != model.config:
         raise ContractError("train runs the forward pass from model.config; "
                             "the config given differs from it")
-    _require_records(records, graph)
     g = prepare_graph(graph, config)
+    subs = {target: sample_subgraph(g, target, config.neighbor_direction) for target in split.train}
+    _require_records(records, graph, sorted({m for sub in subs.values() for m in sub.members}))
     params = model.trainable_params()
     if not params:
         raise TrainingError("model has no trainable parameters")
@@ -231,8 +230,6 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
     try:
         # frozen encoder layers and the graph cannot change during this call
         with model.encoder.frozen_prefix_cache():
-            subs = {target: sample_subgraph(g, target, config.neighbor_direction)
-                    for target in split.train}
             for epoch in range(config.epochs):
                 start = time.perf_counter()
                 losses = []

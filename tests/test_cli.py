@@ -231,8 +231,8 @@ def test_gnn_kind_mismatch_on_eval(dataset_dir, checkpoint, capsys):
     ('{bad', "malformed config JSON"),
     ('{"frozen_text_cache": true}', "unknown config keys"),
     ('5', "config must be a JSON object"),
-    ('{"epochs": "x"}', "config field 'epochs': expected an integer"),
-    ('{"hidden_dim": 0}', "config field 'hidden_dim': must be at least 1"),
+    ('{"epochs": "x"}', f"config field 'epochs': must be an integer in [1, {sys.maxsize}], got 'x'"),
+    ('{"hidden_dim": 0}', "config field 'hidden_dim': must be an integer of at least 1, got 0"),
     ('{"neighbor_direction": "sideways"}', "unknown neighbor direction 'sideways'"),
     ('{"encoder_train": "most"}', "unknown encoder training policy 'most'"),
     ('{"gnn": "gin"}', "unknown GNN kind 'gin'"),
@@ -543,7 +543,7 @@ def test_synth_negative_count_is_one_error_line(tmp_path, capsys, flag):
     assert code == 1
     lines = _error_lines(stderr)
     field = flag[2:].replace("-", "_")
-    assert lines == [f"error: {field} must be non-negative, got -1"]
+    assert lines == [f"error: {field} must be an integer of at least 0, got -1"]
 
 
 def test_synth_signal_that_is_not_a_probability_is_one_error_line_and_no_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,27 @@ def test_taxonomy_rejects_names_equal_up_to_case_and_spacing(tmp_path):
                                 "industry_to_sector": {"Loans": "BANKS"}}))
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: duplicate sector names"):
         Taxonomy.from_file(path)
+
+
+@pytest.mark.parametrize("mapping, message", [
+    # a sector past the list once built, and load_nodes then raised IndexError
+    ({0: 5}, "the sector of industry 0 ('x') must be an integer in [0, 0], got 5"),
+    # True was taken as sector 1
+    ({0: True}, "the sector of industry 0 ('x') must be an integer in [0, 0], got True"),
+    # industry 3 does not exist, yet was kept
+    ({0: 0, 3: 0}, "industry_to_sector keys [3] are not industry indices in [0, 1)"),
+    ({0: 0, 0.5: 0}, "industry_to_sector keys [0.5] are not industry indices in [0, 1)"),
+])
+def test_taxonomy_refuses_a_mapping_it_cannot_serve(mapping, message):
+    with pytest.raises(DataError) as exc:
+        Taxonomy(["A"], ["x"], mapping)
+    assert str(exc.value) == message
+
+
+def test_taxonomy_stores_numpy_sector_indices_as_ints():
+    taxonomy = Taxonomy(["A", "B"], ["x", "y"], {np.int64(1): np.int32(1), 0: np.int64(0)})
+    assert taxonomy.industry_to_sector == {0: 0, 1: 1}
+    assert {type(s) for s in taxonomy.industry_to_sector.values()} == {int}
 
 
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -463,7 +485,7 @@ def test_generator_rejects_infeasible_specs():
 
 @pytest.mark.parametrize("name", ["seed", "tokens_per_doc", "avg_degree", "theme_count"])
 def test_generator_rejects_negative_counts_naming_the_field(name):
-    with pytest.raises(DataError, match=rf"^{name} must be non-negative, got -1$"):
+    with pytest.raises(DataError, match=rf"^{name} must be an integer of at least 0, got -1$"):
         generate_synthetic(dataclasses.replace(GeneratorSpec(n=40), **{name: -1}))
 
 
@@ -481,7 +503,8 @@ _INTEGER_FIELDS = ["n", "sectors", "industries", "vocab_size", "tokens_per_doc",
 @pytest.mark.parametrize("name", _INTEGER_FIELDS)
 @pytest.mark.parametrize("value", [2.0, 1.5, True, "3"])
 def test_generator_refuses_an_integer_field_that_is_not_an_int_naming_it(name, value):
-    with pytest.raises(DataError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+    with pytest.raises(DataError, match=rf"^{name} must be an integer of at least \d, "
+                                        rf"got {re.escape(repr(value))}$"):
         generate_synthetic(dataclasses.replace(GeneratorSpec(n=40), **{name: value}))
 
 
@@ -687,7 +710,10 @@ def test_non_finite_tsv_value_is_data_error_naming_path_and_line(tmp_path, value
 
 def test_non_finite_binary_value_is_data_error_naming_the_path(tmp_path):
     path = tmp_path / "emb.bin"
-    export_embeddings(["A", "B"], np.array([[1.0, 2.0], [3.0, np.nan]]), path, "binary")
+    # export refuses a non-finite row, so the last value is made a NaN afterwards
+    export_embeddings(["A", "B"], np.array([[1.0, 2.0], [3.0, 4.0]]), path, "binary")
+    path.write_bytes(path.read_bytes().replace(np.float32(4.0).tobytes(),
+                                               np.float32(np.nan).tobytes()))
     with pytest.raises(DataError, match="vector 1 holds a non-finite value") as exc:
         load_embeddings(path)
     assert str(exc.value).startswith(f"{path}: ")
@@ -774,6 +800,40 @@ def test_export_of_two_ids_written_alike_is_a_data_error_before_any_write(tmp_pa
     assert str(exc.value) == ("ids 1 and '1' are both written as '1', "
                               "which would load as one repeated id")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt, value, holds", [
+    # a NaN row once exported, then loaded as "...:2: non-finite value"
+    ("tsv", np.nan, "a non-finite value, which no format can load"),
+    ("binary", np.nan, "a non-finite value, which no format can load"),
+    ("binary", -np.inf, "a non-finite value, which no format can load"),
+    # 1e300 overflowed float32 with a RuntimeWarning, then loaded as non-finite
+    ("binary", 1e300, "a value beyond the 32-bit float range; write the TSV format"),
+    ("binary", -3.5e38, "a value beyond the 32-bit float range; write the TSV format"),
+])
+def test_export_refuses_a_row_that_would_not_load_before_any_file_is_opened(
+        tmp_path, monkeypatch, fmt, value, holds):
+    def no_open(*args, **kwargs):
+        raise AssertionError("export opened a file")
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(builtins, "open", no_open)
+        with pytest.raises(DataError) as exc:
+            export_embeddings(["A", "B"], np.array([[1.0, 2.0], [3.0, value]]),
+                              tmp_path / "emb", fmt)
+    assert str(exc.value).startswith(f"the embedding of id 'B' holds {holds}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt, value", [("tsv", 1e300), ("binary", 3.4028235e38)])
+def test_export_round_trips_a_value_at_the_edge_of_what_its_format_holds(tmp_path, fmt, value):
+    path = tmp_path / "emb"
+    vectors = np.array([[1.0, 2.0], [3.0, value]])
+    export_embeddings(["A", "B"], vectors, path, fmt)
+    ids, back = load_embeddings(path)
+    assert ids == ["A", "B"]
+    assert np.allclose(back, vectors, rtol=1e-7)
 
 
 def _open_failing_on_the_second_write(*args, **kwargs):

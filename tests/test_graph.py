@@ -13,6 +13,27 @@ from gradcheck import grad_check_params
 from op_by_op import sum_all
 
 
+@pytest.mark.parametrize("n_nodes, edges, message", [
+    # each of these endpoints was once turned into a node id with int()
+    (3, ((0, 1.5),), "node id in edge (0, 1.5) must be an integer in [0, 2], got 1.5"),
+    (3, ((True, 2),), "node id in edge (True, 2) must be an integer in [0, 2], got True"),
+    (3, (("1", 2),), "node id in edge ('1', 2) must be an integer in [0, 2], got '1'"),
+    (2.5, (), "n_nodes must be an integer of at least 0, got 2.5"),
+    (-1, (), "n_nodes must be an integer of at least 0, got -1"),
+    (True, (), "n_nodes must be an integer of at least 0, got True"),
+])
+def test_graph_refuses_a_node_id_that_is_not_an_integer(n_nodes, edges, message):
+    with pytest.raises(DataError) as exc:
+        StockGraph(n_nodes, edges)
+    assert str(exc.value) == message
+
+
+def test_graph_stores_numpy_node_ids_as_ints():
+    g = StockGraph(np.int64(3), ((np.int64(0), np.int32(1)), [2, np.uint8(1)]))
+    assert (g.n_nodes, g.edges) == (3, ((0, 1), (2, 1)))
+    assert {type(x) for x in (g.n_nodes, *g.edges[0], *g.edges[1])} == {int}
+
+
 def test_graph_validation():
     with pytest.raises(DataError):
         StockGraph(2, ((0, 2),))
@@ -84,7 +105,7 @@ def test_sample_target_out_of_range():
 @pytest.mark.parametrize("target", [1.5, 1.0, True, False, "1", None, float("nan")])
 def test_sample_target_must_be_an_integer_never_a_bool(target):
     # 1.5 once failed with a TypeError, and True sampled stock 1 as target True
-    with pytest.raises(DataError, match=rf"^target node must be an integer, got "
+    with pytest.raises(DataError, match=rf"^target node must be an integer in \[0, 2\], got "
                                         rf"{re.escape(repr(target))}$"):
         sample_subgraph(StockGraph(3, ((0, 1), (1, 2))), target)
 

@@ -126,7 +126,7 @@ _UNREACHED = {
                             ShapeError, "input of shape (2, 3)"),
     "one-stock universe": (lambda _: generate_synthetic(
                                GeneratorSpec(n=1, sectors=1, industries=1)),
-                           DataError, "n=1"),
+                           DataError, "n must be an integer of at least 2, got 1"),
     "vocab too small": (lambda _: generate_synthetic(GeneratorSpec(vocab_size=10)),
                         DataError, "vocab size 10"),
     "embedding format": (lambda tmp: export_embeddings([0], np.ones((1, 2)), tmp / "e", fmt="xml"),

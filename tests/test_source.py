@@ -89,6 +89,13 @@ def test_the_op_by_op_oracle_stays_out_of_the_package():
     assert defined & {"mul", "matmul", "transpose", "leaky_relu", "softmax_rows"} == set()
 
 
+def test_integer_types_are_named_only_by_the_integer_rule():
+    # errors.is_int_type and errors.require_int hold the one rule for an
+    # integer argument; every other module calls them
+    naming = [path.name for path in SOURCES if "np.integer" in path.read_text(encoding="utf-8")]
+    assert naming == ["errors.py"]
+
+
 def test_json_text_is_parsed_only_by_parse_json_and_the_checkpoint_reader():
     # every JSON input file goes through ``data._parse_json``, so each failure
     # gets one message; the checkpoint header turns its own into CheckpointError

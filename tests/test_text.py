@@ -150,7 +150,8 @@ def test_encode_names_the_first_out_of_range_id_in_row_order():
 ])
 def test_encode_rejects_a_float_or_bool_token_id_naming_it(ids, bad):
     enc = _encoder(1, vocab_size=10)
-    with pytest.raises(DataError, match=rf"^token id {re.escape(bad)} is not an integer$"):
+    with pytest.raises(DataError, match=rf"^token id must be an integer in \[0, 9\], "
+                                        rf"got {re.escape(bad)}$"):
         enc.encode(ids)
     assert enc.encode([[2, np.int32(3)]]).data.shape == (1, 2, 6)
 

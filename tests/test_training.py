@@ -74,6 +74,34 @@ def test_split_checks_its_arguments_by_the_config_fields(proportions, seed, fiel
         split_dataset(list(range(10)), proportions, seed)
 
 
+def test_config_takes_numpy_integers_and_stores_ints():
+    config = TrainConfig(seed=np.int64(3), epochs=np.int32(2), hidden_dim=np.uint16(8))
+    assert config == TrainConfig(seed=3, epochs=2, hidden_dim=8)
+    assert {type(config.seed), type(config.epochs), type(config.hidden_dim)} == {int}
+    assert json.loads(json.dumps(config.to_dict())) == TrainConfig(seed=3, epochs=2,
+                                                                   hidden_dim=8).to_dict()
+
+
+@pytest.mark.parametrize("counts, message", [
+    # True and 1.5 once ended in a TypeError from numpy, and 0 built a model
+    ((True, 5), "n_sectors must be an integer of at least 1, got True"),
+    ((3, 1.5), "n_industries must be an integer of at least 1, got 1.5"),
+    ((0, 5), "n_sectors must be an integer of at least 1, got 0"),
+])
+def test_build_model_refuses_a_class_count_that_is_not_a_positive_integer(counts, message):
+    with pytest.raises(DataError) as exc:
+        build_model(TrainConfig(hidden_dim=4, max_tokens=4), Vocab.build(["a b"]), *counts)
+    assert str(exc.value) == message
+
+
+def test_build_model_stores_numpy_class_counts_as_ints(tmp_path):
+    config = TrainConfig(hidden_dim=4, encoder_depth=1, max_tokens=4)
+    model = build_model(config, Vocab.build(["a b"]), np.int64(3), np.int32(5))
+    assert (type(model.n_sectors), type(model.n_industries)) == (int, int)
+    save_model(model, tmp_path / "m.setn", config)  # the header is JSON
+    assert load_model(tmp_path / "m.setn")[0].n_industries == 5
+
+
 def test_epoch_order_is_pure_function_of_seed_and_epoch():
     ids = list(range(20))
     assert epoch_order(3, 0, ids) == epoch_order(3, 0, ids)
@@ -415,8 +443,28 @@ def test_records_out_of_stock_id_order_are_refused_naming_the_stock():
                  lambda records: train(model, ds.graph, records, split, cfg)):
         with pytest.raises(DataError, match=r"^5 records for a graph of 40 nodes$"):
             call(ds.records[:5])
-    with pytest.raises(DataError, match="misaligned with subgraph member"):
+    with pytest.raises(DataError, match=r"^record of stock \d+ at position \d+, where"):
         train(model, ds.graph, ds.records[::-1], split, cfg)
+    assert _param_bytes(model) == before
+
+
+def test_train_refuses_a_misplaced_record_before_its_first_step():
+    # the forward pass once found the swap only at the step that first read
+    # one of the two records, after earlier steps had changed the parameters
+    ds, cfg, vocab, split, model = _small_setup(seed=5, epochs=1)
+    g = prepare_graph(ds.graph, cfg)
+    first_read = {}
+    for step, target in enumerate(epoch_order(cfg.seed, 0, split.train)):
+        for m in sample_subgraph(g, target, cfg.neighbor_direction).members:
+            first_read.setdefault(m, step)
+    lo, hi = sorted(sorted(first_read, key=first_read.get)[-2:])
+    assert min(first_read[lo], first_read[hi]) > 1
+    swapped = list(ds.records)
+    swapped[lo], swapped[hi] = swapped[hi], swapped[lo]
+    before = _param_bytes(model)
+    with pytest.raises(DataError, match=rf"^record of stock {hi} at position {lo}, "
+                                        rf"where stock {lo}'s belongs$"):
+        train(model, ds.graph, swapped, split, cfg)
     assert _param_bytes(model) == before
 
 
