@@ -105,6 +105,10 @@ class Taxonomy:
     industry_to_sector: dict[int, int]
 
     def __post_init__(self):
+        for field in ("sectors", "industries"):
+            for name in getattr(self, field):
+                if not isinstance(name, str):
+                    raise DataError(f"each name in {field!r} must be a string, got {name!r}")
         indices = range(len(self.industries))
         extra = [key for key in self.industry_to_sector
                  if not (is_int_type(type(key)) and key in indices)]

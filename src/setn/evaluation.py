@@ -107,21 +107,51 @@ class EmbeddingMatrix:
         return self._ranked_cache[stock_id]
 
     def _rank(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """Top-k neighbour rows of the given rows, a block of rows at a time."""
-        n = len(self)
+        """Top-k neighbour rows of the given rows, a block of rows at a time,
+        each ranked as ``_top_k`` ranks the row ``unit @ unit[r]``."""
+        n, d = self._unit.shape
         top = np.empty((len(rows), k), dtype=np.intp)
         step = max(1, _RANK_BLOCK_BYTES // (8 * n))
         block = np.empty((min(step, len(rows)), n))
+        # Any two summation orders of a d-wide dot product of unit rows differ
+        # by at most 2 gamma_d, gamma_d = d u / (1 - d u) with u = 2**-53
+        # (Higham 2002, section 3.1). So where the k + 1 largest similarities
+        # of the block product lie more than 4 gamma_d apart, the per-row
+        # product ranks the same k rows in the same order, with no tie for the
+        # id rule to break. The margin doubles that, since a unit row's norm is
+        # 1 only to within a few ulp. Any other row is ranked again from its
+        # one-row product.
+        gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
+        margin = 8 * gamma
+        fallbacks = 0
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
             sims = block[:len(chunk)]
-            for i, r in enumerate(chunk):
-                # one gemv per row gives the bits of unit @ unit[r]; a gemm
-                # over the block rounds differently and can flip near-ties
-                np.dot(self._unit, self._unit[r], out=sims[i])
+            np.matmul(self._unit[chunk], self._unit.T, out=sims)
             sims[np.arange(len(chunk)), chunk] = -np.inf
-            top[start:start + len(chunk)] = _top_k(sims, k, self._id_rank)
+            cols, vals = _sorted_top(sims, k + 1)
+            top[start:start + len(chunk)] = cols[:, :k]
+            # a gap that is nan (two -inf, or a nan) counts as a near-tie;
+            # the query's own -inf after every other row is a gap of inf
+            near = np.flatnonzero(~np.all(vals[:, :-1] - vals[:, 1:] > margin, axis=1))
+            for j, i in enumerate(near):
+                # the block's rows are ranked, so row j is free for query i
+                np.dot(self._unit, self._unit[chunk[i]], out=sims[j])
+                sims[j, chunk[i]] = -np.inf
+            top[start + near] = _top_k(sims[:len(near)], k, self._id_rank)
+            fallbacks += len(near)
+        logger.debug("%d of %d ranked rows were near-ties, ranked by their per-row product",
+                     fallbacks, len(rows))
         return top
+
+
+def _sorted_top(sims: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of each row's m largest entries, largest first."""
+    n = sims.shape[1]
+    cand = np.argpartition(sims, n - m, axis=1)[:, n - m:]
+    vals = np.take_along_axis(sims, cand, axis=1)
+    order = np.argsort(-vals, axis=1)
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
 def _top_k(sims: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:

@@ -39,12 +39,20 @@ class StockGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "n_nodes", require_int(self.n_nodes, "n_nodes", 0))
+        edges = tuple(self.edges)  # a tuple as it is; any other iterable read once
+        try:
+            edges = [(s, d) for s, d in edges]
+        except (TypeError, ValueError):
+            edges = list(map(_pair, edges))
         # the rule runs over the set of endpoint types, which keeps a large edge list cheap
-        if not all(map(is_int_type, set(map(type, chain.from_iterable(self.edges))))):
-            edge = next(e for e in self.edges if not all(map(is_int_type, map(type, e))))
+        kinds = set(map(type, chain.from_iterable(edges)))
+        if not all(map(is_int_type, kinds)):
+            edge = next(e for e in edges if not all(map(is_int_type, map(type, e))))
             for node in edge:
                 require_int(node, f"node id in edge {edge!r}", 0, self.n_nodes - 1)
-        object.__setattr__(self, "edges", tuple((int(s), int(d)) for s, d in self.edges))
+        if kinds - {int}:
+            edges = [(int(s), int(d)) for s, d in edges]
+        object.__setattr__(self, "edges", tuple(edges))
         seen = set()
         out_adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         in_adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
@@ -60,6 +68,14 @@ class StockGraph:
             in_adj[d].append(s)
         object.__setattr__(self, "_out", out_adj)
         object.__setattr__(self, "_in", in_adj)
+
+
+def _pair(edge) -> tuple:
+    try:
+        s, d = edge
+    except (TypeError, ValueError):
+        raise DataError(f"edge {edge!r} must be a pair of node ids") from None
+    return s, d
 
 
 def to_undirected(g: StockGraph) -> StockGraph:

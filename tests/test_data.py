@@ -223,6 +223,18 @@ def test_taxonomy_refuses_a_mapping_it_cannot_serve(mapping, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("sectors, industries, message", [
+    # each once ended in AttributeError from normalizing the name
+    ([1], ["x"], "each name in 'sectors' must be a string, got 1"),
+    (["A"], [2], "each name in 'industries' must be a string, got 2"),
+])
+def test_taxonomy_refuses_a_name_that_is_not_a_string_naming_the_field(sectors, industries,
+                                                                       message):
+    with pytest.raises(DataError) as exc:
+        Taxonomy(sectors, industries, {0: 0})
+    assert str(exc.value) == message
+
+
 def test_taxonomy_stores_numpy_sector_indices_as_ints():
     taxonomy = Taxonomy(["A", "B"], ["x", "y"], {np.int64(1): np.int32(1), 0: np.int64(0)})
     assert taxonomy.industry_to_sector == {0: 0, 1: 1}

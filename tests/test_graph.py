@@ -28,10 +28,26 @@ def test_graph_refuses_a_node_id_that_is_not_an_integer(n_nodes, edges, message)
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("edges, message", [
+    # each once ended in a Python error from unpacking the edge as s, d
+    (((0, 1, 2),), "edge (0, 1, 2) must be a pair of node ids"),
+    ((5,), "edge 5 must be a pair of node ids"),
+    (((0, 1), (2,)), "edge (2,) must be a pair of node ids"),
+    # an edge iterator is read once, so the check sees the edge it refuses
+    (iter([(0, 1), (1, 2, 0)]), "edge (1, 2, 0) must be a pair of node ids"),
+])
+def test_graph_refuses_an_edge_that_is_not_a_pair_naming_it(edges, message):
+    with pytest.raises(DataError) as exc:
+        StockGraph(3, edges)
+    assert str(exc.value) == message
+
+
 def test_graph_stores_numpy_node_ids_as_ints():
     g = StockGraph(np.int64(3), ((np.int64(0), np.int32(1)), [2, np.uint8(1)]))
     assert (g.n_nodes, g.edges) == (3, ((0, 1), (2, 1)))
     assert {type(x) for x in (g.n_nodes, *g.edges[0], *g.edges[1])} == {int}
+    # an edge iterator once built a graph with no edges
+    assert StockGraph(3, iter([(0, 1), (1, 2)])).edges == ((0, 1), (1, 2))
 
 
 def test_graph_validation():
