@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DataError, LabelError, NonFiniteError, ShapeError
+from .errors import (ContractError, DataError, LabelError, NonFiniteError, ShapeError,
+                     is_finite_number)
 
 Array = np.ndarray
 
@@ -265,8 +266,8 @@ def relu(x: Tensor) -> Tensor:
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: with a generator, survivors are scaled by 1/(1-rate);
     without one it is the identity."""
-    if not 0.0 <= rate < 1.0:
-        raise DataError(f"dropout rate must be in [0, 1), got {rate}")
+    if not (is_finite_number(rate) and 0.0 <= rate < 1.0):
+        raise DataError(f"dropout rate must be in [0, 1), got {rate!r}")
     if rng is None or rate == 0.0:
         return x
     return _scale(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
@@ -518,6 +519,8 @@ class Adam:
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("Adam needs each parameter once")
+        if not (is_finite_number(lr) and lr > 0):
+            raise DataError(f"Adam's lr must be a finite number above 0, got {lr!r}")
         self.lr = lr
         self.step_count = 0
         n = sum(p.data.size for p in self.params)

@@ -5,8 +5,8 @@ File formats (all bit-exact):
   nodes.jsonl   one {"ticker", "text", "topix17", "topix33"} object per line
   edges.tsv     one "src<TAB>dst" integer pair per line, direction cause -> effect
   themes.jsonl  one {"theme", "members": [tickers]} object per line
-  vocab.txt     one token per line; empty lines are skipped, and the k-th
-                token (from 0) has id k + 3
+  vocab.txt     one token, free of whitespace, per line; empty lines are
+                skipped, and the k-th token (from 0) has id k + 3
   embeddings    .tsv (header "id\\tdim=<d>") or binary ("SETE", n, d, float32 LE)
 """
 
@@ -19,13 +19,14 @@ import os
 import re
 import struct
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DataError, is_int_type, open_text, replacing, replacing_together,
+from .errors import (DataError, is_finite_number, is_int_type, open_text, replacing,
                      require_int)
 from .graph import StockGraph
 from .text import Vocab
@@ -205,15 +206,18 @@ class Taxonomy:
             raise DataError(f"{path}: {exc}") from exc
 
     def to_file(self, path) -> None:
-        obj = {
+        with replacing(path, "w") as fh:
+            self.write(fh)
+
+    def write(self, fh) -> None:
+        """The JSON that ``from_file`` reads, industry_to_sector by name."""
+        json.dump({
             "sectors": self.sectors,
             "industries": self.industries,
             "industry_to_sector": {self.industries[i]: self.sectors[s]
                                    for i, s in sorted(self.industry_to_sector.items())},
-        }
-        with replacing(path, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        }, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 DEFAULT_TAXONOMY = Taxonomy.default()
@@ -425,8 +429,7 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
         require_int(getattr(spec, name), name, least)
     for name in ("graph_signal", "direction_signal", "text_signal"):
         value = getattr(spec, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 <= value <= 1):  # nan fails too
+        if not (is_finite_number(value) and 0 <= value <= 1):
             raise DataError(f"{name} must be a number in [0, 1], got {value!r}")
     if spec.industries < spec.sectors:
         raise DataError("need at least as many industries as sectors")
@@ -527,37 +530,36 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
 def write_dataset(dataset: Dataset, out_dir) -> list[str]:
     """Write nodes.jsonl, edges.tsv, themes.jsonl, vocab.txt and
     taxonomy.json; returns their paths. No file replaces its old version
-    until all five are written, so a write that fails leaves the old
-    dataset as it was."""
+    until all five are written and flushed, so a write that fails leaves the
+    old dataset as it was."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tax = dataset.taxonomy
-    with replacing_together():
-        nodes = out / "nodes.jsonl"
-        with replacing(nodes, "w") as fh:
-            for r in dataset.records:
-                fh.write(json.dumps({
-                    "ticker": r.ticker,
-                    "text": r.text,
-                    "topix17": tax.sectors[r.sector],
-                    "topix33": tax.industries[r.industry],
-                }, sort_keys=True) + "\n")
-        edges = out / "edges.tsv"
-        with replacing(edges, "w") as fh:
-            for s, d in dataset.graph.edges:
-                fh.write(f"{s}\t{d}\n")
-        themes = out / "themes.jsonl"
+    paths = [out / name for name in
+             ("nodes.jsonl", "edges.tsv", "themes.jsonl", "vocab.txt", "taxonomy.json")]
+    with ExitStack() as stack:
+        files = [stack.enter_context(replacing(path, "w")) for path in paths]
+        nodes, edges, themes, vocab, taxonomy = files
+        for r in dataset.records:
+            nodes.write(json.dumps({
+                "ticker": r.ticker,
+                "text": r.text,
+                "topix17": tax.sectors[r.sector],
+                "topix33": tax.industries[r.industry],
+            }, sort_keys=True) + "\n")
+        for s, d in dataset.graph.edges:
+            edges.write(f"{s}\t{d}\n")
         ticker_of = {r.stock_id: r.ticker for r in dataset.records}
-        with replacing(themes, "w") as fh:
-            for name, members in dataset.themes.items():
-                fh.write(json.dumps({"theme": name,
-                                     "members": [ticker_of[m] for m in members]},
-                                    sort_keys=True) + "\n")
-        vocab = out / "vocab.txt"
-        Vocab.build(r.text for r in dataset.records).to_file(vocab)
-        taxonomy = out / "taxonomy.json"
-        dataset.taxonomy.to_file(taxonomy)
-    return [str(nodes), str(edges), str(themes), str(vocab), str(taxonomy)]
+        for name, members in dataset.themes.items():
+            themes.write(json.dumps({"theme": name, "members": [ticker_of[m] for m in members]},
+                                sort_keys=True) + "\n")
+        Vocab.build(r.text for r in dataset.records).write(vocab)
+        tax.write(taxonomy)
+        # a full disk often shows only when the buffer reaches the file;
+        # that must happen before the stack replaces the first target
+        for fh in files:
+            fh.flush()
+    return [str(path) for path in paths]
 
 
 # ---------------------------------------------------------------------------

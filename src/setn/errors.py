@@ -1,10 +1,11 @@
 """Exception types shared across the package, the one rule for an integer
-argument, the text-file reader that reports undecodable input as one of
-them, and the one way the package writes a file."""
+argument and the one for a real number, the text-file reader that reports
+undecodable input as one of them, and the one way the package writes a
+file."""
 
+import math
 import os
 from contextlib import contextmanager
-from contextvars import ContextVar
 
 import numpy as np
 
@@ -47,6 +48,18 @@ def is_int_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
+def is_finite_number(value) -> bool:
+    """The package's one rule for a real number: an ``int`` or ``float``, never
+    ``bool``, that converts to a finite float; an int past the float range
+    overflows."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require_int(value, name: str, least: int, most: int | None = None) -> int:
     """``value`` as an ``int`` if its type passes ``is_int_type`` and it lies in
     [least, most], no upper bound by default; else a DataError starting with ``name``."""
@@ -67,16 +80,10 @@ def open_text(path):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-# (new file, target) of each ``replacing`` block that completed inside the
-# innermost open ``replacing_together`` of this thread or task
-_staged: ContextVar[list | None] = ContextVar("_staged", default=None)
-
-
 @contextmanager
 def replacing(path, mode: str):
     """A file opened with ``mode`` ("w" or "wb") beside ``path`` that replaces
-    ``path`` when the block completes, or when an enclosing
-    ``replacing_together`` block does. When the block or the replacement
+    ``path`` when the block completes. When the block or the replacement
     fails, ``path`` stays as it was and the new file is removed."""
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
@@ -87,32 +94,7 @@ def replacing(path, mode: str):
     try:
         with fh:
             yield fh
-        staged = _staged.get()
-        if staged is None:
-            os.replace(tmp, path)
-        else:
-            staged.append((tmp, path))
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-@contextmanager
-def replacing_together():
-    """Hold back every ``replacing`` that completes inside the block: their
-    files replace their targets one after another once the whole block
-    completes. When the block fails, no target changes and every new file
-    is removed."""
-    staged: list = []
-    token = _staged.set(staged)
-    try:
-        try:
-            yield
-        finally:
-            _staged.reset(token)
-        while staged:
-            os.replace(*staged[0])
-            del staged[0]
-    finally:
-        for tmp, _ in staged:
-            os.unlink(tmp)

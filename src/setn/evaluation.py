@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import no_grad, take_rows
-from .data import StockRecord
+from .data import StockRecord, _require_finite_rows
 from .errors import DataError, is_int_type, require_int
 from .graph import StockGraph, sample_subgraph
 from .model import size_batches
@@ -55,8 +55,7 @@ class EmbeddingMatrix:
         if np.any(peak == 0):
             bad = [self.ids[i] for i in odd[peak == 0]]
             raise DataError(f"zero-norm embedding rows for ids {bad}")
-        if not np.all(np.isfinite(self.vectors)):
-            raise DataError("non-finite embedding entries")
+        _require_finite_rows(self.ids, self.vectors, "a non-finite value")
         self._index = {sid: i for i, sid in enumerate(self.ids)}
         scaled = self.vectors[odd] / peak[:, None]
         norms[odd] = 1.0
@@ -84,17 +83,20 @@ class EmbeddingMatrix:
     def neighbor_rows(self, k: int, rows=None) -> np.ndarray:
         """Rows of the k most similar other stocks of each given row (every
         row by default), most similar first, ties by ascending id; k is a
-        non-negative integer, capped at n - 1.
+        non-negative integer, capped at n - 1, and each row an integer in
+        [0, n).
 
         A ranking of every row is cached and then serves any smaller k for
         any rows; the matrix is immutable by convention.
         """
         k = min(require_int(k, "k", 0), len(self) - 1)
+        if rows is not None:
+            rows = _require_rows(rows, len(self))
         if k <= self._prefix.shape[1]:
             top = self._prefix[:, :k]
             return top if rows is None else top[rows]
         if rows is not None:
-            return self._rank(np.asarray(rows, dtype=np.intp), k)
+            return self._rank(rows, k)
         self._prefix = self._rank(np.arange(len(self)), k)
         return self._prefix
 
@@ -173,6 +175,22 @@ def _require_id(stock_id) -> None:
     ``errors.is_int_type`` or a string ticker."""
     if not (isinstance(stock_id, str) or is_int_type(type(stock_id))):
         raise DataError(f"a stock id must be an integer or a string, got {stock_id!r}")
+
+
+def _require_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as an intp array, each entry an integer by
+    ``errors.is_int_type`` in [0, n); an integer array is checked by its
+    dtype and its extremes, any other sequence entry by entry."""
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and is_int_type(rows.dtype.type)):
+        try:
+            entries = iter(rows)
+        except TypeError:
+            raise DataError(f"rows must be a sequence of rows, got {rows!r}") from None
+        return np.fromiter((require_int(r, "row", 0, n - 1) for r in entries), dtype=np.intp)
+    if rows.size:
+        require_int(rows.min(), "row", 0, n - 1)
+        require_int(rows.max(), "row", 0, n - 1)
+    return rows.astype(np.intp, copy=False)
 
 
 def _require_records(records: Sequence[StockRecord], graph: StockGraph,

@@ -38,6 +38,7 @@ class Vocab:
         # text -> its whole id sequence, CLS first: ``tokenize``'s memo
         self._memo: dict[str, tuple[int, ...]] = {}
         for i, tok in enumerate(self.tokens):
+            _require_token(tok)
             if tok in self._ids:
                 raise DataError(f"duplicate vocabulary token {tok!r}")
             self._ids[tok] = i + NUM_RESERVED
@@ -69,13 +70,29 @@ class Vocab:
                 if token in tokens:
                     raise DataError(f"{path}:{lineno}: duplicate vocabulary token {token!r}")
                 if token:
+                    try:
+                        _require_token(token)
+                    except DataError as exc:
+                        raise DataError(f"{path}:{lineno}: {exc}") from exc
                     tokens[token] = None
         return cls(list(tokens))
 
     def to_file(self, path) -> None:
         with replacing(path, "w") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
+            self.write(fh)
+
+    def write(self, fh) -> None:
+        """One token per line, as ``from_file`` reads them."""
+        for tok in self.tokens:
+            fh.write(tok + "\n")
+
+
+def _require_token(token) -> None:
+    """The one rule for a vocabulary token: a string that ``tokenize``'s
+    whitespace split can return, which one line of a vocab file holds."""
+    if not (isinstance(token, str) and token.split() == [token]):
+        raise DataError(f"vocabulary token {token!r} must be a non-empty string "
+                        "without whitespace")
 
 
 def tokenize(text: str, vocab: Vocab, max_tokens: int = MAX_TOKENS) -> TokenSequence:

@@ -22,9 +22,9 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .autodiff import Adam, backward
-from .data import Dataset, StockRecord
+from .data import Dataset, StockRecord, _parse_json
 from .errors import (CheckpointError, ContractError, DataError, NonFiniteError, SetnError,
-                     TrainingError, replacing, require_int)
+                     TrainingError, is_finite_number, replacing, require_int)
 from .evaluation import _require_records, evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
@@ -65,16 +65,6 @@ class TrainConfig:
         def fail(name: str, why: str):
             raise DataError(f"config field {name!r}: {why}")
 
-        def finite(value) -> bool:
-            """A number that converts to a finite float: an int past the float
-            range overflows."""
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                return False
-            try:
-                return math.isfinite(value)
-            except OverflowError:
-                return False
-
         for name, least, most in (("epochs", 1, sys.maxsize),  # one history entry per epoch
                                   ("hidden_dim", 1, None), ("encoder_depth", 0, None),
                                   ("seed", 0, None), ("max_tokens", 1, None)):
@@ -82,7 +72,7 @@ class TrainConfig:
                                                        f"config field {name!r}:", least, most))
         for name in ("learning_rate", "dropout"):
             value = getattr(self, name)
-            if not finite(value):
+            if not is_finite_number(value):
                 fail(name, f"expected a finite number, got {value!r}")
         for name in ("residual", "directed"):
             value = getattr(self, name)
@@ -104,7 +94,7 @@ class TrainConfig:
             fail("encoder_train", "policy 'last' needs encoder_depth of at least 1")
         props = self.proportions
         if (not isinstance(props, (list, tuple)) or len(props) != 3
-                or not all(finite(p) and p > 0 for p in props)
+                or not all(is_finite_number(p) and p > 0 for p in props)
                 or abs(sum(map(float, props)) - 1.0) > 1e-9):
             fail("proportions", f"expected three positive numbers summing to 1, got {props!r}")
         object.__setattr__(self, "proportions", tuple(props))
@@ -379,7 +369,7 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
     if 16 + header_len > len(body):
         raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
     try:
-        header = json.loads(body[16:16 + header_len].decode("utf-8"))
+        header = _parse_json(body[16:16 + header_len].decode("utf-8"), path, "checkpoint header")
         config_obj = dict(header["config"])
         # frozen layers are now cached automatically during training, whatever
         # this retired key said
@@ -393,10 +383,9 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
         vocab = Vocab(header["vocab"])
         n_classes = [header["model"][key] for key in ("n_sectors", "n_industries")]
         manifest = [(str(entry["name"]), tuple(entry["shape"])) for entry in header["params"]]
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        # ValueError covers malformed JSON, bytes that are not UTF-8 and the
-        # DataError of a config or vocabulary that fails validation;
-        # RecursionError, JSON nested deeper than the interpreter's limit
+    except (ValueError, KeyError, TypeError) as exc:
+        # ValueError covers bytes that are not UTF-8 and the DataError of
+        # JSON, a config or a vocabulary that fails validation
         raise CheckpointError(f"{path}: invalid header: {type(exc).__name__}: {exc}") from exc
     if not all(type(n) is int and n >= 1 for n in n_classes):
         raise CheckpointError(f"{path}: class counts {n_classes} are not positive integers")

@@ -5,13 +5,16 @@ gradient counted as zero, and ``zero_grad`` dropping every ``.grad``. The
 arena must leave the parameters bit for bit where it leaves them.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from setn import autodiff as ad
 from setn.autodiff import Adam, Tensor, _accum, backward
 from setn.data import GeneratorSpec, generate_synthetic
-from setn.errors import ContractError
+from setn.errors import ContractError, DataError
 from setn.graph import sample_subgraph
 from setn.model import compute_loss
 from setn.text import Vocab
@@ -130,6 +133,17 @@ def test_adam_rejects_a_parameter_listed_twice():
     theta = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ContractError, match="once"):
         Adam([theta, theta])
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 10**400, 0, -1.0, True, "0.1",
+                                None])
+def test_adam_refuses_a_learning_rate_that_is_not_a_finite_number_above_zero(lr):
+    # nan once wrote NaN into every parameter, -1.0 ascended and True stepped as 1.0
+    theta = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(DataError, match=rf"^Adam's lr must be a finite number above 0, "
+                                        rf"got {re.escape(repr(lr))}$"):
+        Adam([theta], lr=lr)
+    assert theta.data.tolist() == [1.0, 2.0]
 
 
 def test_first_accumulation_into_an_arena_view_matches_a_fresh_gradient_bit_for_bit():

@@ -135,9 +135,10 @@ def test_dropout_preserves_mean_at_scale():
 
 
 def test_dropout_rejects_bad_rate():
-    for rate in (-0.1, 1.0, 1.5):
-        with pytest.raises(DataError):
-            dropout(Tensor([1.0]), rate, rng=np.random.default_rng(0))
+    for rate in (-0.1, 1.0, 1.5, float("nan"), True, "0.2", None):
+        for rng in (np.random.default_rng(0), None):
+            with pytest.raises(DataError, match=r"^dropout rate must be in \[0, 1\), got "):
+                dropout(Tensor([1.0]), rate, rng=rng)
 
 
 def test_dropout_gradient_uses_same_mask():

@@ -1,6 +1,7 @@
 import builtins
 import dataclasses
 import errno
+import io
 import json
 import re
 import struct
@@ -925,6 +926,34 @@ def test_a_dataset_write_that_fails_on_a_later_file_replaces_none_of_the_five(
     monkeypatch.undo()
     write_dataset(dataset(1), tmp_path)
     assert sum(_files(tmp_path)[name] != old[name] for name in old) >= 3
+
+
+class _FullDisk(io.FileIO):
+    """A file on a full disk: a write that reaches it raises ENOSPC."""
+
+    def write(self, _data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["nodes.jsonl", "themes.jsonl", "vocab.txt"])
+def test_a_dataset_write_whose_full_disk_shows_only_at_flush_replaces_none_of_the_five(
+        tmp_path, monkeypatch, failing):
+    # each of these files fits in its buffer, so the disk refuses it only when
+    # the buffer is flushed, which must come before any file is replaced
+    write_dataset(generate_synthetic(GeneratorSpec(n=30, sectors=3, industries=5,
+                                                   vocab_size=60, seed=0)), tmp_path)
+    old = _files(tmp_path)
+
+    def open_on_a_full_disk(file, mode, encoding=None):
+        if not str(file).startswith(str(tmp_path / failing) + "."):
+            return builtins.open(file, mode, encoding=encoding)
+        return io.TextIOWrapper(io.BufferedWriter(_FullDisk(file, mode)), encoding=encoding)
+
+    monkeypatch.setattr(errors_module, "open", open_on_a_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_dataset(generate_synthetic(GeneratorSpec(n=30, sectors=3, industries=5,
+                                                       vocab_size=60, seed=1)), tmp_path)
+    assert _files(tmp_path) == old
 
 
 def test_export_into_a_missing_directory_names_the_path_asked_for(tmp_path):

@@ -140,6 +140,9 @@ def test_embedding_matrix_validation():
         EmbeddingMatrix([0, 1], np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(DataError, match="no rows"):
         EmbeddingMatrix([], np.zeros((0, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="^the embedding of id 'B' holds a non-finite value$"):
+            EmbeddingMatrix(["A", "B", "C"], [[1.0, 0.0], [bad, 1.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, float("nan"), None, (1,)])
@@ -446,6 +449,37 @@ def test_every_ranking_refuses_a_k_that_is_not_an_integer_naming_it(k):
         with pytest.raises(DataError, match=rf"^k must be an integer of at least {least}, "
                                             rf"got {re.escape(repr(k))}$"):
             call()
+
+
+@pytest.mark.parametrize("rows", [[1.5], [True], [-1], [5], [0, None], ["1"], [np.int64(9)],
+                                  np.array([-1]), np.array([5], dtype=np.uint8),
+                                  np.array([True]), np.array([1.0]), np.array([[1]])])
+@pytest.mark.parametrize("cached", [False, True])
+def test_neighbor_rows_refuses_a_row_that_is_not_an_integer_in_range_naming_it(rows, cached):
+    # [1.5] and [True] once ranked row 1 on a fresh matrix and raised numpy's
+    # IndexError on a cached one; [-1] ranked the last row on both
+    emb = EmbeddingMatrix(list(range(5)), np.random.default_rng(11).normal(size=(5, 3)))
+    if cached:
+        emb.neighbor_rows(4)
+    with pytest.raises(DataError, match=r"^row must be an integer in \[0, 4\], got "):
+        emb.neighbor_rows(2, rows)
+
+
+@pytest.mark.parametrize("rows", [3, np.int64(3), np.array(3)])
+def test_neighbor_rows_refuses_rows_that_are_no_sequence(rows):
+    emb = EmbeddingMatrix(list(range(5)), np.random.default_rng(11).normal(size=(5, 3)))
+    with pytest.raises(DataError, match=r"^rows must be a sequence of rows, got "):
+        emb.neighbor_rows(2, rows)
+
+
+def test_neighbor_rows_take_integer_rows_of_any_integer_type():
+    emb = EmbeddingMatrix(list(range(5)), np.random.default_rng(11).normal(size=(5, 3)))
+    expected = emb.neighbor_rows(2)[[4, 0]]
+    for rows in ([4, 0], [np.int8(4), np.uint64(0)], np.array([4, 0], dtype=np.uint16)):
+        assert np.array_equal(EmbeddingMatrix(emb.ids, emb.vectors).neighbor_rows(2, rows),
+                              expected)
+        assert np.array_equal(emb.neighbor_rows(2, rows), expected)
+    assert emb.neighbor_rows(2, []).shape == (0, 2)
 
 
 def test_map_refuses_an_empty_list_of_ks():

@@ -49,6 +49,13 @@ def _configure(name, value):
     return TrainConfig(**{name: value})
 
 
+def _rank_rows(cached, row):
+    emb = _matrix()
+    if cached:
+        emb.neighbor_rows(7)
+    return emb.neighbor_rows(3, [0, row])
+
+
 _K_SLOTS = {
     "map_at_k k": lambda k: map_at_k(_matrix(), {i: i % 2 for i in range(8)}, [3, k]),
     "average_precision_at_k k": lambda k: average_precision_at_k([1, 0, 1], 2, k),
@@ -63,8 +70,16 @@ _ID_SLOTS = {
     "ranked_neighbors id": lambda v: _matrix().ranked_neighbors(v),
     "cosine_knn query": lambda v: cosine_knn(_matrix(), v, 2),
 }
+# rows: none of the values drawn for these is a row of the 8-row matrix,
+# whether its ranking is cached or not
+_ROW_SLOTS = {
+    "neighbor_rows rows": partial(_rank_rows, False),
+    "neighbor_rows rows cached": partial(_rank_rows, True),
+}
 _OTHER_SLOTS = {
     "EmbeddingMatrix id": lambda v: EmbeddingMatrix([0, v], np.eye(2)),
+    "Adam lr": lambda v: ad.Adam([Tensor(np.ones(2), requires_grad=True)], lr=v).step(),
+    "dropout rate": lambda v: ad.dropout(Tensor(np.ones(3)), v, np.random.default_rng(0)),
     **{f"split_dataset proportion {i}": partial(_split_proportion, i) for i in range(3)},
     "split_dataset seed": lambda v: split_dataset(range(20), seed=v),
     "theme_metric member": lambda v: theme_metric(_matrix(), {"t": (1, 2, v)}),
@@ -76,9 +91,11 @@ _OTHER_SLOTS = {
 
 @st.composite
 def _slot_and_value(draw):
-    slot = draw(st.sampled_from(sorted(_K_SLOTS) + sorted(_ID_SLOTS) + sorted(_OTHER_SLOTS)))
+    slot = draw(st.sampled_from(sorted(_K_SLOTS) + sorted(_ID_SLOTS) + sorted(_ROW_SLOTS)
+                                + sorted(_OTHER_SLOTS)))
     values = (_BAD + [_HUGE] if slot in _K_SLOTS
-              else _BAD + [1.0, None] if slot in _ID_SLOTS else _BAD)
+              else _BAD + [1.0, None] if slot in _ID_SLOTS
+              else _BAD + [1.0, None, _HUGE, 8] if slot in _ROW_SLOTS else _BAD)
     return slot, draw(st.sampled_from(values))
 
 
@@ -86,13 +103,13 @@ def _slot_and_value(draw):
 @given(case=_slot_and_value())
 def test_a_bad_number_in_any_library_argument_returns_or_raises_a_package_error(case):
     slot, value = case
-    call = _K_SLOTS.get(slot) or _ID_SLOTS.get(slot) or _OTHER_SLOTS[slot]
+    call = {**_K_SLOTS, **_ID_SLOTS, **_ROW_SLOTS, **_OTHER_SLOTS}[slot]
     try:
         call(value)
     except SetnError:
         pass
     else:
-        assert slot not in _ID_SLOTS, f"{slot} took {value!r}"
+        assert slot not in _ID_SLOTS and slot not in _ROW_SLOTS, f"{slot} took {value!r}"
 
 
 def _no_trainable_parameters(_tmp):

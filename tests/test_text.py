@@ -82,6 +82,25 @@ def test_vocab_file_duplicate_names_the_path_and_line(tmp_path):
     assert str(exc.value) == f"{path}:4: duplicate vocabulary token 'a'"
 
 
+@pytest.mark.parametrize("token", ["", "a b", "a\nb", " a", "a\u2028b", 1, None])
+def test_vocab_refuses_a_token_that_its_file_cannot_hold(token):
+    # "" was written as an empty line that from_file skips, so "y" reloaded
+    # with the id of the token after it; "a\nb" reloaded as two tokens
+    with pytest.raises(DataError, match=rf"^vocabulary token {re.escape(repr(token))} must be "
+                                        "a non-empty string without whitespace$"):
+        Vocab(["x", token, "y"])
+
+
+@pytest.mark.parametrize("line", ["a b", " a", "a\tb", "a\u2028b"])
+def test_a_vocab_file_token_holding_whitespace_names_the_path_and_line(tmp_path, line):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"x\n\n{line}\ny\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        Vocab.from_file(path)
+    assert str(exc.value) == (f"{path}:3: vocabulary token {line!r} must be a non-empty "
+                              "string without whitespace")
+
+
 def test_vocab_file_roundtrip(tmp_path, vocab):
     path = tmp_path / "vocab.txt"
     vocab.to_file(path)

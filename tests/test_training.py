@@ -739,10 +739,15 @@ def _non_finite_first_block(header, blocks):
     (lambda h, b: (h, b, 10 ** 9), "runs past the end"),
     (_omit_last_parameter, "missing from the checkpoint: ['head_industry.bias']"),
     (_non_finite_first_block, "non-finite"),
-    (lambda h, b: (b"[" * 100_000, b), "invalid header: RecursionError"),
+    (lambda h, b: (b"[" * 100_000, b), "checkpoint header nested too deeply"),
+    # json.loads would keep the last "vocab", as every other JSON input refuses
+    (lambda h, b: (json.dumps(h, sort_keys=True)[:-1].encode() + b', "vocab": ["z"]}', b),
+     "checkpoint header repeats the key 'vocab'"),
+    (lambda h, b: (dict(h, vocab=h["vocab"][:-1] + ["a b"]), b),
+     "invalid header: DataError: vocabulary token 'a b'"),
 ], ids=["non-json", "non-utf8", "not-an-object", "no-model", "config-5", "config-out-of-range",
         "no-shape", "bad-class-count", "header-past-body", "missing-param", "non-finite-param",
-        "nested-too-deeply"])
+        "nested-too-deeply", "repeated-key", "vocab-token-with-a-space"])
 def test_malformed_checkpoint_is_a_checkpoint_error_naming_the_file(tmp_path, edit, expected):
     ds, cfg, vocab, split, model = _small_setup(seed=17, epochs=1)
     path = tmp_path / "model.setn"
