@@ -529,14 +529,20 @@ def generate_synthetic(spec: GeneratorSpec) -> Dataset:
 
 def write_dataset(dataset: Dataset, out_dir) -> list[str]:
     """Write nodes.jsonl, edges.tsv, themes.jsonl, vocab.txt and
-    taxonomy.json; returns their paths. No file replaces its old version
-    until all five are written and flushed, so a write that fails leaves the
-    old dataset as it was."""
+    taxonomy.json; returns their paths. A target that is a directory is a
+    DataError before any file is opened. No file replaces its old version
+    until all five are written and flushed, so a write that fails until then
+    leaves the old dataset as it was. The five replacements are separate
+    renames: one that fails after another has completed leaves a mix of new
+    and old files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tax = dataset.taxonomy
     paths = [out / name for name in
              ("nodes.jsonl", "edges.tsv", "themes.jsonl", "vocab.txt", "taxonomy.json")]
+    taken = [str(path) for path in paths if path.is_dir()]
+    if taken:
+        raise DataError(f"cannot write the dataset over directories: {', '.join(taken)}")
     with ExitStack() as stack:
         files = [stack.enter_context(replacing(path, "w")) for path in paths]
         nodes, edges, themes, vocab, taxonomy = files

@@ -354,7 +354,8 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     with no_grad():
         text = model.text_stage([records[m] for m in members])
         for batch in size_batches([len(sub_members) for sub_members in members_of]):
-            h = take_rows(text, [[row_of[m] for m in members_of[i]] for i in batch])
+            rows = np.fromiter((row_of[m] for i in batch for m in members_of[i]), dtype=np.int64)
+            h = take_rows(text, rows.reshape(len(batch), -1))
             vectors[batch] = model.graph_stage(h, [subs[i] for i in batch]).data[:, 0]
     zero = ~vectors.any(axis=1)
     vectors[zero] = 1.0

@@ -128,9 +128,10 @@ def _adjacency(sub: Subgraphs) -> np.ndarray:
     n = subs[0].size
     a = np.zeros((len(subs), n, n))
     a[:, range(n), range(n)] = 1.0
-    edges = np.array([(i, d, s) for i, one in enumerate(subs) for s, d in one.edges],
-                     dtype=np.intp).reshape(-1, 3)
-    a[edges[:, 0], edges[:, 1], edges[:, 2]] = 1.0
+    counts = [len(one.edges) for one in subs]
+    edges = np.fromiter(chain.from_iterable(chain.from_iterable(one.edges for one in subs)),
+                        dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
+    a[np.repeat(np.arange(len(subs)), counts), edges[:, 1], edges[:, 0]] = 1.0
     return a[0] if isinstance(sub, Subgraph) else a
 
 

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 from .graph import GnnParams, Subgraph, Subgraphs, gat_layer, gcn_layer, init_gnn_params
-from .text import EncoderBlock, TextEncoder, Vocab, _cached_rows, pool, tokenize
+from .text import EncoderBlock, TextEncoder, Vocab, _cached_rows, _token_keys, pool
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -118,15 +118,15 @@ class SetnModel:
     def text_stage(self, records: Sequence) -> Tensor:
         """Tokenize, encode and pool: one text vector per record, [m, d].
 
-        ``tokenize`` maps each text once per vocabulary. Under ``no_grad``
-        each distinct token sequence is encoded once per parameter state: its
-        pooled row is kept in a memo that lasts while every encoder parameter
-        keeps its bits, and the result is a new array built from the memo. A
-        recorded pass neither reads nor fills the memo and encodes every
-        record, since backward needs its graph. Either way every row equals
-        its own encoding bit for bit (see ``_encode_rows``)."""
-        tokens = [tuple(tokenize(r.text, self.vocab, max_tokens=self.config.max_tokens))
-                  for r in records]
+        Each record's ids, ``tokenize``'s as a tuple, are read directly from
+        the vocabulary's memo, which maps each text once per vocabulary. Under
+        ``no_grad`` each distinct token sequence is encoded once per parameter
+        state: its pooled row is kept in a memo that lasts while every encoder
+        parameter keeps its bits, and the result is a new array built from the
+        memo. A recorded pass neither reads nor fills the memo and encodes
+        every record, since backward needs its graph. Either way every row
+        equals its own encoding bit for bit (see ``_encode_rows``)."""
+        tokens = _token_keys([r.text for r in records], self.vocab, self.config.max_tokens)
         if ad.is_recording():
             return self._encode_rows(tokens)
         return Tensor(_cached_rows(self._text_rows(), tokens, lambda new: self._encode_rows(new).data))

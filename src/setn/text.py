@@ -102,22 +102,33 @@ def tokenize(text: str, vocab: Vocab, max_tokens: int = MAX_TOKENS) -> TokenSequ
     ids total. Empty text yields just the CLS id. Each vocabulary maps each
     text once and keeps the whole sequence; every call returns a new list.
     """
+    return list(_token_keys([text], vocab, max_tokens)[0])
+
+
+def _token_keys(texts: Iterable[str], vocab: Vocab, max_tokens: int) -> list[tuple[int, ...]]:
+    """``tokenize``'s ids of each text as a tuple, from the vocabulary's memo
+    of whole sequences, which maps each text once: the memo's one reader."""
     if len(vocab) <= NUM_RESERVED:
         raise DataError("vocabulary is empty")
-    ids = vocab._memo.get(text)
-    if ids is None:
-        ids = vocab._memo[text] = (CLS_ID, *map(vocab.id_of, text.lower().split()))
-    return list(ids[:max_tokens])
+    memo, keys = vocab._memo, []
+    for text in texts:
+        ids = memo.get(text)
+        if ids is None:
+            ids = memo[text] = (CLS_ID, *map(vocab.id_of, text.lower().split()))
+        keys.append(ids[:max_tokens])
+    return keys
 
 
 def _cached_rows(cache: dict, keys: Sequence, compute) -> np.ndarray:
-    """The rows ``cache[key]`` of the keys, stacked, after one
-    ``compute(missing)`` call fills the keys the cache lacks, in first-seen
-    order: it returns one row per key given."""
-    missing = [key for key in dict.fromkeys(keys) if key not in cache]
+    """The rows ``cache[key]`` of the keys, stacked (one copy, as one
+    concatenate), after one ``compute(missing)`` call fills the keys the cache
+    lacks, in first-seen order: it returns one row per key given."""
+    rows = [cache.get(key) for key in keys]
+    missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
     if missing:
         cache.update(zip(missing, compute(missing)))
-    return np.stack([cache[key] for key in keys])
+        rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]
+    return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
 
 
 class EncoderBlock:

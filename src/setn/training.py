@@ -369,7 +369,11 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
     if 16 + header_len > len(body):
         raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
     try:
-        header = _parse_json(body[16:16 + header_len].decode("utf-8"), path, "checkpoint header")
+        text = body[16:16 + header_len].decode("utf-8")
+        try:
+            header = _parse_json(text, f"{path}: invalid header", "checkpoint header")
+        except DataError as exc:  # the message names the file already
+            raise CheckpointError(str(exc)) from exc
         config_obj = dict(header["config"])
         # frozen layers are now cached automatically during training, whatever
         # this retired key said
@@ -384,8 +388,8 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
         n_classes = [header["model"][key] for key in ("n_sectors", "n_industries")]
         manifest = [(str(entry["name"]), tuple(entry["shape"])) for entry in header["params"]]
     except (ValueError, KeyError, TypeError) as exc:
-        # ValueError covers bytes that are not UTF-8 and the DataError of
-        # JSON, a config or a vocabulary that fails validation
+        # ValueError covers bytes that are not UTF-8 and the DataError of a
+        # config or a vocabulary that fails validation
         raise CheckpointError(f"{path}: invalid header: {type(exc).__name__}: {exc}") from exc
     if not all(type(n) is int and n >= 1 for n in n_classes):
         raise CheckpointError(f"{path}: class counts {n_classes} are not positive integers")

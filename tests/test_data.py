@@ -956,6 +956,21 @@ def test_a_dataset_write_whose_full_disk_shows_only_at_flush_replaces_none_of_th
     assert _files(tmp_path) == old
 
 
+def test_a_dataset_write_over_a_directory_refuses_before_replacing_any_file(tmp_path):
+    write_dataset(generate_synthetic(GeneratorSpec(n=30, sectors=3, industries=5,
+                                                   vocab_size=60, seed=0)), tmp_path)
+    (tmp_path / "vocab.txt").unlink()
+    (tmp_path / "vocab.txt").mkdir()
+    old = _files(tmp_path)
+    assert len(old) == 4
+    with pytest.raises(DataError, match="vocab.txt") as exc:
+        write_dataset(generate_synthetic(GeneratorSpec(n=30, sectors=3, industries=5,
+                                                       vocab_size=60, seed=1)), tmp_path)
+    assert str(tmp_path / "vocab.txt") in str(exc.value)
+    assert _files(tmp_path) == old  # the four old files, and no temporary one
+    assert (tmp_path / "vocab.txt").is_dir()
+
+
 def test_export_into_a_missing_directory_names_the_path_asked_for(tmp_path):
     path = tmp_path / "missing" / "emb.tsv"
     with pytest.raises(FileNotFoundError) as exc:

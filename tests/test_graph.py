@@ -5,7 +5,7 @@ import pytest
 
 from setn.autodiff import Tensor
 from setn.errors import DataError, ShapeError
-from setn.graph import (GnnParams, StockGraph, Subgraph, gat_attention,
+from setn.graph import (GnnParams, StockGraph, Subgraph, _adjacency, gat_attention,
                         gat_layer, gcn_layer, gcn_normalize, init_gnn_params,
                         sample_subgraph, to_undirected)
 
@@ -137,6 +137,41 @@ def test_sample_includes_edges_between_neighbors():
     assert sub.members == (2, 0, 1)
     # local: 2->0, 0->1, 1->2 means (1,0), (2,0), (1,2)
     assert set(sub.edges) == {(1, 0), (2, 0), (1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the adjacency with self-loops, checked against a loop over the edges
+
+
+def _loop_adjacency(subs):
+    n = subs[0].size
+    a = np.zeros((len(subs), n, n))
+    for b, sub in enumerate(subs):
+        for i in range(n):
+            a[b, i, i] = 1.0
+        for s, d in sub.edges:
+            a[b, d, s] = 1.0
+    return a
+
+
+def _random_subgraph(rng, n, p):
+    members = tuple(int(m) for m in rng.choice(100, n, replace=False))
+    edges = tuple((s, d) for s in range(n) for d in range(n) if s != d and rng.random() < p)
+    return Subgraph(members[0], members, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_adjacency_equals_a_loop_over_the_edges(n):
+    rng = np.random.default_rng(n)
+    for trial in range(30):
+        # each stack starts with an edgeless subgraph; the first trials hold no edge at all
+        p = 0.0 if trial < 3 else rng.choice([0.2, 0.6])
+        subs = [_random_subgraph(rng, n, p if i else 0.0) for i in range(rng.integers(1, 8))]
+        expected = _loop_adjacency(subs)
+        assert np.array_equal(_adjacency(subs), expected), (n, trial)
+        assert np.array_equal(_adjacency(tuple(subs)), expected), (n, trial)
+        alone = _adjacency(subs[-1])
+        assert alone.shape == (n, n) and np.array_equal(alone, expected[-1]), (n, trial)
 
 
 # ---------------------------------------------------------------------------

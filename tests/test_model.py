@@ -17,10 +17,11 @@ from setn.evaluation import embed_universe
 from setn.graph import StockGraph, gat_layer, gcn_layer, sample_subgraph
 from setn import model as model_module
 from setn.model import ForwardResult, SetnModel, compute_loss, param_shapes
-from setn.text import Vocab, tokenize
+from setn.text import Vocab, _cached_rows, tokenize
 from setn.training import TrainConfig
 
 from gradcheck import grad_check_params
+from test_training import _count_memo_misses
 
 
 TEXTS = [
@@ -558,6 +559,56 @@ def test_no_grad_text_rows_come_from_a_memo_that_any_parameter_bit_resets(
         seen |= keys
         for sid, row in zip(ids, emb.vectors):
             assert np.array_equal(row, _recorded_row(model, graph, records, sid)), sid
+
+
+def test_a_warm_no_grad_text_stage_maps_and_encodes_nothing_and_returns_the_recorded_rows(
+        monkeypatch):
+    records, _ = _mixed_length_universe()
+    # with the CLS id, 20 and 31 words are cut to the same 16 ids, and 15 words fit
+    records += [StockRecord(len(records) + i, f"L{i:03d}",
+                            " ".join(WORDS[j % 4] for j in range(length)), 0, 0)
+                for i, length in enumerate((20, 31, 15))]
+    model = make_model(depth=2)
+    keys = [_token_key(model, r) for r in records]
+    assert keys[-3] == keys[-2] == keys[-1] and len(keys[-1]) == model.config.max_tokens
+    assert len({len(key) for key in keys}) > 3
+    misses = _count_memo_misses(model.vocab)
+    recorded = model.text_stage(records).data
+    with no_grad():
+        first = model.text_stage(records).data
+    assert misses == Counter({r.text for r in records})
+
+    def fail(_tokens):
+        raise AssertionError("a warm text stage encoded a text")
+
+    monkeypatch.setattr(model, "_encode_rows", fail)
+    with no_grad():
+        warm = model.text_stage(records).data
+    assert misses == Counter({r.text for r in records})  # no new miss
+    assert np.array_equal(warm, first) and np.array_equal(warm, recorded)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_cached_rows_computes_the_misses_once_deduplicated_in_first_seen_order(shape):
+    def row(key):
+        return np.full(shape, float(key))
+
+    cache = {1: row(1), 4: row(4)}
+    calls = []
+
+    def compute(missing):
+        calls.append(list(missing))
+        return np.stack([row(key) for key in missing])
+
+    keys = [5, 1, 3, 5, 4, 3, 1, 7]
+    rows = _cached_rows(cache, keys, compute)
+    assert calls == [[5, 3, 7]]
+    assert np.array_equal(rows, np.stack([row(key) for key in keys]))
+    assert rows.shape == (len(keys), *shape) and rows.flags.c_contiguous
+    assert sorted(cache) == [1, 3, 4, 5, 7]
+    again = _cached_rows(cache, keys[::-1], compute)
+    assert calls == [[5, 3, 7]]  # every key cached: no call
+    assert np.array_equal(again, rows[::-1])
 
 
 def _embed_in_threads(model, ds, parts):

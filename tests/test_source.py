@@ -97,23 +97,39 @@ def test_integer_types_are_named_only_by_the_integer_rule():
     assert naming == ["errors.py"]
 
 
-def test_json_text_is_parsed_only_by_parse_json():
-    # every JSON input, the checkpoint header too, goes through
-    # ``data._parse_json``, so each failure gets one message
-    parsers = set()
+def _functions_where(match) -> list[str]:
+    """``module.function`` for each node of the package that ``match``
+    accepts: the innermost function around it, or ``<module>``."""
+    found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
-                       for node in ast.walk(tree))
         functions = [fn for fn in ast.walk(tree)
                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "loads"
-                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            if match(node):
                 inside = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
                 name = max(inside, key=lambda fn: fn.lineno).name if inside else "<module>"
-                parsers.add(f"{path.stem}.{name}")
-    assert parsers == {"data._parse_json"}
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_json_text_is_parsed_only_by_parse_json():
+    # every JSON input, the checkpoint header too, goes through
+    # ``data._parse_json``, so each failure gets one message
+    assert _functions_where(lambda node: isinstance(node, ast.ImportFrom)
+                            and node.module == "json") == []
+    parsers = _functions_where(lambda node: isinstance(node, ast.Attribute)
+                               and node.attr == "loads" and isinstance(node.value, ast.Name)
+                               and node.value.id == "json")
+    assert set(parsers) == {"data._parse_json"}
+
+
+def test_the_token_memo_is_read_only_by_the_token_key_helper():
+    # ``tokenize`` and the model's text stage both take their ids from
+    # ``text._token_keys``, so the two cannot map a text differently
+    readers = _functions_where(lambda node: isinstance(node, ast.Attribute)
+                               and node.attr == "_memo" and isinstance(node.ctx, ast.Load))
+    assert set(readers) == {"text._token_keys"}
 
 
 def _opens_to_write(node: ast.AST) -> bool:
@@ -131,17 +147,7 @@ def _opens_to_write(node: ast.AST) -> bool:
 def test_every_file_is_written_through_replacing():
     # ``errors.replacing`` writes a new file beside the target and renames it
     # over the target, so a write that fails leaves the old file as it was
-    writers = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        functions = [fn for fn in ast.walk(tree)
-                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in ast.walk(tree):
-            if _opens_to_write(node):
-                inside = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
-                name = max(inside, key=lambda fn: fn.lineno).name if inside else "<module>"
-                writers.append(f"{path.stem}.{name}")
-    assert writers == ["errors.replacing"]
+    assert _functions_where(_opens_to_write) == ["errors.replacing"]
 
 
 def test_every_raise_re_raises_or_names_a_package_error():

@@ -757,6 +757,7 @@ def test_malformed_checkpoint_is_a_checkpoint_error_naming_the_file(tmp_path, ed
     with pytest.raises(CheckpointError) as exc:
         load_model(path)
     assert str(exc.value).startswith(f"{path}: ")
+    assert str(exc.value).count(str(path)) == 1
     assert expected in str(exc.value)
 
 
