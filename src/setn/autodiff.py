@@ -79,13 +79,19 @@ def _require_finite(arr: Array) -> Array:
 
 
 class Tensor:
-    """Dense float64 array, optionally tracking gradients."""
+    """Dense float64 array, optionally tracking gradients. A tensor built
+    needing them is a parameter: its array is read-only, and only ``writing``
+    and ``Adam`` change it, each bumping its ``version``."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "version", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _require_finite(np.ascontiguousarray(np.asarray(data, dtype=np.float64)))
+        if requires_grad:  # a view: the caller's own array stays as it was
+            self.data = self.data.view()
+            self.data.flags.writeable = False
         self.requires_grad = bool(requires_grad)
+        self.version = 0
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[Array], None] | None = None
@@ -484,7 +490,22 @@ def encoder_block(x: Tensor, params: Sequence[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization
+# parameters: the writer and initialization
+
+
+@contextmanager
+def writing(*params: Tensor):
+    """Make the parameters' arrays writeable for the block; on exit, also on a
+    raise, make them read-only again and bump their versions. Write through
+    ``p.data`` or a view taken inside the block, which must not outlive it."""
+    for p in params:
+        p.data.flags.writeable = True
+    try:
+        yield
+    finally:
+        for p in params:
+            p.data.flags.writeable = False
+            p.version += 1
 
 
 def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -506,7 +527,8 @@ class Adam:
     usual constants.
 
     Building it copies the parameters into one contiguous vector ``data`` and
-    rebinds each ``p.data`` to a view of it. ``grad`` has the same layout, and
+    rebinds each ``p.data`` to a read-only view of it; a step bumps each
+    ``p.version``. ``grad`` has the same layout, and
     each ``p.grad`` is a view of it, so ``backward`` adds every leaf's gradient
     straight into the vector and a step is a few operations over all of it. A
     ``.grad`` that a caller assigns is copied in before it is read."""
@@ -535,6 +557,7 @@ class Adam:
             end = offset + p.data.size
             view = self.data[offset:end].reshape(p.data.shape)
             view[...] = p.data
+            view.flags.writeable = False
             p.data = view
             self._grads.append(self.grad[offset:end].reshape(view.shape))
             offset = end
@@ -566,6 +589,8 @@ class Adam:
         np.multiply(np.divide(m, bc1, out=s1), self.lr, out=s1)
         np.add(np.sqrt(np.divide(v, bc2, out=s2), out=s2), self.EPS, out=s2)
         self.data -= np.divide(s1, s2, out=s1)
+        for p in self.params:
+            p.version += 1
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)

@@ -279,8 +279,11 @@ def theme_metric(emb: EmbeddingMatrix,
     theme, averaged per theme and over themes.
 
     The query is excluded from retrieval, so a perfectly clustered theme of
-    m members tops out at (m - 1) / m.
+    m members tops out at (m - 1) / m. No themes is a DataError: a mean over
+    none has no value.
     """
+    if not themes:
+        raise DataError("theme_metric needs at least one theme, got none")
     theme_rows = []
     for name, members in themes.items():
         if len(members) < 2:
@@ -299,8 +302,6 @@ def theme_metric(emb: EmbeddingMatrix,
         if missing:
             raise DataError(f"theme {name!r} members missing from embeddings: {missing}")
         theme_rows.append((name, np.fromiter(member_of, dtype=np.intp, count=len(member_of))))
-    if not theme_rows:
-        return 0.0, {}
     top = emb.neighbor_rows(max(len(rows) for _, rows in theme_rows),
                             np.concatenate([rows for _, rows in theme_rows]))
     per_theme: dict[str, float] = {}
@@ -329,14 +330,14 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     ``m``; the records the subgraphs read are checked.
 
     Two stages: the text stage runs once over the distinct members of the
-    sampled subgraphs, encoding only the texts the model's memo does not
-    hold for its current parameters, so embedding in slices encodes each
-    text once. Then the graph stage, and no head, runs once per batch of
-    targets with the same number of text members: their rows are gathered
-    into one [B, n, d] stack, at most ``TEXT_BATCH_TOKENS`` member rows per
-    batch (a larger subgraph runs alone), and each target's row is written
-    back in request order. Each row equals ``model.embed_stock``, bit for
-    bit.
+    sampled subgraphs, encoding only the texts whose pooled rows the
+    encoder's cache does not hold for its current parameters, so embedding
+    in slices encodes each text once. Then the graph stage, and no head,
+    runs once per batch of targets with the same number of text members:
+    their rows are gathered into one [B, n, d] stack, at most
+    ``TEXT_BATCH_TOKENS`` member rows per batch (a larger subgraph runs
+    alone), and each target's row is written back in request order. Each
+    row equals ``model.embed_stock``, bit for bit.
 
     A model without the residual path can emit an exactly-zero vector (its
     final ReLU saturates); such stocks collapse onto one shared fallback

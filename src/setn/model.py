@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 from .graph import GnnParams, Subgraph, Subgraphs, gat_layer, gcn_layer, init_gnn_params
-from .text import EncoderBlock, TextEncoder, Vocab, _cached_rows, _token_keys, pool
+from .text import EncoderBlock, TextEncoder, Vocab, _token_keys, pool
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -85,9 +85,6 @@ class SetnModel:
         self.head_industry = Head(ad.xavier_uniform(rng, dim, n_industries),
                                   Tensor(np.zeros(n_industries), requires_grad=True))
         self.encoder.set_trainable(config.encoder_train)
-        # (encoder parameter snapshot, token sequence -> pooled row): the
-        # ``no_grad`` text stage's memo, valid while the snapshot holds
-        self._text_memo: tuple[list[np.ndarray], dict] | None = None
 
     # ------------------------------------------------------------------
 
@@ -121,29 +118,31 @@ class SetnModel:
         Each record's ids, ``tokenize``'s as a tuple, are read directly from
         the vocabulary's memo, which maps each text once per vocabulary. Under
         ``no_grad`` each distinct token sequence is encoded once per parameter
-        state: its pooled row is kept in a memo that lasts while every encoder
-        parameter keeps its bits, and the result is a new array built from the
-        memo. A recorded pass neither reads nor fills the memo and encodes
-        every record, since backward needs its graph. Either way every row
-        equals its own encoding bit for bit (see ``_encode_rows``)."""
+        state: its pooled row is kept at the pooled level of the encoder's
+        cache (``TextEncoder.cached``), and the result is a new array built
+        from it. A recorded pass neither reads nor fills that level and
+        encodes every record, since backward needs its graph. Either way
+        every row equals its own encoding bit for bit (see ``_encode_rows``)."""
         tokens = _token_keys([r.text for r in records], self.vocab, self.config.max_tokens)
+        if not tokens:
+            raise DataError("the text stage needs at least one record, got none")
         if ad.is_recording():
             return self._encode_rows(tokens)
-        return Tensor(_cached_rows(self._text_rows(), tokens, lambda new: self._encode_rows(new).data))
+        return Tensor(self.encoder.cached(self.config.pooling, tokens,
+                                          lambda new: self._encode_rows(new).data))
 
-    def _text_rows(self) -> dict:
-        """The memo of pooled text rows by token sequence, emptied first if
-        any encoder parameter changed a bit since it was started (``==``
-        would take ``-0.0`` for ``0.0``). The snapshot and the rows are
-        replaced in one assignment, so a thread that still holds the old
-        rows fills only those."""
-        params = [p.data for _, p in self.encoder.named_params()]
-        memo = self._text_memo
-        if memo is None or not all(
-                a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-                for a, b in zip(memo[0], params)):
-            memo = self._text_memo = ([a.copy() for a in params], {})
-        return memo[1]
+    def keep_text_prefixes(self, records: Sequence) -> None:
+        """Keep the frozen prefix of each record's text at the encoder cache's
+        prefix level (``TextEncoder.frozen_depth``), in ``no_grad`` batches."""
+        encoder, depth = self.encoder, self.encoder.frozen_depth()
+        if depth is None:
+            return
+        tokens = list(dict.fromkeys(_token_keys([r.text for r in records], self.vocab,
+                                                self.config.max_tokens)))
+        with ad.no_grad():
+            for batch in size_batches([len(seq) for seq in tokens]):
+                encoder.cached(depth, [tokens[i] for i in batch],
+                               lambda new: encoder._prefix(np.array(new), depth).data)
 
     def _encode_rows(self, tokens: Sequence[tuple[int, ...]]) -> Tensor:
         """Encode and pool token sequences: one row per sequence, [m, d].
@@ -195,7 +194,8 @@ class SetnModel:
 
     def embed_stock(self, sub: Subgraph, records: Sequence) -> np.ndarray:
         """Deterministic embedding vector [d] (dropout off), computed under
-        ``no_grad``, so the member texts come from the text memo."""
+        ``no_grad``, so the member texts come from the pooled level of the
+        encoder's cache."""
         with ad.no_grad():
             return self.forward(sub, records).embedding.data.copy()
 

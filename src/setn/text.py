@@ -8,7 +8,6 @@ self-attention blocks. Depth 0 degrades to a bag of token embeddings.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -119,18 +118,6 @@ def _token_keys(texts: Iterable[str], vocab: Vocab, max_tokens: int) -> list[tup
     return keys
 
 
-def _cached_rows(cache: dict, keys: Sequence, compute) -> np.ndarray:
-    """The rows ``cache[key]`` of the keys, stacked (one copy, as one
-    concatenate), after one ``compute(missing)`` call fills the keys the cache
-    lacks, in first-seen order: it returns one row per key given."""
-    rows = [cache.get(key) for key in keys]
-    missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
-    if missing:
-        cache.update(zip(missing, compute(missing)))
-        rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]
-    return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
-
-
 class EncoderBlock:
     """Single-head self-attention plus a two-layer feedforward, post-norm."""
 
@@ -173,17 +160,17 @@ class EncoderBlock:
 
 
 class TextEncoder:
-    """Token embeddings, learned positions, and a stack of encoder blocks."""
+    """Token embeddings, learned positions, and a stack of encoder blocks,
+    with the one activation cache of their states (see ``cached``)."""
 
     def __init__(self, vocab_size: int, dim: int, depth: int,
                  rng: np.random.Generator, max_len: int = MAX_TOKENS):
         self.token_emb = ad.normal_param(rng, (vocab_size, dim))
         self.pos_emb = ad.normal_param(rng, (max_len, dim))
         self.blocks = [EncoderBlock(dim, rng) for _ in range(depth)]
-        # token sequence -> state entering block ``_prefix_depth``; held only
-        # inside ``frozen_prefix_cache``
-        self._prefix_cache: dict[tuple[int, ...], np.ndarray] | None = None
-        self._prefix_depth = 0
+        # level -> (the array and version of each parameter that feeds the
+        # level, {token sequence: state}); see ``cached``
+        self._cache: dict = {}
 
     @property
     def depth(self) -> int:
@@ -192,22 +179,60 @@ class TextEncoder:
     def encode(self, token_ids) -> Tensor:
         """Per-token hidden states [batch, len, dim] of a list of token
         sequences of equal length. Every block runs once over the batch, with
-        the same arithmetic per sequence."""
+        the same arithmetic per sequence. A sequence starts from the state
+        the cache's prefix level holds for it, if any; encoding never fills
+        that level (``SetnModel.keep_text_prefixes`` does)."""
         keys, ids = self._check_tokens(token_ids)
-        cache = self._prefix_cache
-        if cache is None:
+        start = self.frozen_depth()
+        if start is None:
             start, h = 0, self._prefix(ids, 0)
         else:
-            # frozen layers only, so the cached states carry no graph
-            start = self._prefix_depth
-            h = Tensor(_cached_rows(cache, keys, lambda new: self._prefix(np.array(new), start).data))
+            # frozen layers only, so the states carry no graph
+            h = Tensor(self.cached(start, keys, lambda new: self._prefix(np.array(new), start).data,
+                                   fill=False))
         for block in self.blocks[start:]:
             h = block.forward(h)
         return h
 
+    def frozen_depth(self) -> int | None:
+        """The cache's prefix level: the first block with trainable parameters
+        (the depth if none has any); None while an embedding table trains."""
+        if self.token_emb.requires_grad or self.pos_emb.requires_grad:
+            return None
+        return next((i for i, block in enumerate(self.blocks)
+                     if any(p.requires_grad for _, p in block.named_params())), self.depth)
+
+    def cached(self, level, keys: Sequence[tuple[int, ...]], compute,
+               fill: bool = True) -> np.ndarray:
+        """The states at ``level`` of the token sequences ``keys``, stacked in
+        a new array, after one ``compute(missing)`` call for the distinct keys
+        the cache lacks, in first-seen order, kept when ``fill``. A level is a
+        block index, the state entering it, or a pooling strategy, the pooled
+        row. Its entries hold while each parameter feeding it keeps its array
+        object and ``version``; else it is replaced by an empty level in one
+        assignment, so a thread holding the old entries fills only those."""
+        blocks = self.blocks if isinstance(level, str) else self.blocks[:level]
+        stamp = [(p.data, p.version) for p in chain(
+            (self.token_emb, self.pos_emb), (p for block in blocks for _, p in block.named_params()))]
+        held = self._cache.get(level)
+        if held is None or not all(a is b and u == v for (a, u), (b, v) in zip(held[0], stamp)):
+            held = self._cache[level] = (stamp, {})
+        entries = held[1]
+        rows = [entries.get(key) for key in keys]
+        missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
+        if missing:
+            computed = compute(missing)
+            if not fill and len(missing) == len(keys):
+                return computed  # every key distinct and new: rows in order, kept nowhere
+            new = dict(zip(missing, computed))
+            if fill:
+                entries.update(new)
+            rows = [new[key] if row is None else row for key, row in zip(keys, rows)]
+        return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
+
     def _check_tokens(self, token_ids) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """The token sequences as tuples, the prefix cache's keys, and as an
-        int array [batch, len], validated."""
+        """The token sequences as tuples, the cache's keys, and as an int
+        array [batch, len], validated."""
         rows = [tuple(seq) for seq in token_ids]
         length = len(rows[0]) if rows else 0
         if any(len(row) != length for row in rows):
@@ -236,25 +261,6 @@ class TextEncoder:
         for block in self.blocks[:stop]:
             h = block.forward(h)
         return h
-
-    @contextmanager
-    def frozen_prefix_cache(self):
-        """While the context is open, ``encode`` computes the hidden state that
-        enters the first block with trainable parameters once per token
-        sequence and reuses it. Frozen parameters must not change meanwhile.
-        Trainable embedding tables leave no frozen prefix, so then nothing is
-        cached."""
-        if self.token_emb.requires_grad or self.pos_emb.requires_grad:
-            yield
-            return
-        self._prefix_depth = next(
-            (i for i, block in enumerate(self.blocks)
-             if any(p.requires_grad for _, p in block.named_params())), self.depth)
-        self._prefix_cache = {}
-        try:
-            yield
-        finally:
-            self._prefix_cache = None
 
     def set_trainable(self, policy: str) -> None:
         """Apply a training policy: 'all', 'last' (last block only) or 'none'.

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .autodiff import Adam, backward
+from .autodiff import Adam, backward, writing
 from .data import Dataset, StockRecord, _parse_json
 from .errors import (CheckpointError, ContractError, DataError, NonFiniteError, SetnError,
                      TrainingError, is_finite_number, replacing, require_int)
@@ -194,67 +194,87 @@ def epoch_order(seed: int, epoch: int, ids: Sequence[int]) -> list[int]:
     return [ids[i] for i in rng.permutation(len(ids))]
 
 
+def _check_split(split: Split, graph: StockGraph) -> None:
+    """Train and val hold at least one id each, every id is a node of the
+    graph, and no id appears twice, in one part or across parts; each error
+    names the part."""
+    seen: dict[int, str] = {}
+    for part in ("train", "val", "test"):
+        ids = getattr(split, part)
+        if part != "test" and not len(ids):
+            raise DataError(f"split part {part!r} is empty")
+        for sid in ids:
+            require_int(sid, f"split part {part!r}: stock id", 0, graph.n_nodes - 1)
+            if sid in seen:
+                where = "appears twice" if seen[sid] == part else f"is also in part {seen[sid]!r}"
+                raise DataError(f"split part {part!r}: stock id {sid} {where}")
+            seen[sid] = part
+
+
 def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
           split: Split, config: TrainConfig,
           log_stream: Optional[TextIO] = None) -> list[dict]:
     """Fit the model in place; returns one log entry per epoch. ``config``
-    must equal ``model.config``, which the forward pass reads, and
-    ``records`` holds stock ``m``'s record at position ``m``, checked for
-    every member of the training subgraphs before the first step. During
-    the call each target's subgraph is sampled once, and the encoder computes
-    its frozen prefix once per token sequence
-    (``TextEncoder.frozen_prefix_cache``)."""
+    must equal ``model.config``, which the forward pass reads, ``split`` is
+    checked against the graph (``_check_split``), and ``records`` holds stock
+    ``m``'s record at position ``m``, checked for every member of the
+    training subgraphs before the first step. During the call each target's
+    subgraph is sampled once, and the frozen prefix of each text the steps
+    encode is computed once, before the first step, and kept in the
+    encoder's cache (``SetnModel.keep_text_prefixes``) for as long as the
+    frozen parameters keep their versions."""
     if config != model.config:
         raise ContractError("train runs the forward pass from model.config; "
                             "the config given differs from it")
+    _check_split(split, graph)
     g = prepare_graph(graph, config)
     subs = {target: sample_subgraph(g, target, config.neighbor_direction) for target in split.train}
     _require_records(records, graph, sorted({m for sub in subs.values() for m in sub.members}))
     params = model.trainable_params()
     if not params:
         raise TrainingError("model has no trainable parameters")
+    model.keep_text_prefixes([records[m] for m in sorted(
+        {m for sub in subs.values() for m in model.text_members(sub)})])
     optimizer = Adam(params, lr=config.learning_rate)
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
 
     history = []
     try:
-        # frozen encoder layers and the graph cannot change during this call
-        with model.encoder.frozen_prefix_cache():
-            for epoch in range(config.epochs):
-                start = time.perf_counter()
-                losses = []
-                for target in epoch_order(config.seed, epoch, split.train):
-                    sub = subs[target]
-                    recs = [records[m] for m in sub.members]
-                    try:
-                        result = model.forward(sub, recs, rng=dropout_rng)
-                        loss = compute_loss(result, records[target].sector, records[target].industry)
-                    except NonFiniteError as exc:
-                        # overflow inside the forward pass surfaces as a finiteness error
-                        raise TrainingError(
-                            f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
-                    value = loss.item()
-                    backward(loss)
-                    if not np.isfinite(optimizer.gradient()).all():
-                        # an overflow in backward: stop before it reaches the parameters
-                        raise TrainingError(f"non-finite gradient at epoch {epoch}, stock {target}")
-                    optimizer.step()
-                    optimizer.zero_grad()
-                    losses.append(value)
+        for epoch in range(config.epochs):
+            start = time.perf_counter()
+            losses = []
+            for target in epoch_order(config.seed, epoch, split.train):
+                sub = subs[target]
+                recs = [records[m] for m in sub.members]
+                try:
+                    result = model.forward(sub, recs, rng=dropout_rng)
+                    loss = compute_loss(result, records[target].sector, records[target].industry)
+                except NonFiniteError as exc:
+                    # overflow inside the forward pass surfaces as a finiteness error
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
+                value = loss.item()
+                backward(loss)
+                if not np.isfinite(optimizer.gradient()).all():
+                    # an overflow in backward: stop before it reaches the parameters
+                    raise TrainingError(f"non-finite gradient at epoch {epoch}, stock {target}")
+                optimizer.step()
+                optimizer.zero_grad()
+                losses.append(value)
 
-                val_map = evaluate_map(model, g, records, split.val, ks=(5,))
-                seconds = time.perf_counter() - start
-                entry = {
-                    "epoch": epoch,
-                    "mean_train_loss": float(np.mean(losses)),
-                    "val_map5_sector": val_map["topix17"][5],
-                    "val_map5_industry": val_map["topix33"][5],
-                    "seconds": seconds,
-                    "targets_per_s": len(split.train) / seconds,
-                }
-                history.append(entry)
-                if log_stream is not None:
-                    log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
+            val_map = evaluate_map(model, g, records, split.val, ks=(5,))
+            seconds = time.perf_counter() - start
+            entry = {
+                "epoch": epoch,
+                "mean_train_loss": float(np.mean(losses)),
+                "val_map5_sector": val_map["topix17"][5],
+                "val_map5_industry": val_map["topix33"][5],
+                "seconds": seconds,
+                "targets_per_s": len(split.train) / seconds,
+            }
+            history.append(entry)
+            if log_stream is not None:
+                log_stream.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     finally:
         for p in params:  # drop the optimizer's gradient views
             p.grad = None
@@ -375,8 +395,7 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
         except DataError as exc:  # the message names the file already
             raise CheckpointError(str(exc)) from exc
         config_obj = dict(header["config"])
-        # frozen layers are now cached automatically during training, whatever
-        # this retired key said
+        # retired: the encoder's cache keeps frozen layers' states whatever it said
         config_obj.pop("frozen_text_cache", None)
         for key, value in _RETIRED_KEYS.items():
             found = config_obj.pop(key, value)
@@ -414,11 +433,12 @@ def load_model(path, expected_gnn: Optional[str] = None) -> tuple[SetnModel, Tra
                               f"the file holds {len(body) - offset}")
     model = build_model(config, vocab, *n_classes)
     params = dict(model.named_params())
-    for name, _ in manifest:
-        p = params[name]
-        block = np.frombuffer(body, dtype="<f8", count=p.data.size, offset=offset)
-        if not np.isfinite(block).all():
-            raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
-        p.data[...] = block.reshape(p.data.shape)
-        offset += 8 * p.data.size
+    with writing(*params.values()):
+        for name, _ in manifest:
+            p = params[name]
+            block = np.frombuffer(body, dtype="<f8", count=p.data.size, offset=offset)
+            if not np.isfinite(block).all():
+                raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
+            p.data[...] = block.reshape(p.data.shape)
+            offset += 8 * p.data.size
     return model, config

@@ -5,7 +5,7 @@ from typing import Sequence
 
 import numpy as np
 
-from setn.autodiff import Array, Tensor, backward, no_grad
+from setn.autodiff import Array, Tensor, backward, no_grad, writing
 from setn.errors import ContractError
 
 
@@ -57,17 +57,21 @@ def grad_check_params(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
             for p in params:
                 analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
                 fd = np.zeros_like(p.data)
-                flat = p.data.reshape(-1)
                 fdf = fd.reshape(-1)
-                for i in range(flat.size):
-                    orig = flat[i]
+
+                def put(i, value):  # through the writer, which bumps p.version
+                    with writing(p):
+                        p.data.reshape(-1)[i] = value
+
+                for i in range(fdf.size):
+                    orig = p.data.reshape(-1)[i]
                     try:
-                        flat[i] = orig + h
+                        put(i, orig + h)
                         hi = f().item()
-                        flat[i] = orig - h
+                        put(i, orig - h)
                         lo = f().item()
                     finally:
-                        flat[i] = orig
+                        put(i, orig)
                     fdf[i] = (hi - lo) / (2.0 * h)
                 worst = max(worst, _max_rel_err(analytic, fd))
     finally:

@@ -41,7 +41,8 @@ class PerTensorAdam:
             m += (1.0 - Adam.BETA1) * g
             v *= Adam.BETA2
             v += (1.0 - Adam.BETA2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + Adam.EPS)
+            with ad.writing(p):
+                p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + Adam.EPS)
 
     def zero_grad(self):
         for p in self.params:

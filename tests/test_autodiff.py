@@ -678,3 +678,42 @@ def test_import_without_mallopt_still_trains(cdll):
         "history = setn.train(model, ds.graph, ds.records, split, cfg)\n"
         "print(len(history))\n")
     assert out.strip() == "1"
+
+
+# ---------------------------------------------------------------------------
+# parameter writes: read-only arrays, the writer and the versions
+
+
+def test_a_parameter_changes_only_through_the_writer_which_bumps_its_version():
+    p = Tensor(np.arange(3.0), requires_grad=True)
+    view = p.data.reshape(-1)
+    for write in (lambda: p.data.__setitem__(0, 5.0), lambda: view.__setitem__(0, 5.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert p.version == 0 and p.requires_grad
+    with ad.writing(p, p):
+        p.data[0] = 5.0
+    assert p.version == 2 and p.data.tolist() == [5.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        view[1] = 7.0  # a view taken before the block stays read-only
+    with pytest.raises(LabelError, match="stop"):
+        with ad.writing(p):
+            p.data[1] = 7.0
+            raise LabelError("stop")
+    assert p.version == 3 and not p.data.flags.writeable and p.data[1] == 7.0
+
+
+def test_adam_keeps_its_parameters_read_only_and_bumps_their_versions_on_each_step():
+    params = [Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(2), requires_grad=True)]
+    adam = Adam(params, lr=0.1)
+    assert adam.data.flags.writeable and not any(p.data.flags.writeable for p in params)
+    assert [p.version for p in params] == [0, 0]
+    for step in (1, 2):
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        adam.step()
+        assert [p.version for p in params] == [step, step]
+    with ad.writing(params[0]):  # an arena view: the write lands in the arena
+        params[0].data[...] = 4.0
+    assert adam.data[:3].tolist() == [4.0] * 3 and params[0].version == 3
+    assert not params[0].data.flags.writeable

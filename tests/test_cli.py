@@ -652,6 +652,7 @@ def test_embed_of_a_model_whose_gnn_overflows_is_one_error_line_and_no_file(
         dataset_dir, tmp_path, capsys, gnn):
     import numpy as np
 
+    from setn.autodiff import writing
     from setn.data import Taxonomy
     from setn.text import Vocab
     from setn.training import build_model, save_model
@@ -661,7 +662,8 @@ def test_embed_of_a_model_whose_gnn_overflows_is_one_error_line_and_no_file(
     model = build_model(config, Vocab.from_file(dataset_dir / "vocab.txt"),
                         taxonomy.n_sectors, taxonomy.n_industries)
     # any feature of magnitude above 1 times this weight overflows to inf
-    model.gnn.weight.data[...] = np.finfo(np.float64).max
+    with writing(model.gnn.weight):
+        model.gnn.weight.data[...] = np.finfo(np.float64).max
     checkpoint = tmp_path / "overflow.setn"
     save_model(model, checkpoint, config)
     out = tmp_path / "emb.tsv"

@@ -59,8 +59,10 @@ def _random_block(dim, seed):
     """A block whose gains and biases are not the 1 and 0 they start at."""
     block = EncoderBlock(dim, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    for _, p in block.named_params():
-        p.data += rng.normal(0.0, 0.3, p.data.shape)
+    params = [p for _, p in block.named_params()]
+    with ad.writing(*params):
+        for p in params:
+            p.data += rng.normal(0.0, 0.3, p.data.shape)
     return block
 
 
@@ -137,10 +139,12 @@ def test_minus_infinite_scores_that_the_softmax_absorbs_still_raise():
     softmax maps the -inf to a weight of 0, so the block output would be
     finite. Like the op-by-op graph, the block still refuses it."""
     block = EncoderBlock(4, np.random.default_rng(0))
-    for _, p in block.named_params():
-        p.data[...] = 0.0
-    block.attn_q_w.data[0, 0] = 1e200   # q_0 = (1e200, 0, 0, 0), q_1 = 0
-    block.attn_k_w.data[1, 0] = -1e200  # k_0 = 0, k_1 = (-1e200, 0, 0, 0)
+    params = [p for _, p in block.named_params()]
+    with ad.writing(*params):
+        for p in params:
+            p.data[...] = 0.0
+        block.attn_q_w.data[0, 0] = 1e200   # q_0 = (1e200, 0, 0, 0), q_1 = 0
+        block.attn_k_w.data[1, 0] = -1e200  # k_0 = 0, k_1 = (-1e200, 0, 0, 0)
     x = Tensor(np.eye(4)[None, :2])
     with np.errstate(over="ignore"):
         scores = (x.data @ block.attn_q_w.data) @ (x.data @ block.attn_k_w.data).swapaxes(-1, -2)

@@ -1,7 +1,7 @@
 """The fused encoder block works in place on arrays it allocated itself.
 
-Its input, its parameters and the gradient it is handed can be frozen-prefix
-cache entries, optimizer arena views or views of another op's gradient, so
+Its input, its parameters and the gradient it is handed can be entries of the
+encoder's cache, optimizer arena views or views of another op's gradient, so
 forward and backward must leave every one of them byte for byte as it was.
 """
 
@@ -20,8 +20,9 @@ def _block_params(dim, seed):
     block = EncoderBlock(dim, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     params = [p for _, p in block.named_params()]
-    for p in params:
-        p.data += rng.normal(0.0, 0.3, p.data.shape)
+    with ad.writing(*params):
+        for p in params:
+            p.data += rng.normal(0.0, 0.3, p.data.shape)
     return params
 
 
@@ -111,19 +112,19 @@ def test_unrecorded_block_keeps_nothing_and_equals_the_recorded_output(shape, mo
         assert _same_bytes(now, then)
 
 
-def test_block_leaves_the_frozen_prefix_cache_entries_it_reads_unchanged():
+def test_block_leaves_the_prefix_level_entries_it_reads_unchanged():
     enc = TextEncoder(20, 8, 2, np.random.default_rng(3), max_len=16)
     enc.set_trainable("last")
     ids = [[2, 5, 7, 9], [2, 4, 4, 11], [2, 5, 7, 9]]
     weights = Tensor(np.random.default_rng(4).normal(size=(3, 4, 8)))
-    with enc.frozen_prefix_cache():
+    enc.cached(1, [tuple(seq) for seq in ids], lambda new: enc._prefix(np.array(new), 1).data)
+    entries = enc._cache[1][1]
+    kept = dict(zip(entries, _freeze(*entries.values())))
+    assert len(kept) == 2
+    for _ in range(2):  # cache hits, recorded and not
         backward(sum_all(mul(enc.encode(ids), weights)))
-        entries = dict(zip(enc._prefix_cache, _freeze(*enc._prefix_cache.values())))
-        assert len(entries) == 2
-        for _ in range(2):  # cache hits, recorded and not
-            backward(sum_all(mul(enc.encode(ids), weights)))
-            with no_grad():
-                enc.encode(ids)
-        assert enc._prefix_cache.keys() == entries.keys()
-        for key, state in enc._prefix_cache.items():
-            assert _same_bytes(state, entries[key])
+        with no_grad():
+            enc.encode(ids)
+    assert enc._cache[1][1] is entries and entries.keys() == kept.keys()
+    for key, state in entries.items():
+        assert _same_bytes(state, kept[key])

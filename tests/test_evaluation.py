@@ -323,6 +323,12 @@ def test_theme_metric_invariant_to_uniform_scaling():
     assert a == b
 
 
+def test_theme_metric_of_no_themes_is_a_data_error():
+    # a mean over no themes has no value; eval-theme refuses an empty set first
+    with pytest.raises(DataError, match="at least one theme"):
+        theme_metric(EmbeddingMatrix([0, 1, 2], np.eye(3)), {})
+
+
 def test_theme_metric_missing_member_is_error():
     emb = EmbeddingMatrix([0, 1, 2], np.eye(3))
     with pytest.raises(DataError):

@@ -3,7 +3,8 @@ names it, never in an exception from numpy or Python underneath."""
 
 import dataclasses
 import math
-from functools import partial
+from contextlib import nullcontext
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -110,6 +111,53 @@ def test_a_bad_number_in_any_library_argument_returns_or_raises_a_package_error(
         pass
     else:
         assert slot not in _ID_SLOTS and slot not in _ROW_SLOTS, f"{slot} took {value!r}"
+
+
+@cache
+def _universe():
+    ds = generate_synthetic(_SMALL_SPEC)
+    config = TrainConfig(epochs=1, hidden_dim=4, encoder_depth=1, max_tokens=8)
+    vocab = Vocab.build(r.text for r in ds.records)
+    return ds, config, vocab, split_dataset([r.stock_id for r in ds.records], seed=0)
+
+
+def _text_stage(recording, draw):
+    ds, config, vocab, _ = _universe()
+    model = build_model(config, vocab, 3, 5)
+    with nullcontext() if recording else ad.no_grad():
+        return model.text_stage(draw(ds.records))
+
+
+def _train_split(part, draw):
+    ds, config, vocab, split = _universe()
+    model = build_model(config, vocab, 3, 5)
+    split = dataclasses.replace(split, **{part: draw(getattr(split, part))})
+    return train(model, ds.graph, ds.records, split, config)
+
+
+# sequence arguments, each given an empty list, one element or one element twice
+_SEQUENCE_SLOTS = {
+    "text_stage records": partial(_text_stage, True),
+    "text_stage records no_grad": partial(_text_stage, False),
+    "theme_metric members": lambda draw: theme_metric(_matrix(), {"t": tuple(draw(range(8)))}),
+    "theme_metric themes": lambda draw: theme_metric(
+        _matrix(), dict(draw([("a", (0, 1, 2)), ("b", (3, 4))]))),
+    **{f"train split {part}": partial(_train_split, part) for part in ("train", "val", "test")},
+}
+_DRAWS = {
+    "empty": lambda seq: list(seq)[:0],
+    "one": lambda seq: list(seq)[:1],
+    "repeated": lambda seq: list(seq)[:1] * 2,
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+@pytest.mark.parametrize("slot", sorted(_SEQUENCE_SLOTS))
+def test_an_empty_single_or_repeated_sequence_returns_or_raises_a_package_error(slot, draw):
+    try:
+        _SEQUENCE_SLOTS[slot](_DRAWS[draw])
+    except SetnError:
+        pass
 
 
 def _no_trainable_parameters(_tmp):

@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 from collections import Counter
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from setn.evaluation import embed_universe
 from setn.graph import StockGraph, gat_layer, gcn_layer, sample_subgraph
 from setn import model as model_module
 from setn.model import ForwardResult, SetnModel, compute_loss, param_shapes
-from setn.text import Vocab, _cached_rows, tokenize
+from setn.text import TextEncoder, Vocab, tokenize
 from setn.training import TrainConfig
 
 from gradcheck import grad_check_params
@@ -63,8 +62,9 @@ def forward_target(model, records, graph, target, **kw):
 def test_zeroed_gnn_with_residual_reduces_to_text_embedding(chain):
     records, graph = chain
     model = make_model(gnn="gcn", residual=True)
-    model.gnn.weight.data[...] = 0.0
-    model.gnn.bias.data[...] = 0.0
+    with ad.writing(model.gnn.weight, model.gnn.bias):
+        model.gnn.weight.data[...] = 0.0
+        model.gnn.bias.data[...] = 0.0
     sub, recs, result = forward_target(model, records, graph, 1)
     text_vec = model.encode_text(records[1]).data
     assert np.array_equal(result.embedding.data, text_vec)
@@ -106,8 +106,9 @@ def test_uniform_logits_loss_is_sum_of_log_class_counts(chain):
     records, graph = chain
     model = make_model(n_sectors=17, n_industries=33)
     for head in (model.head_sector, model.head_industry):
-        head.weight.data[...] = 0.0
-        head.bias.data[...] = 0.0
+        with ad.writing(head.weight, head.bias):
+            head.weight.data[...] = 0.0
+            head.bias.data[...] = 0.0
     _, _, result = forward_target(model, records, graph, 1)
     loss = compute_loss(result, 4, 20)
     assert loss.item() == pytest.approx(math.log(17) + math.log(33), abs=1e-12)
@@ -192,21 +193,23 @@ def test_neighbor_text_changes_target_embedding():
     assert not np.array_equal(base, moved)
 
 
-def test_frozen_text_cache_matches_uncached_path(chain):
+def test_a_recorded_pass_reads_the_prefix_level_and_equals_an_uncached_pass(chain, monkeypatch):
     records, graph = chain
     for policy in ("none", "last"):
         model = make_model(encoder_train=policy, depth=2)
         sub = sample_subgraph(graph, 1)
         recs = [records[m] for m in sub.members]
-        plain = model.embed_stock(sub, recs)
-        with model.encoder.frozen_prefix_cache():
-            # recorded passes, the path train takes: no_grad ones read the text memo
-            cached = model.forward(sub, recs).embedding.data
-            assert model.encoder._prefix_cache  # populated on first use
-            again = model.forward(sub, recs).embedding.data
-        assert model.encoder._prefix_cache is None
-        assert np.array_equal(cached, plain)
-        assert np.array_equal(again, plain)
+        plain = model.forward(sub, recs).embedding.data
+        depth = model.encoder.frozen_depth()
+        assert depth == {"none": 2, "last": 1}[policy]
+        assert model.encoder._cache[depth][1] == {}  # a recorded pass does not fill it
+        model.keep_text_prefixes(recs)
+        assert len(model.encoder._cache[depth][1]) == len({r.text for r in recs})
+        with monkeypatch.context() as patch:
+            patch.setattr(model.encoder.blocks[0], "forward", None)  # a frozen block
+            cached = model.forward(sub, recs)
+        assert cached.embedding.requires_grad
+        assert cached.embedding.data.tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
@@ -258,10 +261,10 @@ def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling)
                 assert np.array_equal(emb.vectors[sid], expected), (policy, residual, sid)
                 assert np.array_equal(model.embed_stock(sub, recs),
                                       model.forward(sub, recs).embedding.data)
-            with model.encoder.frozen_prefix_cache():
-                sub = sample_subgraph(graph, 0)
-                model.forward(sub, [records[m] for m in sub.members])  # fills part of it
-                cached = embed_universe(model, graph, records, ids)
+            sub = sample_subgraph(graph, 0)
+            model.keep_text_prefixes([records[m] for m in sub.members])  # part of the prefix level
+            del model.encoder._cache[pooling]  # the pooled level would serve every row
+            cached = embed_universe(model, graph, records, ids)
             assert np.array_equal(cached.vectors, emb.vectors), (policy, residual)
 
 
@@ -272,7 +275,8 @@ def test_embed_universe_reads_the_fused_row_and_runs_no_head(chain, gnn):
     ids = list(range(len(records)))
     before = embed_universe(model, graph, records, ids).vectors
     for head in (model.head_sector, model.head_industry):
-        head.weight.data[...] = np.nan  # a Tensor checks finiteness only when built
+        with ad.writing(head.weight):
+            head.weight.data[...] = np.nan  # a Tensor checks finiteness only when built
     assert np.array_equal(embed_universe(model, graph, records, ids).vectors, before)
     sub = sample_subgraph(graph, 1)
     with no_grad():
@@ -308,7 +312,8 @@ def test_embed_universe_raises_when_the_gnn_overflows(chain, gnn):
     records, graph = chain
     model = make_model(gnn=gnn)
     # any feature of magnitude above 1 times this weight overflows to inf
-    model.gnn.weight.data[...] = np.finfo(np.float64).max
+    with ad.writing(model.gnn.weight):
+        model.gnn.weight.data[...] = np.finfo(np.float64).max
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
         embed_universe(model, graph, records, list(range(len(records))))
 
@@ -363,8 +368,9 @@ def test_embed_universe_rows_equal_the_recorded_forward_for_any_slicing(gnn, res
 def test_an_all_zero_embedding_falls_back_to_all_ones_and_is_logged(chain, caplog, gnn):
     records, graph = chain
     model = make_model(gnn=gnn, residual=False)
-    model.gnn.weight.data[...] = 0.0
-    model.gnn.bias.data[...] = -1.0  # the layer's ReLU outputs zero for every member
+    with ad.writing(model.gnn.weight, model.gnn.bias):
+        model.gnn.weight.data[...] = 0.0
+        model.gnn.bias.data[...] = -1.0  # the layer's ReLU outputs zero for every member
     ids = [0, 2, 4]
     with caplog.at_level("DEBUG", logger="setn.evaluation"):
         emb = embed_universe(model, graph, records, ids)
@@ -375,6 +381,19 @@ def test_an_all_zero_embedding_falls_back_to_all_ones_and_is_logged(chain, caplo
         assert np.array_equal(stock, np.zeros(model.dim))  # -0.0 where ReLU cut a negative
     assert [r.getMessage() for r in caplog.records] == [
         "3 of 3 embeddings were all-zero; using the shared fallback direction"]
+
+
+def test_an_empty_text_stage_is_one_data_error_recorded_or_not_cold_or_warm():
+    model = make_model()
+    for warm in (False, True):
+        if warm:
+            with no_grad():
+                model.text_stage(make_records(3))
+        with pytest.raises(DataError, match="^the text stage needs at least one record, got none$"):
+            model.text_stage([])
+        with no_grad(), pytest.raises(DataError,
+                                      match="^the text stage needs at least one record, got none$"):
+            model.text_stage([])
 
 
 def test_recorded_text_stage_rows_require_grad_and_equal_no_grad_rows(monkeypatch):
@@ -449,23 +468,24 @@ def test_batched_training_pass_matches_per_member_reference(gnn, mixed):
                                  max_tokens=16, encoder_train=policy)
             model = SetnModel(config, vocab, 3, 5, np.random.default_rng(1))
             for cached in (False, True):
-                with model.encoder.frozen_prefix_cache() if cached else nullcontext():
-                    for sub in subs:
-                        recs = [ds.records[m] for m in sub.members]
-                        ref_loss, ref_grads = _loss_and_grads(model, per_member_forward, sub, recs)
-                        loss, grads = _loss_and_grads(model, SetnModel.forward, sub, recs)
-                        where = (policy, residual, cached, sub.target)
-                        assert loss == ref_loss, where
-                        if not mixed:
-                            assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads)), where
-                            continue
-                        scale = max(np.max(np.abs(b)) for b in ref_grads)
-                        for a, b in zip(grads, ref_grads):
-                            assert np.max(np.abs(a - b)) <= 1e-12 * scale, where
+                if cached:
+                    model.keep_text_prefixes(ds.records)
+                for sub in subs:
+                    recs = [ds.records[m] for m in sub.members]
+                    ref_loss, ref_grads = _loss_and_grads(model, per_member_forward, sub, recs)
+                    loss, grads = _loss_and_grads(model, SetnModel.forward, sub, recs)
+                    where = (policy, residual, cached, sub.target)
+                    assert loss == ref_loss, where
+                    if not mixed:
+                        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads)), where
+                        continue
+                    scale = max(np.max(np.abs(b)) for b in ref_grads)
+                    for a, b in zip(grads, ref_grads):
+                        assert np.max(np.abs(a - b)) <= 1e-12 * scale, where
 
 
 # ---------------------------------------------------------------------------
-# the no_grad text stage's memo of pooled rows
+# the no_grad text stage's pooled rows, the pooled level of the encoder's cache
 
 
 def _token_key(model, record):
@@ -485,17 +505,21 @@ def _recorded_row(model, graph, records, sid):
 
 
 def _change_parameters(model, change, draw, records, graph):
-    """Change the model's parameters in place as ``change`` names: the
-    encoder's, and the rest too for one Adam step on a target of the graph."""
+    """Change the model's parameters in place as ``change`` names, through
+    ``autodiff.writing`` or ``Adam``: the encoder's, and the rest too for one
+    Adam step on a target of the graph."""
     encoder = model.encoder
     if change == "token_emb":
-        encoder.token_emb.data[draw(st.integers(0, len(model.vocab) - 1))] += 0.25
+        with ad.writing(encoder.token_emb):
+            encoder.token_emb.data[draw(st.integers(0, len(model.vocab) - 1))] += 0.25
     elif change == "pos_emb":
-        encoder.pos_emb.data[draw(st.integers(0, model.config.max_tokens - 1))] -= 0.25
+        with ad.writing(encoder.pos_emb):
+            encoder.pos_emb.data[draw(st.integers(0, model.config.max_tokens - 1))] -= 0.25
     elif change == "block_weight":
         block = encoder.blocks[draw(st.integers(0, encoder.depth - 1))]
         weight = getattr(block, draw(st.sampled_from(["attn_q_w", "attn_v_w", "ff1_w", "ff2_w"])))
-        weight.data[(0,) * weight.data.ndim] *= 1.5
+        with ad.writing(weight):
+            weight.data[(0,) * weight.data.ndim] *= 1.5
     elif change == "adam":
         optimizer = ad.Adam(model.trainable_params(), lr=0.01)
         sid = draw(st.integers(0, len(records) - 1))
@@ -506,11 +530,12 @@ def _change_parameters(model, change, draw, records, graph):
         for p in model.trainable_params():
             p.grad = None
     elif change == "negative_zero":
-        zeros = [(p.data, i) for name, p in encoder.named_params() if name.endswith("_b")
+        zeros = [(p, i) for name, p in encoder.named_params() if name.endswith("_b")
                  for i in np.flatnonzero((p.data == 0) & ~np.signbit(p.data))]
         if zeros:
-            array, i = draw(st.sampled_from(zeros))
-            array.reshape(-1)[i] = -0.0
+            p, i = draw(st.sampled_from(zeros))
+            with ad.writing(p):
+                p.data.reshape(-1)[i] = -0.0
 
 
 @st.composite
@@ -535,13 +560,13 @@ def _small_universes(draw):
        policy=st.sampled_from(["last", "all", "none"]),
        depth=st.integers(1, 2),
        data=st.data())
-def test_no_grad_text_rows_come_from_a_memo_that_any_parameter_bit_resets(
+def test_no_grad_text_rows_come_from_a_pooled_level_that_any_parameter_write_resets(
         universe, gnn, pooling, policy, depth, data):
     records, graph = universe
     model = make_model(gnn=gnn, pooling=pooling, encoder_train=policy, depth=depth, dropout=0.0)
     encode, encoded = model.encoder.encode, []
     model.encoder.encode = lambda ids: encoded.append(len(ids)) or encode(ids)
-    seen: set = set()  # token sequences encoded since the encoder's bits last changed
+    seen: set = set()  # token sequences encoded since an encoder parameter was last written
     n = len(records)
     changes = st.sampled_from(
         [None, "token_emb", "pos_emb", "block_weight", "adam", "negative_zero"])
@@ -588,26 +613,30 @@ def test_a_warm_no_grad_text_stage_maps_and_encodes_nothing_and_returns_the_reco
     assert np.array_equal(warm, first) and np.array_equal(warm, recorded)
 
 
+@pytest.mark.parametrize("level", [1, "mean"])
 @pytest.mark.parametrize("shape", [(3,), (2, 3)])
-def test_cached_rows_computes_the_misses_once_deduplicated_in_first_seen_order(shape):
+def test_cached_computes_the_misses_once_deduplicated_in_first_seen_order(shape, level):
     def row(key):
         return np.full(shape, float(key))
 
-    cache = {1: row(1), 4: row(4)}
     calls = []
 
     def compute(missing):
         calls.append(list(missing))
         return np.stack([row(key) for key in missing])
 
+    encoder = TextEncoder(10, 4, 2, np.random.default_rng(0))
+    encoder.cached(level, [1, 4], compute)
+    assert encoder.cached(level, [9, 2], compute, fill=False).tobytes() == np.stack(
+        [row(9), row(2)]).tobytes()
     keys = [5, 1, 3, 5, 4, 3, 1, 7]
-    rows = _cached_rows(cache, keys, compute)
-    assert calls == [[5, 3, 7]]
+    rows = encoder.cached(level, keys, compute)
+    assert calls == [[1, 4], [9, 2], [5, 3, 7]]
     assert np.array_equal(rows, np.stack([row(key) for key in keys]))
     assert rows.shape == (len(keys), *shape) and rows.flags.c_contiguous
-    assert sorted(cache) == [1, 3, 4, 5, 7]
-    again = _cached_rows(cache, keys[::-1], compute)
-    assert calls == [[5, 3, 7]]  # every key cached: no call
+    assert sorted(encoder._cache[level][1]) == [1, 3, 4, 5, 7]
+    again = encoder.cached(level, keys[::-1], compute)
+    assert calls[3:] == []  # every key cached: no call
     assert np.array_equal(again, rows[::-1])
 
 
@@ -630,7 +659,7 @@ def _embed_in_threads(model, ds, parts):
     return [results[i] for i in range(len(parts))]
 
 
-def test_threads_embedding_disjoint_parts_get_the_recorded_rows_and_fill_one_memo():
+def test_threads_embedding_disjoint_parts_get_the_recorded_rows_and_fill_one_pooled_level():
     ds = generate_synthetic(GeneratorSpec(n=80, sectors=3, industries=5, vocab_size=60,
                                           tokens_per_doc=8, min_tokens_per_doc=2,
                                           avg_degree=6, seed=4))
@@ -645,42 +674,43 @@ def test_threads_embedding_disjoint_parts_get_the_recorded_rows_and_fill_one_mem
     try:
         for stale in (False, True):
             if stale:
-                model.encoder.token_emb.data[3:] += 0.125  # every thread finds the memo stale
+                with ad.writing(model.encoder.token_emb):  # every thread finds the level stale
+                    model.encoder.token_emb.data[3:] += 0.125
             else:
                 with no_grad():
-                    model.text_stage(ds.records[:1])  # a valid memo that every thread fills
+                    model.text_stage(ds.records[:1])  # a valid level that every thread fills
             expected = np.stack([_recorded_row(model, ds.graph, ds.records, sid)
                                  for sid in range(80)])
             for part, rows in zip(parts, _embed_in_threads(model, ds, parts)):
                 assert np.array_equal(rows, expected[part]), stale
-            memo = model._text_memo[1]
+            memo = model.encoder._cache["mean"][1]
             if stale:
-                assert set(memo) <= keys  # the memo one of the threads started
+                assert set(memo) <= keys  # the level one of the threads started
             else:
                 assert set(memo) == keys
             assert np.array_equal(np.stack(list(memo.values())),
-                                  model._encode_rows(list(memo)).data)  # recorded: no memo
+                                  model._encode_rows(list(memo)).data)  # recorded: no pooled level
     finally:
         sys.setswitchinterval(switch)
 
 
-def test_no_grad_text_rows_are_new_arrays_and_recorded_passes_leave_the_memo_alone():
+def test_no_grad_text_rows_are_new_arrays_and_recorded_passes_leave_the_pooled_level_alone():
     records, _ = _mixed_length_universe()
     model = make_model(depth=2)
     recorded = model.text_stage(records)
-    assert recorded.requires_grad and model._text_memo is None
+    assert recorded.requires_grad and "mean" not in model.encoder._cache
     with no_grad():
         first = model.text_stage(records)
         kept = first.data.copy()
         first.data += 1.0
-        second = model.text_stage(records)  # served from the memo
+        second = model.text_stage(records)  # served from the pooled level
         assert np.array_equal(second.data, kept)
         second.data[...] = 7.0
         assert np.array_equal(model.text_stage(records).data, kept)
     assert np.array_equal(kept, recorded.data)
-    memo = model._text_memo
-    rows = {key: row.tobytes() for key, row in memo[1].items()}
+    level = model.encoder._cache["mean"]
+    rows = {key: row.tobytes() for key, row in level[1].items()}
     again = model.text_stage(records)
     assert again.requires_grad and np.array_equal(again.data, kept)
-    assert model._text_memo is memo
-    assert {key: row.tobytes() for key, row in memo[1].items()} == rows
+    assert model.encoder._cache["mean"] is level
+    assert {key: row.tobytes() for key, row in level[1].items()} == rows

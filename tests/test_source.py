@@ -163,3 +163,15 @@ def test_every_raise_re_raises_or_names_a_package_error():
             if not (isinstance(exc, ast.Name) and exc.id in named):
                 others.append(f"{path.name}:{node.lineno} {ast.unparse(node.exc)}")
     assert others == []
+
+
+def test_only_autodiff_sets_a_writeable_flag_or_a_version():
+    # a parameter changes only through ``autodiff.writing`` or ``Adam``, which
+    # bump its version; the encoder's cache relies on that
+    def sets(node: ast.AST) -> bool:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        return any(isinstance(t, ast.Attribute) and t.attr in ("writeable", "version")
+                   for t in targets)
+
+    assert {where.split(".")[0] for where in _functions_where(sets)} == {"autodiff"}

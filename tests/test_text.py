@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setn.autodiff import Adam, Tensor, backward
+from setn.autodiff import Adam, Tensor, backward, no_grad
 from setn.errors import ContractError, DataError
 from setn.text import (CLS_ID, UNK_ID, MAX_TOKENS, TextEncoder, Vocab, pool,
                        tokenize)
@@ -191,16 +191,25 @@ def test_encode_batch_equals_each_sequence():
         assert np.array_equal(row, enc.encode([seq]).data[0])
 
 
-def test_encode_batch_reads_and_fills_the_prefix_cache():
+def test_encode_reads_the_prefix_level_and_never_fills_it():
     enc = _encoder(depth=2)
     enc.set_trainable("last")
     seqs = [[2, 5, 7], [3, 3, 9], [2, 5, 7]]
     plain = [enc.encode([seq]).data[0] for seq in seqs]
-    with enc.frozen_prefix_cache():
-        enc.encode([seqs[1]])  # cached by a batch of one
-        batch = enc.encode(seqs).data
-        assert set(enc._prefix_cache) == {tuple(seq) for seq in seqs}
-        again = enc.encode([seqs[0]]).data[0]  # cached by the batch
+    with no_grad():
+        enc.encode(seqs)
+    assert enc._cache[1][1] == {}  # encode reads the level and never fills it
+    for part in ([seqs[1]], seqs):  # as ``SetnModel.keep_text_prefixes`` fills it
+        enc.cached(1, [tuple(seq) for seq in part], lambda new: enc._prefix(np.array(new), 1).data)
+    assert set(enc._cache[1][1]) == {tuple(seq) for seq in seqs}
+
+    def fail(*_):
+        raise AssertionError("a kept prefix was computed again")
+
+    enc._prefix = fail
+    batch = enc.encode(seqs).data
+    with no_grad():
+        again = enc.encode([seqs[0]]).data[0]
     for row, expected in zip(batch, plain):
         assert np.array_equal(row, expected)
     assert np.array_equal(again, plain[0])

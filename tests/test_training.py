@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import json
 import re
 import struct
@@ -325,22 +326,17 @@ def test_trainable_embeddings_run_block0_once_per_token_length_per_step():
     assert len(calls) == cfg.epochs * (steps + val_batches)
 
 
-def test_no_prefix_cache_held_after_training_returns_or_raises():
-    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=1, depth=2)
+@pytest.mark.parametrize("gnn", ["gcn", "none"])
+def test_after_training_a_no_grad_embed_of_the_training_texts_runs_no_frozen_block(gnn):
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2, depth=2, gnn=gnn)
     train(model, ds.graph, ds.records, split, cfg)
-    assert model.encoder._prefix_cache is None
-
-    original = model.forward
-
-    def failing(*args, **kwargs):
-        original(*args, **kwargs)
-        assert model.encoder._prefix_cache  # live while training runs
-        raise TrainingError("stop")
-
-    model.forward = failing
-    with pytest.raises(TrainingError, match="stop"):
-        train(model, ds.graph, ds.records, split, cfg)
-    assert model.encoder._prefix_cache is None
+    calls = _count_block0_calls(model)
+    g = prepare_graph(ds.graph, cfg)
+    emb = embed_universe(model, g, ds.records, split.train)
+    assert calls == []  # block 0 is frozen: its outputs come from the prefix level
+    model.encoder._cache.clear()
+    assert np.array_equal(embed_universe(model, g, ds.records, split.train).vectors, emb.vectors)
+    assert calls
 
 
 def _count_memo_misses(vocab):
@@ -412,7 +408,8 @@ def test_undirected_config_symmetrizes_graph():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_loss_aborts_with_diagnostics():
     ds, cfg, vocab, split, model = _small_setup(seed=6, epochs=1)
-    model.head_sector.weight.data[...] = 1e308
+    with ad.writing(model.head_sector.weight):
+        model.head_sector.weight.data[...] = 1e308
     with pytest.raises(TrainingError) as exc:
         train(model, ds.graph, ds.records, split, cfg)
     message = str(exc.value)
@@ -426,6 +423,59 @@ def test_train_rejects_a_config_other_than_the_models_before_any_step(change):
     with pytest.raises(ContractError, match="model.config"):
         train(model, ds.graph, ds.records, split, replace(cfg, **change))
     assert _param_bytes(model) == before
+
+
+@pytest.mark.parametrize("part, change, message", [
+    ("train", lambda ids, _: [], "split part 'train' is empty"),
+    ("val", lambda ids, _: [], "split part 'val' is empty"),
+    ("val", lambda ids, _: ids + [999],
+     "split part 'val': stock id must be an integer in [0, 39], got 999"),
+    ("test", lambda ids, _: ids + [1.0], "split part 'test': stock id must be an integer"),
+    ("train", lambda ids, _: ids + ids[:1], "split part 'train': stock id {} appears twice"),
+    ("val", lambda ids, split: ids + split.train[:1],
+     "split part 'val': stock id {} is also in part 'train'"),
+    ("test", lambda ids, split: ids + split.val[:1],
+     "split part 'test': stock id {} is also in part 'val'"),
+])
+def test_train_checks_its_split_before_any_step_and_names_the_part(part, change, message):
+    ds, cfg, vocab, split, model = _small_setup(seed=5, epochs=1)
+    before = _param_bytes(model)
+    ids = change(list(getattr(split, part)), split)
+    bad = replace(split, **{part: ids})
+    stream = io.StringIO()
+    with pytest.raises(DataError, match=re.escape(message.format(ids[-1] if ids else None))):
+        train(model, ds.graph, ds.records, bad, cfg, log_stream=stream)
+    assert _param_bytes(model) == before and stream.getvalue() == ""
+
+
+def test_train_accepts_every_split_that_split_dataset_returns():
+    for n in (10, 40):
+        ds, cfg, vocab, _, model = _small_setup(seed=5, epochs=1, n=n)
+        split = split_dataset([r.stock_id for r in ds.records], (0.4, 0.3, 0.3), cfg.seed)
+        stream = io.StringIO()
+        train(model, ds.graph, ds.records, split, cfg, log_stream=stream)
+        assert math.isfinite(json.loads(stream.getvalue())["mean_train_loss"])
+
+
+@pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
+def test_a_raw_in_place_write_to_any_parameter_raises(tmp_path, gnn):
+    ds, cfg, vocab, split, model = _small_setup(seed=3, epochs=1, gnn=gnn, depth=2)
+
+    def assert_read_only(model):
+        for name, p in model.named_params():
+            with pytest.raises(ValueError, match="read-only"):
+                p.data += 0.0
+            assert not p.data.flags.writeable, name
+
+    assert_read_only(model)
+    ad.Adam(model.trainable_params())
+    assert_read_only(model)
+    train(model, ds.graph, ds.records, split, cfg)
+    assert_read_only(model)
+    save_model(model, tmp_path / "model.setn", cfg)
+    loaded, _ = load_model(tmp_path / "model.setn")
+    assert_read_only(loaded)
+    assert all(p.version == 1 for _, p in loaded.named_params())  # one write each
 
 
 def test_records_out_of_stock_id_order_are_refused_naming_the_stock():
