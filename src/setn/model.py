@@ -132,17 +132,10 @@ class SetnModel:
                                           lambda new: self._encode_rows(new).data))
 
     def keep_text_prefixes(self, records: Sequence) -> None:
-        """Keep the frozen prefix of each record's text at the encoder cache's
-        prefix level (``TextEncoder.frozen_depth``), in ``no_grad`` batches."""
-        encoder, depth = self.encoder, self.encoder.frozen_depth()
-        if depth is None:
-            return
-        tokens = list(dict.fromkeys(_token_keys([r.text for r in records], self.vocab,
-                                                self.config.max_tokens)))
-        with ad.no_grad():
-            for batch in size_batches([len(seq) for seq in tokens]):
-                encoder.cached(depth, [tokens[i] for i in batch],
-                               lambda new: encoder._prefix(np.array(new), depth).data)
+        """Keep the frozen prefix of each record's text at the prefix level of
+        the encoder's cache once a pass computes it (``TextEncoder.keep_prefixes``)."""
+        self.encoder.keep_prefixes(_token_keys([r.text for r in records], self.vocab,
+                                               self.config.max_tokens))
 
     def _encode_rows(self, tokens: Sequence[tuple[int, ...]]) -> Tensor:
         """Encode and pool token sequences: one row per sequence, [m, d].

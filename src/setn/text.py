@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -171,6 +171,8 @@ class TextEncoder:
         # level -> (the array and version of each parameter that feeds the
         # level, {token sequence: state}); see ``cached``
         self._cache: dict = {}
+        # the token sequences whose prefix-level states ``encode`` keeps
+        self._kept: set[tuple[int, ...]] = set()
 
     @property
     def depth(self) -> int:
@@ -180,19 +182,24 @@ class TextEncoder:
         """Per-token hidden states [batch, len, dim] of a list of token
         sequences of equal length. Every block runs once over the batch, with
         the same arithmetic per sequence. A sequence starts from the state
-        the cache's prefix level holds for it, if any; encoding never fills
-        that level (``SetnModel.keep_text_prefixes`` does)."""
+        the cache's prefix level holds for it, if any; a state computed for a
+        sequence that ``keep_prefixes`` named is kept there."""
         keys, ids = self._check_tokens(token_ids)
-        start = self.frozen_depth()
+        start = self.frozen_depth() if self._kept else None  # the level holds named sequences only
         if start is None:
             start, h = 0, self._prefix(ids, 0)
         else:
             # frozen layers only, so the states carry no graph
             h = Tensor(self.cached(start, keys, lambda new: self._prefix(np.array(new), start).data,
-                                   fill=False))
+                                   keep=self._kept))
         for block in self.blocks[start:]:
             h = block.forward(h)
         return h
+
+    def keep_prefixes(self, keys: Iterable[Sequence[int]]) -> None:
+        """From now on, keep the prefix-level state of each of these token
+        sequences once ``encode`` computes it, for as long as the model."""
+        self._kept.update(map(tuple, keys))
 
     def frozen_depth(self) -> int | None:
         """The cache's prefix level: the first block with trainable parameters
@@ -203,14 +210,15 @@ class TextEncoder:
                      if any(p.requires_grad for _, p in block.named_params())), self.depth)
 
     def cached(self, level, keys: Sequence[tuple[int, ...]], compute,
-               fill: bool = True) -> np.ndarray:
+               keep: Optional[set] = None) -> np.ndarray:
         """The states at ``level`` of the token sequences ``keys``, stacked in
         a new array, after one ``compute(missing)`` call for the distinct keys
-        the cache lacks, in first-seen order, kept when ``fill``. A level is a
-        block index, the state entering it, or a pooling strategy, the pooled
-        row. Its entries hold while each parameter feeding it keeps its array
-        object and ``version``; else it is replaced by an empty level in one
-        assignment, so a thread holding the old entries fills only those."""
+        the cache lacks, in first-seen order, each kept if ``keep`` is None or
+        holds it. A level is a block index, the state entering it, or a
+        pooling strategy, the pooled row. Its entries hold while each
+        parameter feeding it keeps its array object and ``version``; else it
+        is replaced by an empty level in one assignment, so a thread holding
+        the old entries fills only those."""
         blocks = self.blocks if isinstance(level, str) else self.blocks[:level]
         stamp = [(p.data, p.version) for p in chain(
             (self.token_emb, self.pos_emb), (p for block in blocks for _, p in block.named_params()))]
@@ -221,12 +229,8 @@ class TextEncoder:
         rows = [entries.get(key) for key in keys]
         missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
         if missing:
-            computed = compute(missing)
-            if not fill and len(missing) == len(keys):
-                return computed  # every key distinct and new: rows in order, kept nowhere
-            new = dict(zip(missing, computed))
-            if fill:
-                entries.update(new)
+            new = dict(zip(missing, compute(missing)))
+            entries.update(new if keep is None else {key: new[key] for key in keep.intersection(new)})
             rows = [new[key] if row is None else row for key, row in zip(keys, rows)]
         return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
 

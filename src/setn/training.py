@@ -218,23 +218,26 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
     must equal ``model.config``, which the forward pass reads, ``split`` is
     checked against the graph (``_check_split``), and ``records`` holds stock
     ``m``'s record at position ``m``, checked for every member of the
-    training subgraphs before the first step. During the call each target's
-    subgraph is sampled once, and the frozen prefix of each text the steps
-    encode is computed once, before the first step, and kept in the
-    encoder's cache (``SetnModel.keep_text_prefixes``) for as long as the
-    frozen parameters keep their versions."""
+    training and validation subgraphs before the first step. During the call
+    each training target's subgraph is sampled once, and the frozen prefix of
+    each text that the steps and the validation passes encode is computed
+    once, on its first encoding, and kept in the encoder's cache
+    (``SetnModel.keep_text_prefixes``) for as long as the frozen parameters
+    keep their versions."""
     if config != model.config:
         raise ContractError("train runs the forward pass from model.config; "
                             "the config given differs from it")
     _check_split(split, graph)
     g = prepare_graph(graph, config)
     subs = {target: sample_subgraph(g, target, config.neighbor_direction) for target in split.train}
-    _require_records(records, graph, sorted({m for sub in subs.values() for m in sub.members}))
+    read = [*subs.values(), *(sample_subgraph(g, target, config.neighbor_direction)
+                              for target in split.val)]
+    _require_records(records, graph, sorted({m for sub in read for m in sub.members}))
     params = model.trainable_params()
     if not params:
         raise TrainingError("model has no trainable parameters")
     model.keep_text_prefixes([records[m] for m in sorted(
-        {m for sub in subs.values() for m in model.text_members(sub)})])
+        {m for sub in read for m in model.text_members(sub)})])
     optimizer = Adam(params, lr=config.learning_rate)
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
 

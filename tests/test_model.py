@@ -202,8 +202,9 @@ def test_a_recorded_pass_reads_the_prefix_level_and_equals_an_uncached_pass(chai
         plain = model.forward(sub, recs).embedding.data
         depth = model.encoder.frozen_depth()
         assert depth == {"none": 2, "last": 1}[policy]
-        assert model.encoder._cache[depth][1] == {}  # a recorded pass does not fill it
+        assert depth not in model.encoder._cache  # no text named: nothing to read or keep
         model.keep_text_prefixes(recs)
+        model.forward(sub, recs)  # keeps the prefix state of every kept text
         assert len(model.encoder._cache[depth][1]) == len({r.text for r in recs})
         with monkeypatch.context() as patch:
             patch.setattr(model.encoder.blocks[0], "forward", None)  # a frozen block
@@ -262,7 +263,9 @@ def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling)
                 assert np.array_equal(model.embed_stock(sub, recs),
                                       model.forward(sub, recs).embedding.data)
             sub = sample_subgraph(graph, 0)
-            model.keep_text_prefixes([records[m] for m in sub.members])  # part of the prefix level
+            recs = [records[m] for m in sub.members]
+            model.keep_text_prefixes(recs)
+            model.forward(sub, recs)  # fills part of the prefix level
             del model.encoder._cache[pooling]  # the pooled level would serve every row
             cached = embed_universe(model, graph, records, ids)
             assert np.array_equal(cached.vectors, emb.vectors), (policy, residual)
@@ -627,16 +630,18 @@ def test_cached_computes_the_misses_once_deduplicated_in_first_seen_order(shape,
 
     encoder = TextEncoder(10, 4, 2, np.random.default_rng(0))
     encoder.cached(level, [1, 4], compute)
-    assert encoder.cached(level, [9, 2], compute, fill=False).tobytes() == np.stack(
+    assert encoder.cached(level, [9, 2], compute, keep=set()).tobytes() == np.stack(
         [row(9), row(2)]).tobytes()
-    keys = [5, 1, 3, 5, 4, 3, 1, 7]
+    assert encoder.cached(level, [6, 9, 6], compute, keep={6, 8}).tobytes() == np.stack(
+        [row(6), row(9), row(6)]).tobytes()
+    keys = [5, 1, 3, 5, 4, 3, 1, 7, 6]
     rows = encoder.cached(level, keys, compute)
-    assert calls == [[1, 4], [9, 2], [5, 3, 7]]
+    assert calls == [[1, 4], [9, 2], [6, 9], [5, 3, 7]]
     assert np.array_equal(rows, np.stack([row(key) for key in keys]))
     assert rows.shape == (len(keys), *shape) and rows.flags.c_contiguous
-    assert sorted(encoder._cache[level][1]) == [1, 3, 4, 5, 7]
+    assert sorted(encoder._cache[level][1]) == [1, 3, 4, 5, 6, 7]
     again = encoder.cached(level, keys[::-1], compute)
-    assert calls[3:] == []  # every key cached: no call
+    assert calls[4:] == []  # every key cached: no call
     assert np.array_equal(again, rows[::-1])
 
 

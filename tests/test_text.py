@@ -191,16 +191,20 @@ def test_encode_batch_equals_each_sequence():
         assert np.array_equal(row, enc.encode([seq]).data[0])
 
 
-def test_encode_reads_the_prefix_level_and_never_fills_it():
+def test_encode_keeps_the_prefix_states_of_the_kept_sequences_only():
     enc = _encoder(depth=2)
     enc.set_trainable("last")
     seqs = [[2, 5, 7], [3, 3, 9], [2, 5, 7]]
     plain = [enc.encode([seq]).data[0] for seq in seqs]
     with no_grad():
         enc.encode(seqs)
-    assert enc._cache[1][1] == {}  # encode reads the level and never fills it
-    for part in ([seqs[1]], seqs):  # as ``SetnModel.keep_text_prefixes`` fills it
-        enc.cached(1, [tuple(seq) for seq in part], lambda new: enc._prefix(np.array(new), 1).data)
+    assert 1 not in enc._cache  # no sequence named: nothing to read or keep there
+    enc.keep_prefixes([seqs[1]])
+    enc.encode(seqs)  # a recorded pass keeps the kept sequence's state
+    assert set(enc._cache[1][1]) == {tuple(seqs[1])}
+    enc.keep_prefixes(seqs)
+    with no_grad():
+        enc.encode(seqs)  # and so does an unrecorded one
     assert set(enc._cache[1][1]) == {tuple(seq) for seq in seqs}
 
     def fail(*_):

@@ -295,7 +295,7 @@ def _count_block0_calls(model):
     calls = []
 
     def counting(x):
-        calls.append(1)
+        calls.append(x.data.shape[0])  # the sequences of the call
         return original(x)
 
     block.forward = counting
@@ -308,6 +308,20 @@ def test_frozen_block_runs_once_per_distinct_text_during_training():
     train(model, ds.graph, ds.records, split, cfg)
     distinct = {tuple(tokenize(r.text, vocab, cfg.max_tokens)) for r in ds.records}
     assert 0 < len(calls) <= len(distinct)
+
+
+def test_frozen_block_runs_once_per_call_on_each_text_the_steps_or_validation_encode():
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=3, depth=2, gnn="none")
+    rows = _count_block0_calls(model)
+    train(model, ds.graph, ds.records, split, cfg)
+    g = prepare_graph(ds.graph, cfg)
+
+    def texts(ids):
+        return {tuple(tokenize(ds.records[m].text, vocab, cfg.max_tokens))
+                for sid in ids for m in model.text_members(sample_subgraph(g, sid))}
+
+    assert texts(split.val) - texts(split.train)  # texts only validation encodes
+    assert sum(rows) == len(texts(split.train) | texts(split.val))
 
 
 def test_trainable_embeddings_run_block0_once_per_token_length_per_step():
@@ -365,7 +379,8 @@ def test_train_tokenizes_each_text_and_samples_each_target_once_per_call(monkeyp
     train(model, ds.graph, ds.records, split, cfg)
     # every epoch and the validation passes read the one memo
     assert misses and set(misses.values()) == {1}
-    assert targets == Counter(split.train)
+    # each target once, a validation target to name the texts whose prefixes train keeps
+    assert targets == Counter(split.train) + Counter(split.val)
 
 
 def test_an_embed_pass_tokenizes_each_text_once():
@@ -414,6 +429,17 @@ def test_non_finite_loss_aborts_with_diagnostics():
         train(model, ds.graph, ds.records, split, cfg)
     message = str(exc.value)
     assert "epoch 0" in message and "stock" in message
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_an_overflow_in_the_frozen_layers_aborts_with_diagnostics():
+    ds, cfg, vocab, split, model = _small_setup(seed=6, epochs=1, depth=2)
+    weight = model.encoder.blocks[0].ff1_w
+    assert not weight.requires_grad
+    with ad.writing(weight):
+        weight.data[...] = 1e308
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0, stock"):
+        train(model, ds.graph, ds.records, split, cfg)
 
 
 @pytest.mark.parametrize("change", [{"dropout": 0.5}, {"epochs": 2}])
