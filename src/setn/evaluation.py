@@ -44,8 +44,10 @@ class EmbeddingMatrix:
             raise DataError("embedding matrix has no rows")
         for sid in self.ids:
             _require_id(sid)
-        if len(set(self.ids)) != len(self.ids):
-            raise DataError("duplicate stock ids in embedding matrix")
+        self._index = {sid: i for i, sid in enumerate(self.ids)}  # each id's last row
+        if len(self._index) != len(self.ids):
+            repeated = next(sid for i, sid in enumerate(self.ids) if self._index[sid] != i)
+            raise DataError(f"stock id {repeated!r} appears more than once in embedding matrix")
         # a norm that overflows to inf or underflows to 0 is taken again on
         # the row scaled by its largest magnitude
         with np.errstate(over="ignore", under="ignore"):
@@ -56,7 +58,6 @@ class EmbeddingMatrix:
             bad = [self.ids[i] for i in odd[peak == 0]]
             raise DataError(f"zero-norm embedding rows for ids {bad}")
         _require_finite_rows(self.ids, self.vectors, "a non-finite value")
-        self._index = {sid: i for i, sid in enumerate(self.ids)}
         scaled = self.vectors[odd] / peak[:, None]
         norms[odd] = 1.0
         self._unit = self.vectors / norms[:, None]

@@ -131,12 +131,6 @@ class SetnModel:
         return Tensor(self.encoder.cached(self.config.pooling, tokens,
                                           lambda new: self._encode_rows(new).data))
 
-    def keep_text_prefixes(self, records: Sequence) -> None:
-        """Keep the frozen prefix of each record's text at the prefix level of
-        the encoder's cache once a pass computes it (``TextEncoder.keep_prefixes``)."""
-        self.encoder.keep_prefixes(_token_keys([r.text for r in records], self.vocab,
-                                               self.config.max_tokens))
-
     def _encode_rows(self, tokens: Sequence[tuple[int, ...]]) -> Tensor:
         """Encode and pool token sequences: one row per sequence, [m, d].
 

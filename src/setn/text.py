@@ -8,8 +8,9 @@ self-attention blocks. Depth 0 degrades to a bag of token embeddings.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -171,8 +172,8 @@ class TextEncoder:
         # level -> (the array and version of each parameter that feeds the
         # level, {token sequence: state}); see ``cached``
         self._cache: dict = {}
-        # the token sequences whose prefix-level states ``encode`` keeps
-        self._kept: set[tuple[int, ...]] = set()
+        # whether ``keeping_prefixes`` has opened, and whether it is open
+        self._kept = self._keeping = False
 
     @property
     def depth(self) -> int:
@@ -181,25 +182,31 @@ class TextEncoder:
     def encode(self, token_ids) -> Tensor:
         """Per-token hidden states [batch, len, dim] of a list of token
         sequences of equal length. Every block runs once over the batch, with
-        the same arithmetic per sequence. A sequence starts from the state
-        the cache's prefix level holds for it, if any; a state computed for a
-        sequence that ``keep_prefixes`` named is kept there."""
+        the same arithmetic per sequence. Once ``keeping_prefixes`` has
+        opened, a sequence starts from the state the cache's prefix level
+        holds for it, if any; a state computed while it is open is kept there."""
         keys, ids = self._check_tokens(token_ids)
-        start = self.frozen_depth() if self._kept else None  # the level holds named sequences only
+        start = self.frozen_depth() if self._kept else None  # nothing is kept there before
         if start is None:
             start, h = 0, self._prefix(ids, 0)
         else:
             # frozen layers only, so the states carry no graph
             h = Tensor(self.cached(start, keys, lambda new: self._prefix(np.array(new), start).data,
-                                   keep=self._kept))
+                                   keep=self._keeping))
         for block in self.blocks[start:]:
             h = block.forward(h)
         return h
 
-    def keep_prefixes(self, keys: Iterable[Sequence[int]]) -> None:
-        """From now on, keep the prefix-level state of each of these token
-        sequences once ``encode`` computes it, for as long as the model."""
-        self._kept.update(map(tuple, keys))
+    @contextmanager
+    def keeping_prefixes(self):
+        """While open, ``encode`` keeps the prefix-level state of each token
+        sequence it computes, for as long as the model: ``train`` opens it. Once
+        it has opened, every pass reads the level; closed, it keeps nothing new."""
+        self._kept = self._keeping = True
+        try:
+            yield
+        finally:
+            self._keeping = False
 
     def frozen_depth(self) -> int | None:
         """The cache's prefix level: the first block with trainable parameters
@@ -210,15 +217,14 @@ class TextEncoder:
                      if any(p.requires_grad for _, p in block.named_params())), self.depth)
 
     def cached(self, level, keys: Sequence[tuple[int, ...]], compute,
-               keep: Optional[set] = None) -> np.ndarray:
+               keep: bool = True) -> np.ndarray:
         """The states at ``level`` of the token sequences ``keys``, stacked in
         a new array, after one ``compute(missing)`` call for the distinct keys
-        the cache lacks, in first-seen order, each kept if ``keep`` is None or
-        holds it. A level is a block index, the state entering it, or a
-        pooling strategy, the pooled row. Its entries hold while each
-        parameter feeding it keeps its array object and ``version``; else it
-        is replaced by an empty level in one assignment, so a thread holding
-        the old entries fills only those."""
+        the cache lacks, in first-seen order, kept if ``keep``. A level is a
+        block index, the state entering it, or a pooling strategy, the pooled
+        row. Its entries hold while each parameter feeding it keeps its array
+        object and ``version``; else it is replaced by an empty level in one
+        assignment, so a thread holding the old entries fills only those."""
         blocks = self.blocks if isinstance(level, str) else self.blocks[:level]
         stamp = [(p.data, p.version) for p in chain(
             (self.token_emb, self.pos_emb), (p for block in blocks for _, p in block.named_params()))]
@@ -230,7 +236,8 @@ class TextEncoder:
         missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
         if missing:
             new = dict(zip(missing, compute(missing)))
-            entries.update(new if keep is None else {key: new[key] for key in keep.intersection(new)})
+            if keep:
+                entries.update(new)
             rows = [new[key] if row is None else row for key, row in zip(keys, rows)]
         return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
 

@@ -129,12 +129,14 @@ def split_dataset(ids: Sequence[int], proportions=(0.7, 0.1, 0.2), seed: int = 0
     """Seeded shuffle, then a contiguous train/val/test cut.
 
     The validation and test splits get their rounded shares; the training
-    split takes the remainder. ``proportions`` and ``seed`` must pass the
-    checks of the ``TrainConfig`` fields of the same names.
-    """
-    ids = list(ids)
-    if not ids:
-        raise DataError("cannot split an empty id list")
+    split takes the remainder. ``ids`` are distinct stock ids, a repeat named
+    by the first id that occurs again; ``proportions`` and ``seed`` must pass
+    the checks of the ``TrainConfig`` fields of the same names."""
+    ids = [require_int(sid, "stock id", 0) for sid in ids]
+    last = {sid: i for i, sid in enumerate(ids)}  # each id's last index
+    if len(last) != len(ids):
+        repeated = next(sid for i, sid in enumerate(ids) if last[sid] != i)
+        raise DataError(f"stock id {repeated} appears more than once in the ids to split")
     TrainConfig(proportions=proportions, seed=seed)  # the config's own field checks
     n = len(ids)
     n_val = _round_half_up(n * proportions[1])
@@ -215,69 +217,63 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
           split: Split, config: TrainConfig,
           log_stream: Optional[TextIO] = None) -> list[dict]:
     """Fit the model in place; returns one log entry per epoch. ``config``
-    must equal ``model.config``, which the forward pass reads, ``split`` is
-    checked against the graph (``_check_split``), and ``records`` holds stock
-    ``m``'s record at position ``m``, checked for every member of the
-    training and validation subgraphs before the first step. During the call
-    each training target's subgraph is sampled once, and the frozen prefix of
-    each text that the steps and the validation passes encode is computed
-    once, on its first encoding, and kept in the encoder's cache
-    (``SetnModel.keep_text_prefixes``) for as long as the frozen parameters
-    keep their versions."""
+    must equal ``model.config``, which the forward pass reads. Before the
+    first step ``split`` is checked against the graph (``_check_split``) and
+    ``records`` must hold stock ``m``'s record at position ``m``. Each training
+    target's subgraph is sampled once per call. The encoder's prefix level keeps
+    the frozen prefix of each text encoded while ``train`` runs, for as long as
+    its parameters keep their versions (``TextEncoder.keeping_prefixes``)."""
     if config != model.config:
         raise ContractError("train runs the forward pass from model.config; "
                             "the config given differs from it")
     _check_split(split, graph)
+    _require_records(records, graph, range(graph.n_nodes))
     g = prepare_graph(graph, config)
     subs = {target: sample_subgraph(g, target, config.neighbor_direction) for target in split.train}
-    read = [*subs.values(), *(sample_subgraph(g, target, config.neighbor_direction)
-                              for target in split.val)]
-    _require_records(records, graph, sorted({m for sub in read for m in sub.members}))
     params = model.trainable_params()
     if not params:
         raise TrainingError("model has no trainable parameters")
-    model.keep_text_prefixes([records[m] for m in sorted(
-        {m for sub in read for m in model.text_members(sub)})])
     optimizer = Adam(params, lr=config.learning_rate)
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
 
     history = []
     try:
-        for epoch in range(config.epochs):
-            start = time.perf_counter()
-            losses = []
-            for target in epoch_order(config.seed, epoch, split.train):
-                sub = subs[target]
-                recs = [records[m] for m in sub.members]
-                try:
-                    result = model.forward(sub, recs, rng=dropout_rng)
-                    loss = compute_loss(result, records[target].sector, records[target].industry)
-                except NonFiniteError as exc:
-                    # overflow inside the forward pass surfaces as a finiteness error
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
-                value = loss.item()
-                backward(loss)
-                if not np.isfinite(optimizer.gradient()).all():
-                    # an overflow in backward: stop before it reaches the parameters
-                    raise TrainingError(f"non-finite gradient at epoch {epoch}, stock {target}")
-                optimizer.step()
-                optimizer.zero_grad()
-                losses.append(value)
+        with model.encoder.keeping_prefixes():
+            for epoch in range(config.epochs):
+                start = time.perf_counter()
+                losses = []
+                for target in epoch_order(config.seed, epoch, split.train):
+                    sub = subs[target]
+                    recs = [records[m] for m in sub.members]
+                    try:
+                        result = model.forward(sub, recs, rng=dropout_rng)
+                        loss = compute_loss(result, records[target].sector, records[target].industry)
+                    except NonFiniteError as exc:
+                        # overflow inside the forward pass surfaces as a finiteness error
+                        raise TrainingError(
+                            f"non-finite loss at epoch {epoch}, stock {target}: {exc}") from exc
+                    value = loss.item()
+                    backward(loss)
+                    if not np.isfinite(optimizer.gradient()).all():
+                        # an overflow in backward: stop before it reaches the parameters
+                        raise TrainingError(f"non-finite gradient at epoch {epoch}, stock {target}")
+                    optimizer.step()
+                    optimizer.zero_grad()
+                    losses.append(value)
 
-            val_map = evaluate_map(model, g, records, split.val, ks=(5,))
-            seconds = time.perf_counter() - start
-            entry = {
-                "epoch": epoch,
-                "mean_train_loss": float(np.mean(losses)),
-                "val_map5_sector": val_map["topix17"][5],
-                "val_map5_industry": val_map["topix33"][5],
-                "seconds": seconds,
-                "targets_per_s": len(split.train) / seconds,
-            }
-            history.append(entry)
-            if log_stream is not None:
-                log_stream.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
+                val_map = evaluate_map(model, g, records, split.val, ks=(5,))
+                seconds = time.perf_counter() - start
+                entry = {
+                    "epoch": epoch,
+                    "mean_train_loss": float(np.mean(losses)),
+                    "val_map5_sector": val_map["topix17"][5],
+                    "val_map5_industry": val_map["topix33"][5],
+                    "seconds": seconds,
+                    "targets_per_s": len(split.train) / seconds,
+                }
+                history.append(entry)
+                if log_stream is not None:
+                    log_stream.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     finally:
         for p in params:  # drop the optimizer's gradient views
             p.grad = None

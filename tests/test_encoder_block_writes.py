@@ -117,8 +117,7 @@ def test_block_leaves_the_prefix_level_entries_it_reads_unchanged():
     enc.set_trainable("last")
     ids = [[2, 5, 7, 9], [2, 4, 4, 11], [2, 5, 7, 9]]
     weights = Tensor(np.random.default_rng(4).normal(size=(3, 4, 8)))
-    enc.keep_prefixes(ids)
-    with no_grad():
+    with enc.keeping_prefixes(), no_grad():
         enc.encode(ids)
     entries = enc._cache[1][1]
     kept = dict(zip(entries, _freeze(*entries.values())))

@@ -145,6 +145,19 @@ def test_embedding_matrix_validation():
             EmbeddingMatrix(["A", "B", "C"], [[1.0, 0.0], [bad, 1.0], [0.0, 1.0]])
 
 
+def test_a_repeated_stock_id_is_named_by_the_first_id_that_occurs_again():
+    message = r"^stock id {} appears more than once in embedding matrix$"
+    with pytest.raises(DataError, match=message.format(5)):
+        EmbeddingMatrix([1, 5, 2, 2, 5], np.eye(5) + 1)
+    with pytest.raises(DataError, match=message.format("'AAPL'")):
+        EmbeddingMatrix(["AAPL", 3, "AAPL"], np.eye(3))
+    ds = _tiny_dataset()
+    model = build_model(_tiny_config(), Vocab.build(r.text for r in ds.records), 2, 3)
+    for call in (embed_universe, evaluate_map):
+        with pytest.raises(DataError, match=message.format(3)):
+            call(model, ds.graph, ds.records, [3, 3])
+
+
 @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, float("nan"), None, (1,)])
 def test_a_stock_id_is_an_integer_or_a_string_never_a_bool_or_a_float(bad):
     # a dict finds stock 1 under True and 1.0, so every lookup refuses them first

@@ -15,10 +15,10 @@ from setn.autodiff import Tensor
 from setn.data import GeneratorSpec, export_embeddings, generate_synthetic
 from setn.errors import DataError, SetnError, ShapeError, TrainingError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k, cosine_knn,
-                             map_at_k, theme_metric)
+                             embed_universe, evaluate_map, map_at_k, theme_metric)
 from setn.graph import StockGraph, gcn_layer, init_gnn_params, sample_subgraph
 from setn.text import EncoderBlock, Vocab
-from setn.training import TrainConfig, build_model, split_dataset, train
+from setn.training import TrainConfig, build_model, run_ablation, split_dataset, train
 
 # values a caller may pass by mistake for a number
 _BAD = [math.nan, math.inf, -math.inf, -1, 1.5, True, "3"]
@@ -135,6 +135,32 @@ def _train_split(part, draw):
     return train(model, ds.graph, ds.records, split, config)
 
 
+def _embed_ids(embed, draw):
+    ds, config, vocab, _ = _universe()
+    return embed(build_model(config, vocab, 3, 5), ds.graph, ds.records, draw(range(30)))
+
+
+def _matrix_ids(draw):
+    ids = draw(range(8))
+    return EmbeddingMatrix(ids, np.ones((len(ids), 3)))
+
+
+def _train_records(draw):
+    ds, config, vocab, split = _universe()
+    return train(build_model(config, vocab, 3, 5), ds.graph, draw(ds.records), split, config)
+
+
+def _forward_records(draw):
+    ds, config, vocab, _ = _universe()
+    sub = sample_subgraph(ds.graph, 0)
+    return build_model(config, vocab, 3, 5).forward(sub, draw(ds.records[m] for m in sub.members))
+
+
+def _ablation_records(draw):
+    ds, config, _, _ = _universe()
+    return run_ablation(dataclasses.replace(ds, records=draw(ds.records)), config, ["residual"])
+
+
 # sequence arguments, each given an empty list, one element or one element twice
 _SEQUENCE_SLOTS = {
     "text_stage records": partial(_text_stage, True),
@@ -143,6 +169,16 @@ _SEQUENCE_SLOTS = {
     "theme_metric themes": lambda draw: theme_metric(
         _matrix(), dict(draw([("a", (0, 1, 2)), ("b", (3, 4))]))),
     **{f"train split {part}": partial(_train_split, part) for part in ("train", "val", "test")},
+    "embed_universe ids": partial(_embed_ids, embed_universe),
+    "evaluate_map ids": partial(_embed_ids, evaluate_map),
+    "map_at_k ks": lambda draw: map_at_k(_matrix(), {i: i % 2 for i in range(8)}, draw([3, 5])),
+    "split_dataset ids": lambda draw: split_dataset(draw(range(20))),
+    "EmbeddingMatrix ids": _matrix_ids,
+    "place_rows parts": lambda draw: ad.place_rows(draw([Tensor(np.ones((1, 2)))]), draw([[0]])),
+    "Vocab tokens": lambda draw: Vocab(draw(["alpha", "beta"])),
+    "train records": _train_records,
+    "forward records": _forward_records,
+    "run_ablation records": _ablation_records,
 }
 _DRAWS = {
     "empty": lambda seq: list(seq)[:0],

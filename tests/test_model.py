@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -202,9 +203,9 @@ def test_a_recorded_pass_reads_the_prefix_level_and_equals_an_uncached_pass(chai
         plain = model.forward(sub, recs).embedding.data
         depth = model.encoder.frozen_depth()
         assert depth == {"none": 2, "last": 1}[policy]
-        assert depth not in model.encoder._cache  # no text named: nothing to read or keep
-        model.keep_text_prefixes(recs)
-        model.forward(sub, recs)  # keeps the prefix state of every kept text
+        assert depth not in model.encoder._cache  # keeping never opened: nothing to read or keep
+        with model.encoder.keeping_prefixes():
+            model.forward(sub, recs)  # keeps the prefix state of every text it encodes
         assert len(model.encoder._cache[depth][1]) == len({r.text for r in recs})
         with monkeypatch.context() as patch:
             patch.setattr(model.encoder.blocks[0], "forward", None)  # a frozen block
@@ -264,8 +265,8 @@ def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling)
                                       model.forward(sub, recs).embedding.data)
             sub = sample_subgraph(graph, 0)
             recs = [records[m] for m in sub.members]
-            model.keep_text_prefixes(recs)
-            model.forward(sub, recs)  # fills part of the prefix level
+            with model.encoder.keeping_prefixes():
+                model.forward(sub, recs)  # fills part of the prefix level
             del model.encoder._cache[pooling]  # the pooled level would serve every row
             cached = embed_universe(model, graph, records, ids)
             assert np.array_equal(cached.vectors, emb.vectors), (policy, residual)
@@ -471,20 +472,19 @@ def test_batched_training_pass_matches_per_member_reference(gnn, mixed):
                                  max_tokens=16, encoder_train=policy)
             model = SetnModel(config, vocab, 3, 5, np.random.default_rng(1))
             for cached in (False, True):
-                if cached:
-                    model.keep_text_prefixes(ds.records)
-                for sub in subs:
-                    recs = [ds.records[m] for m in sub.members]
-                    ref_loss, ref_grads = _loss_and_grads(model, per_member_forward, sub, recs)
-                    loss, grads = _loss_and_grads(model, SetnModel.forward, sub, recs)
-                    where = (policy, residual, cached, sub.target)
-                    assert loss == ref_loss, where
-                    if not mixed:
-                        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads)), where
-                        continue
-                    scale = max(np.max(np.abs(b)) for b in ref_grads)
-                    for a, b in zip(grads, ref_grads):
-                        assert np.max(np.abs(a - b)) <= 1e-12 * scale, where
+                with model.encoder.keeping_prefixes() if cached else nullcontext():
+                    for sub in subs:
+                        recs = [ds.records[m] for m in sub.members]
+                        ref_loss, ref_grads = _loss_and_grads(model, per_member_forward, sub, recs)
+                        loss, grads = _loss_and_grads(model, SetnModel.forward, sub, recs)
+                        where = (policy, residual, cached, sub.target)
+                        assert loss == ref_loss, where
+                        if not mixed:
+                            assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads)), where
+                            continue
+                        scale = max(np.max(np.abs(b)) for b in ref_grads)
+                        for a, b in zip(grads, ref_grads):
+                            assert np.max(np.abs(a - b)) <= 1e-12 * scale, where
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +630,16 @@ def test_cached_computes_the_misses_once_deduplicated_in_first_seen_order(shape,
 
     encoder = TextEncoder(10, 4, 2, np.random.default_rng(0))
     encoder.cached(level, [1, 4], compute)
-    assert encoder.cached(level, [9, 2], compute, keep=set()).tobytes() == np.stack(
+    assert encoder.cached(level, [9, 2], compute, keep=False).tobytes() == np.stack(
         [row(9), row(2)]).tobytes()
-    assert encoder.cached(level, [6, 9, 6], compute, keep={6, 8}).tobytes() == np.stack(
+    assert encoder.cached(level, [6, 9, 6], compute, keep=True).tobytes() == np.stack(
         [row(6), row(9), row(6)]).tobytes()
     keys = [5, 1, 3, 5, 4, 3, 1, 7, 6]
     rows = encoder.cached(level, keys, compute)
     assert calls == [[1, 4], [9, 2], [6, 9], [5, 3, 7]]
     assert np.array_equal(rows, np.stack([row(key) for key in keys]))
     assert rows.shape == (len(keys), *shape) and rows.flags.c_contiguous
-    assert sorted(encoder._cache[level][1]) == [1, 3, 4, 5, 6, 7]
+    assert sorted(encoder._cache[level][1]) == [1, 3, 4, 5, 6, 7, 9]
     again = encoder.cached(level, keys[::-1], compute)
     assert calls[4:] == []  # every key cached: no call
     assert np.array_equal(again, rows[::-1])

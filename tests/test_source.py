@@ -175,3 +175,14 @@ def test_only_autodiff_sets_a_writeable_flag_or_a_version():
                    for t in targets)
 
     assert {where.split(".")[0] for where in _functions_where(sets)} == {"autodiff"}
+
+
+def test_only_train_opens_prefix_keeping_and_only_the_encoder_reads_its_flags():
+    # the encoder's prefix level keeps what is encoded while ``train`` runs;
+    # no other caller decides what it keeps
+    def attribute(*names):
+        return lambda node: isinstance(node, ast.Attribute) and node.attr in names
+
+    assert _functions_where(attribute("keeping_prefixes")) == ["training.train"]
+    assert {where.split(".")[0] for where in _functions_where(attribute("_kept", "_keeping"))} == {
+        "text"}

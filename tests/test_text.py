@@ -191,19 +191,20 @@ def test_encode_batch_equals_each_sequence():
         assert np.array_equal(row, enc.encode([seq]).data[0])
 
 
-def test_encode_keeps_the_prefix_states_of_the_kept_sequences_only():
+def test_encode_keeps_the_prefix_states_it_computes_while_keeping_is_open():
     enc = _encoder(depth=2)
     enc.set_trainable("last")
     seqs = [[2, 5, 7], [3, 3, 9], [2, 5, 7]]
     plain = [enc.encode([seq]).data[0] for seq in seqs]
     with no_grad():
         enc.encode(seqs)
-    assert 1 not in enc._cache  # no sequence named: nothing to read or keep there
-    enc.keep_prefixes([seqs[1]])
-    enc.encode(seqs)  # a recorded pass keeps the kept sequence's state
+    assert 1 not in enc._cache  # keeping never opened: nothing to read or keep there
+    with enc.keeping_prefixes():
+        enc.encode([seqs[1]])  # a recorded pass keeps the state it computes
     assert set(enc._cache[1][1]) == {tuple(seqs[1])}
-    enc.keep_prefixes(seqs)
-    with no_grad():
+    enc.encode(seqs)  # closed: a pass reads the level and keeps nothing new
+    assert set(enc._cache[1][1]) == {tuple(seqs[1])}
+    with enc.keeping_prefixes(), no_grad():
         enc.encode(seqs)  # and so does an unrecorded one
     assert set(enc._cache[1][1]) == {tuple(seq) for seq in seqs}
 

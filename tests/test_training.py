@@ -19,7 +19,7 @@ from setn import autodiff as ad, training as training_module
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import CheckpointError, ContractError, DataError, SetnError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
-from setn.graph import sample_subgraph, to_undirected
+from setn.graph import StockGraph, sample_subgraph, to_undirected
 from setn.model import compute_loss
 from setn.text import Vocab, tokenize
 from setn.training import (TrainConfig, build_model, epoch_order, load_model,
@@ -62,6 +62,17 @@ def test_split_rejects_bad_input():
         split_dataset(list(range(10)), (0.5, 0.5, 0.5), seed=0)
     with pytest.raises(DataError):
         split_dataset(list(range(3)), (0.98, 0.01, 0.01), seed=0)
+
+
+def test_split_refuses_a_repeated_id_naming_the_first_that_occurs_again():
+    ids = list(range(20))
+    message = r"^stock id {} appears more than once in the ids to split$"
+    with pytest.raises(DataError, match=message.format(0)):
+        split_dataset(ids + ids[:5])
+    with pytest.raises(DataError, match=message.format(4)):
+        split_dataset([4, 9, 9, 4, *range(10, 30)], seed=3)
+    with pytest.raises(DataError, match=r"^stock id must be an integer of at least 0, got 'a'$"):
+        split_dataset([*ids, "a"])
 
 
 @pytest.mark.parametrize("proportions, seed, field", [
@@ -379,8 +390,7 @@ def test_train_tokenizes_each_text_and_samples_each_target_once_per_call(monkeyp
     train(model, ds.graph, ds.records, split, cfg)
     # every epoch and the validation passes read the one memo
     assert misses and set(misses.values()) == {1}
-    # each target once, a validation target to name the texts whose prefixes train keeps
-    assert targets == Counter(split.train) + Counter(split.val)
+    assert targets == Counter(split.train)
 
 
 def test_an_embed_pass_tokenizes_each_text_once():
@@ -502,6 +512,61 @@ def test_a_raw_in_place_write_to_any_parameter_raises(tmp_path, gnn):
     loaded, _ = load_model(tmp_path / "model.setn")
     assert_read_only(loaded)
     assert all(p.version == 1 for _, p in loaded.named_params())  # one write each
+
+
+def _sparse_setup(gnn="gcn"):
+    """``_small_setup``'s universe on a graph of ten edges, the training and
+    validation subgraphs, and the nodes outside every one of them."""
+    ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=2, depth=2, gnn=gnn)
+    graph = StockGraph(40, tuple((i, i + 1) for i in range(0, 40, 4)))
+    subs = [sample_subgraph(graph, sid, cfg.neighbor_direction) for sid in split.train + split.val]
+    outside = sorted(set(range(40)) - {m for sub in subs for m in sub.members})
+    assert len(outside) >= 2
+    return ds, cfg, vocab, split, model, graph, subs, outside
+
+
+@pytest.mark.parametrize("gnn", ["gcn", "none"])
+def test_train_keeps_the_prefix_of_each_text_it_encodes_and_an_embed_after_it_keeps_none(gnn):
+    ds, cfg, vocab, split, model, graph, subs, outside = _sparse_setup(gnn)
+    train(model, graph, ds.records, split, cfg)
+
+    def keys(members):
+        return {tuple(tokenize(ds.records[m].text, vocab, cfg.max_tokens)) for m in members}
+
+    read = keys(m for sub in subs for m in model.text_members(sub))
+    depth = model.encoder.frozen_depth()
+    assert model.encoder._cache[depth][1].keys() == read
+    assert not keys(outside) & read  # texts that neither the steps nor validation encode
+    embed_universe(model, graph, ds.records, outside)
+    assert model.encoder._cache[depth][1].keys() == read
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_after_train_raises_an_embed_keeps_no_prefix_state():
+    ds, cfg, vocab, split, model, graph, subs, outside = _sparse_setup("none")
+    weight = model.encoder.blocks[0].ff1_w
+    finite = weight.data.copy()
+    with ad.writing(weight):
+        weight.data[...] = 1e308
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0, stock"):
+        train(model, graph, ds.records, split, cfg)
+    with ad.writing(weight):
+        weight.data[...] = finite
+    embed_universe(model, graph, ds.records, outside)  # without a GNN, only their own texts
+    assert not model.encoder._cache[model.encoder.frozen_depth()][1]
+
+
+def test_train_refuses_a_misplaced_record_outside_its_subgraphs_before_its_first_step():
+    # such a record is read by no step and no validation pass, only by a later embed
+    ds, cfg, vocab, split, model, graph, subs, outside = _sparse_setup()
+    lo, hi = outside[:2]
+    swapped = list(ds.records)
+    swapped[lo], swapped[hi] = swapped[hi], swapped[lo]
+    before = _param_bytes(model)
+    with pytest.raises(DataError, match=rf"^record of stock {hi} at position {lo}, "
+                                        rf"where stock {lo}'s belongs$"):
+        train(model, graph, swapped, split, cfg)
+    assert _param_bytes(model) == before
 
 
 def test_records_out_of_stock_id_order_are_refused_naming_the_stock():
