@@ -42,12 +42,7 @@ class EmbeddingMatrix:
             raise DataError(f"{len(self.ids)} ids for {self.vectors.shape[0]} rows")
         if not len(self.ids):
             raise DataError("embedding matrix has no rows")
-        for sid in self.ids:
-            _require_id(sid)
-        self._index = {sid: i for i, sid in enumerate(self.ids)}  # each id's last row
-        if len(self._index) != len(self.ids):
-            repeated = next(sid for i, sid in enumerate(self.ids) if self._index[sid] != i)
-            raise DataError(f"stock id {repeated!r} appears more than once in embedding matrix")
+        self._index = _index_ids(self.ids)
         # a norm that overflows to inf or underflows to 0 is taken again on
         # the row scaled by its largest magnitude
         with np.errstate(over="ignore", under="ignore"):
@@ -111,7 +106,7 @@ class EmbeddingMatrix:
 
     def _rank(self, rows: np.ndarray, k: int) -> np.ndarray:
         """Top-k neighbour rows of the given rows, a block of rows at a time,
-        each ranked as ``_top_k`` ranks the row ``unit @ unit[r]``."""
+        each as its own product ``unit @ unit[r]`` ranks it, ties by id."""
         n, d = self._unit.shape
         top = np.empty((len(rows), k), dtype=np.intp)
         step = max(1, _RANK_BLOCK_BYTES // (8 * n))
@@ -137,11 +132,12 @@ class EmbeddingMatrix:
             # a gap that is nan (two -inf, or a nan) counts as a near-tie;
             # the query's own -inf after every other row is a gap of inf
             near = np.flatnonzero(~np.all(vals[:, :-1] - vals[:, 1:] > margin, axis=1))
-            for j, i in enumerate(near):
-                # the block's rows are ranked, so row j is free for query i
-                np.dot(self._unit, self._unit[chunk[i]], out=sims[j])
-                sims[j, chunk[i]] = -np.inf
-            top[start + near] = _top_k(sims[:len(near)], k, self._id_rank)
+            for i in near:
+                row = self._unit @ self._unit[chunk[i]]
+                row[chunk[i]] = -np.inf
+                # every column at or above the k-th value, so ties there go by id
+                tied = np.flatnonzero(row >= np.partition(row, n - k)[n - k])
+                top[start + i] = tied[np.lexsort((self._id_rank[tied], -row[tied]))[:k]]
             fallbacks += len(near)
         logger.debug("%d of %d ranked rows were near-ties, ranked by their per-row product",
                      fallbacks, len(rows))
@@ -157,25 +153,30 @@ def _sorted_top(sims: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def _top_k(sims: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
-    """Columns of each row's k largest entries, largest first, ties by id_rank."""
-    n = sims.shape[1]
-    cand = np.argpartition(sims, n - k, axis=1)[:, n - k:]
-    kth = sims[np.arange(len(sims)), cand[:, 0]]
-    cand_sims = np.take_along_axis(sims, cand, axis=1)
-    top = np.take_along_axis(cand, np.lexsort((id_rank[cand], -cand_sims), axis=1), axis=1)
-    # a row whose k-th value is tied beyond the partition ranks every tied column
-    for i in np.flatnonzero(np.count_nonzero(sims >= kth[:, None], axis=1) > k):
-        tied = np.flatnonzero(sims[i] >= kth[i])
-        top[i] = tied[np.lexsort((id_rank[tied], -sims[i, tied]))[:k]]
-    return top
-
-
 def _require_id(stock_id) -> None:
     """The one rule for an embedding's stock id: an integer by
     ``errors.is_int_type`` or a string ticker."""
     if not (isinstance(stock_id, str) or is_int_type(type(stock_id))):
         raise DataError(f"a stock id must be an integer or a string, got {stock_id!r}")
+
+
+def _index_ids(ids: Sequence) -> dict:
+    """Each id's row; each id passes ``_require_id`` and occurs once."""
+    for sid in ids:
+        _require_id(sid)
+    index = {sid: i for i, sid in enumerate(ids)}  # each id's last row
+    if len(index) != len(ids):
+        repeated = next(sid for i, sid in enumerate(ids) if index[sid] != i)
+        raise DataError(f"stock id {repeated!r} appears more than once in embedding matrix")
+    return index
+
+
+def _require_ks(ks: Sequence[int]) -> None:
+    """The ks of a MAP@k pass: at least one, each an integer of at least 1."""
+    if not len(ks):
+        raise DataError("map_at_k needs at least one k, got none")
+    for k in ks:
+        require_int(k, "k", 1)
 
 
 def _require_rows(rows, n: int) -> np.ndarray:
@@ -250,10 +251,7 @@ def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[i
     for sid in emb.ids:
         if sid not in labels:
             raise DataError(f"missing label for stock id {sid!r}")
-    if not len(ks):
-        raise DataError("map_at_k needs at least one k, got none")
-    for k in ks:
-        require_int(k, "k", 1)
+    _require_ks(ks)
     codes: dict = {}
     code = np.array([codes.setdefault(labels[sid], len(codes)) for sid in emb.ids],
                     dtype=np.intp)
@@ -347,6 +345,7 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     ids = list(ids)
     if not ids:
         raise DataError("embed_universe needs at least one stock id, got an empty list")
+    _index_ids(ids)
     subs = [sample_subgraph(graph, sid, direction) for sid in ids]
     members_of = [model.text_members(sub) for sub in subs]
     members = sorted({m for sub_members in members_of for m in sub_members})
@@ -372,6 +371,7 @@ def evaluate_map(model, graph: StockGraph, records: Sequence[StockRecord],
     """MAP@k for both taxonomy levels over the given evaluation universe,
     sampling each subgraph in ``model.config.neighbor_direction`` on a graph
     the caller has passed through ``prepare_graph``."""
+    _require_ks(ks)
     emb = embed_universe(model, graph, records, ids, model.config.neighbor_direction)
     sector_labels = {r.stock_id: r.sector for r in records}
     industry_labels = {r.stock_id: r.industry for r in records}
@@ -382,9 +382,7 @@ def evaluate_map(model, graph: StockGraph, records: Sequence[StockRecord],
 
 
 def format_map_table(rows: list[dict]) -> str:
-    """Aligned-column rendering of ablation / evaluation rows."""
-    if not rows:
-        return "(no rows)"
+    """Aligned-column rendering of ablation / evaluation rows, at least one."""
     metric_cols = []
     for level in ("topix17", "topix33"):
         for row in rows:

@@ -25,7 +25,7 @@ from .autodiff import Adam, backward, writing
 from .data import Dataset, StockRecord, _parse_json
 from .errors import (CheckpointError, ContractError, DataError, NonFiniteError, SetnError,
                      TrainingError, is_finite_number, replacing, require_int)
-from .evaluation import _require_records, evaluate_map
+from .evaluation import _require_ks, _require_records, evaluate_map
 from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
@@ -312,6 +312,7 @@ def run_ablation(dataset: Dataset, base_config: TrainConfig, axes: Sequence[str]
     """Train one model per configuration cell (shared seed and split) and
     report test MAP@k for both taxonomies, one row per cell."""
     axes = ablation_axes(axes)
+    _require_ks(ks)
     records = dataset.records
     vocab = Vocab.build(r.text for r in records)
     split = split_records(records, base_config)

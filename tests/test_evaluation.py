@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setn import evaluation
+from setn import evaluation, training
 from setn.data import GeneratorSpec, export_embeddings, generate_synthetic, load_embeddings
 from setn.errors import DataError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k,
                              cosine_knn, embed_universe, evaluate_map,
                              format_map_table, map_at_k, theme_metric)
+from setn.graph import sample_subgraph
 from setn.text import Vocab
 from setn.training import TrainConfig, build_model, prepare_graph, run_ablation
 
@@ -156,6 +157,30 @@ def test_a_repeated_stock_id_is_named_by_the_first_id_that_occurs_again():
     for call in (embed_universe, evaluate_map):
         with pytest.raises(DataError, match=message.format(3)):
             call(model, ds.graph, ds.records, [3, 3])
+
+
+def _count_samples(monkeypatch) -> list:
+    """Patch ``setn.evaluation.sample_subgraph`` to log each target it samples."""
+    sampled = []
+
+    def counting(graph, target, *args):
+        sampled.append(target)
+        return sample_subgraph(graph, target, *args)
+
+    monkeypatch.setattr(evaluation, "sample_subgraph", counting)
+    return sampled
+
+
+def test_a_repeated_id_is_refused_before_any_subgraph_is_sampled(monkeypatch):
+    ds = _tiny_dataset()
+    model = build_model(_tiny_config(), Vocab.build(r.text for r in ds.records), 2, 3)
+    sampled = _count_samples(monkeypatch)
+    for call in (embed_universe, evaluate_map):
+        with pytest.raises(DataError, match="^stock id 3 appears more than once"):
+            call(model, ds.graph, ds.records, [1, 3, 2, 3])
+    assert sampled == []
+    embed_universe(model, ds.graph, ds.records, [1, 3])
+    assert sampled == [1, 3]
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, float("nan"), None, (1,)])
@@ -580,6 +605,21 @@ def test_ablation_grid_is_cartesian():
         ("directed", True), ("directed", False),
         ("undirected", True), ("undirected", False),
     }
+
+
+@pytest.mark.parametrize("ks", [(0,), (5, 1.5), ()])
+def test_a_bad_k_is_refused_before_any_training_or_embedding(monkeypatch, ks):
+    ds = _tiny_dataset()
+    model = build_model(_tiny_config(), Vocab.build(r.text for r in ds.records), 2, 3)
+    sampled = _count_samples(monkeypatch)
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+    message = "^map_at_k needs at least one k" if not ks else "^k must be an integer of at least 1"
+    with pytest.raises(DataError, match=message):
+        evaluate_map(model, ds.graph, ds.records, [0, 1, 2], ks)
+    with pytest.raises(DataError, match=message):
+        run_ablation(ds, _tiny_config(), ["residual", "gnn_kind"], ks=ks)
+    assert sampled == [] and trained == []
 
 
 def test_ablation_rejects_unknown_axis():

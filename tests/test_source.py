@@ -132,6 +132,13 @@ def test_the_token_memo_is_read_only_by_the_token_key_helper():
     assert set(readers) == {"text._token_keys"}
 
 
+def test_only_the_block_ranking_partially_sorts():
+    # the near-tie loop of ``EmbeddingMatrix._rank`` takes only a k-th value
+    # (``np.partition``), so ``_sorted_top`` stays the one top-k partition
+    assert _functions_where(lambda node: isinstance(node, ast.Attribute)
+                            and node.attr == "argpartition") == ["evaluation._sorted_top"]
+
+
 def _opens_to_write(node: ast.AST) -> bool:
     """Whether ``node`` calls ``open`` with a mode that is not a string
     literal free of "w", "a", "x" and "+"."""
