@@ -22,8 +22,7 @@ from .errors import SetnError, open_text
 from .model import GNN_KINDS
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
 from .training import (AXIS_VALUES, TrainConfig, ablation_axes, build_model,
-                       load_model, prepare_graph, run_ablation, save_model,
-                       split_records, train)
+                       load_model, run_ablation, save_model, split_records, train)
 
 logger = logging.getLogger("setn")
 
@@ -95,11 +94,11 @@ def _load_dataset(args):
 
 
 def _load_for_eval(args):
-    """The checkpoint, then the dataset with its graph prepared as the
-    checkpoint was trained."""
+    """The checkpoint, then the dataset, its graph as loaded: the model
+    samples it as it was trained."""
     model, config = load_model(args.model, expected_gnn=args.gnn)
     records, id_map, graph, _ = _load_dataset(args)
-    return model, config, records, id_map, prepare_graph(graph, config)
+    return model, config, records, id_map, graph
 
 
 def _emit(payload: dict, table: str | None = None) -> None:
@@ -161,7 +160,7 @@ def _cmd_eval_theme(args) -> int:
                                  min_size=args.min_theme_size)
     if not len(themes):
         raise SetnError(f"no themes with at least {args.min_theme_size} members in the test universe")
-    emb = ev.embed_universe(model, g, records, test_ids, config.neighbor_direction)
+    emb = ev.embed_universe(model, g, records, test_ids)
     overall, per_theme = ev.theme_metric(emb, themes)
 
     # random-guess baseline: same universe and themes, seeded random embeddings
@@ -191,7 +190,7 @@ def _cmd_embed(args) -> int:
         ids = [r.stock_id for r in records]
     else:
         ids = getattr(split_records(records, config), args.split)
-    emb = ev.embed_universe(model, g, records, ids, config.neighbor_direction)
+    emb = ev.embed_universe(model, g, records, ids)
     tickers = {r.stock_id: r.ticker for r in records}
     data_io.export_embeddings([tickers[i] for i in emb.ids], emb.vectors, args.out, args.format)
     _emit({"config": config.to_dict(), "out": args.out, "format": args.format,

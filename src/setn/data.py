@@ -652,7 +652,8 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
                                 f"{n} vectors of {d} values, {need} bytes or more, "
                                 f"but {left} bytes follow")
             raw = fh.read(n * d * 4)
-            vectors = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
+            with np.errstate(invalid="ignore"):  # a signalling NaN; the check below names it
+                vectors = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
             bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
             if bad.size:
                 raise DataError(f"{path}: vector {bad[0]} holds a non-finite value")

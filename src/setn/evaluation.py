@@ -247,6 +247,8 @@ def map_at_k(emb: EmbeddingMatrix, labels: Mapping, ks: Sequence[int]) -> dict[i
 
     Computes what ``average_precision_at_k`` does for every query at once,
     adding in the same order, so the values are bit-identical to that loop.
+    A universe of one stock retrieves nothing and scores 0.0 at every k, so
+    a one-id validation part logs ``val_map5_*`` 0.0.
     """
     for sid in emb.ids:
         if sid not in labels:
@@ -321,9 +323,10 @@ def theme_metric(emb: EmbeddingMatrix,
 
 
 def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
-                   ids: Sequence[int], direction: str = "in") -> EmbeddingMatrix:
+                   ids: Sequence[int], direction: str | None = None) -> EmbeddingMatrix:
     """Embedding matrix for the given stocks, sampling each one's subgraph
-    on the (already direction-prepared) graph.
+    as the model was trained: ``model.config.directed``, and ``direction``,
+    by default ``model.config.neighbor_direction``.
 
     ``records`` holds one record per graph node, stock ``m`` at position
     ``m``; the records the subgraphs read are checked.
@@ -346,7 +349,8 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     if not ids:
         raise DataError("embed_universe needs at least one stock id, got an empty list")
     _index_ids(ids)
-    subs = [sample_subgraph(graph, sid, direction) for sid in ids]
+    direction = model.config.neighbor_direction if direction is None else direction
+    subs = [sample_subgraph(graph, sid, direction, directed=model.config.directed) for sid in ids]
     members_of = [model.text_members(sub) for sub in subs]
     members = sorted({m for sub_members in members_of for m in sub_members})
     _require_records(records, graph, members)
@@ -369,10 +373,9 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
 def evaluate_map(model, graph: StockGraph, records: Sequence[StockRecord],
                  ids: Sequence[int], ks: Sequence[int] = (5, 10, 50)) -> dict[str, dict[int, float]]:
     """MAP@k for both taxonomy levels over the given evaluation universe,
-    sampling each subgraph in ``model.config.neighbor_direction`` on a graph
-    the caller has passed through ``prepare_graph``."""
+    each subgraph sampled as the model was trained (``embed_universe``)."""
     _require_ks(ks)
-    emb = embed_universe(model, graph, records, ids, model.config.neighbor_direction)
+    emb = embed_universe(model, graph, records, ids)
     sector_labels = {r.stock_id: r.sector for r in records}
     industry_labels = {r.stock_id: r.industry for r in records}
     return {

@@ -103,17 +103,23 @@ class Subgraph:
         return len(self.members)
 
 
-def sample_subgraph(g: StockGraph, target: int, direction: str = "in") -> Subgraph:
-    """1-hop neighborhood of ``target``: its in-neighbors, or its
-    out-neighbors with ``direction='out'``. On a symmetric edge set both are
-    all of its neighbors. ``target`` is a node id: an integer by
-    ``errors.require_int`` in [0, n_nodes)."""
+def sample_subgraph(g: StockGraph, target: int, direction: str = "in", *, directed: bool = True) -> Subgraph:
+    """1-hop neighborhood of ``target``: its in-neighbors, or its out-neighbors
+    with ``direction='out'``; with ``directed=False`` both, and the member edges
+    both ways, as either direction on ``to_undirected(g)``. ``target`` is a node
+    id: an integer by ``errors.require_int`` in [0, n_nodes)."""
     target = require_int(target, "target node", 0, g.n_nodes - 1)
     if direction not in DIRECTIONS:
         raise DataError(f"direction must be 'in' or 'out', got {direction!r}")
-    members = (target, *sorted(g._in[target] if direction == "in" else g._out[target]))
+    if not isinstance(directed, bool):
+        raise DataError(f"directed must be a bool, got {directed!r}")
+    near = ((g._in[target] if direction == "in" else g._out[target]) if directed
+            else {*g._in[target], *g._out[target]})
+    members = (target, *sorted(near))
     index = {node: i for i, node in enumerate(members)}
     local = [(index[u], index[v]) for u in members for v in g._out[u] if v in index]
+    if not directed:
+        local = {*local, *((v, u) for u, v in local)}
     return Subgraph(target, members, tuple(sorted(local)))
 
 

@@ -187,6 +187,8 @@ def _check_model_size(config: TrainConfig, n_vocab: int, n_sectors: int, n_indus
 
 
 def prepare_graph(graph: StockGraph, config: TrainConfig) -> StockGraph:
+    """Kept only for the benchmark's workloads, which call it: a model samples
+    its own graph, directed or not (``sample_subgraph``)."""
     return graph if config.directed else to_undirected(graph)
 
 
@@ -228,8 +230,8 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                             "the config given differs from it")
     _check_split(split, graph)
     _require_records(records, graph, range(graph.n_nodes))
-    g = prepare_graph(graph, config)
-    subs = {target: sample_subgraph(g, target, config.neighbor_direction) for target in split.train}
+    subs = {target: sample_subgraph(graph, target, config.neighbor_direction, directed=config.directed)
+            for target in split.train}
     params = model.trainable_params()
     if not params:
         raise TrainingError("model has no trainable parameters")
@@ -261,7 +263,7 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                     optimizer.zero_grad()
                     losses.append(value)
 
-                val_map = evaluate_map(model, g, records, split.val, ks=(5,))
+                val_map = evaluate_map(model, graph, records, split.val, ks=(5,))
                 seconds = time.perf_counter() - start
                 entry = {
                     "epoch": epoch,
@@ -327,8 +329,7 @@ def run_ablation(dataset: Dataset, base_config: TrainConfig, axes: Sequence[str]
                                 n_sectors=dataset.taxonomy.n_sectors,
                                 n_industries=dataset.taxonomy.n_industries)
             train(model, dataset.graph, records, split, config)
-            g = prepare_graph(dataset.graph, config)
-            metrics = evaluate_map(model, g, records, split.test, ks)
+            metrics = evaluate_map(model, dataset.graph, records, split.test, ks)
             row["topix17"] = {f"map@{k}": v for k, v in metrics["topix17"].items()}
             row["topix33"] = {f"map@{k}": v for k, v in metrics["topix33"].items()}
         except SetnError as exc:

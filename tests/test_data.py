@@ -732,6 +732,19 @@ def test_non_finite_binary_value_is_data_error_naming_the_path(tmp_path):
     assert str(exc.value).startswith(f"{path}: ")
 
 
+def test_a_signalling_nan_is_refused_without_a_cast_warning(tmp_path):
+    path = tmp_path / "emb.bin"
+    export_embeddings(["A", "B"], np.ones((2, 3)), path, "binary")
+    blob = bytearray(path.read_bytes())
+    blob[12:16] = struct.pack("<I", 0x7fa00000)  # the first value of vector 0
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as exc:
+            load_embeddings(path)
+    assert str(exc.value) == f"{path}: vector 0 holds a non-finite value"
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "binary"])
 def test_repeated_embedding_id_is_data_error_naming_the_path(tmp_path, fmt):
     path = tmp_path / "emb"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from setn.autodiff import Tensor
+from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import DataError, ShapeError
 from setn.graph import (GnnParams, StockGraph, Subgraph, _adjacency, gat_attention,
                         gat_layer, gcn_layer, gcn_normalize, init_gnn_params,
@@ -111,6 +112,30 @@ def test_sample_out_direction_switch():
     g = StockGraph(3, ((0, 1), (1, 2)))
     sub = sample_subgraph(g, 1, direction="out")
     assert sub.members == (1, 2)
+
+
+_UNDIRECTED_CASES = {
+    **{f"synthetic n={n} seed={seed}": (lambda n=n, seed=seed: generate_synthetic(
+        GeneratorSpec(n=n, seed=seed)).graph) for n in (300, 2000) for seed in range(3)},
+    "hub": lambda: StockGraph(7, ((0, 1), (0, 2), (0, 3), (4, 0), (5, 0), (1, 2))),
+    "ring": lambda: StockGraph(6, tuple((i, (i + 1) % 6) for i in range(6))),
+    "isolated nodes": lambda: StockGraph(5, ((0, 1), (1, 2))),
+    # u -> v and v -> u both: the symmetric closure must hold each edge once
+    "both ways": lambda: StockGraph(4, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (0, 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDIRECTED_CASES))
+def test_undirected_sampling_equals_sampling_the_symmetrized_graph(case):
+    g = _UNDIRECTED_CASES[case]()
+    sym = to_undirected(g)
+    for target in range(g.n_nodes):
+        sub = sample_subgraph(g, target, directed=False)
+        for direction in ("in", "out"):
+            assert sample_subgraph(sym, target, direction) == sub
+            # the flag on either graph, in either direction, samples the same
+            assert sample_subgraph(g, target, direction, directed=False) == sub
+            assert sample_subgraph(sym, target, direction, directed=False) == sub
 
 
 def test_sample_target_out_of_range():

@@ -241,6 +241,8 @@ _UNREACHED = {
                          DataError, "theme 'solo'"),
     "sampling direction": (lambda _: sample_subgraph(StockGraph(2, ((0, 1),)), 0, "sideways"),
                            DataError, "'sideways'"),
+    "sampling directed flag": (lambda _: sample_subgraph(StockGraph(2, ((0, 1),)), 0, directed=1),
+                               DataError, "directed must be a bool, got 1"),
     "feature width": (_wide_features, ShapeError, "feature dim 3"),
     "no trainable parameters": (_no_trainable_parameters, TrainingError, "trainable parameters"),
 }

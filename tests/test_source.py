@@ -132,6 +132,18 @@ def test_the_token_memo_is_read_only_by_the_token_key_helper():
     assert set(readers) == {"text._token_keys"}
 
 
+def _calls(name: str):
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_no_caller_symmetrizes_the_graph_a_model_samples():
+    # ``sample_subgraph`` reads the model's ``directed`` flag; ``prepare_graph``
+    # is kept for the benchmark's workloads alone
+    assert _functions_where(_calls("prepare_graph")) == []
+    assert _functions_where(_calls("to_undirected")) == ["training.prepare_graph"]
+
+
 def test_only_the_block_ranking_partially_sorts():
     # the near-tie loop of ``EmbeddingMatrix._rank`` takes only a k-th value
     # (``np.partition``), so ``_sorted_top`` stays the one top-k partition

@@ -381,9 +381,9 @@ def test_train_tokenizes_each_text_and_samples_each_target_once_per_call(monkeyp
     ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=3, depth=2)
     targets = Counter()
 
-    def counting_sample(graph, target, *args):
+    def counting_sample(graph, target, *args, **kwargs):
         targets[target] += 1
-        return sample_subgraph(graph, target, *args)
+        return sample_subgraph(graph, target, *args, **kwargs)
 
     misses = _count_memo_misses(vocab)
     monkeypatch.setattr(training_module, "sample_subgraph", counting_sample)
