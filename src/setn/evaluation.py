@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import no_grad, take_rows
 from .data import StockRecord, _require_finite_rows
 from .errors import DataError, is_int_type, require_int
-from .graph import StockGraph, sample_subgraph
+from .graph import StockGraph, sample_subgraphs
 from .model import size_batches
 
 logger = logging.getLogger(__name__)
@@ -324,9 +324,10 @@ def theme_metric(emb: EmbeddingMatrix,
 
 def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
                    ids: Sequence[int], direction: str | None = None) -> EmbeddingMatrix:
-    """Embedding matrix for the given stocks, sampling each one's subgraph
-    as the model was trained: ``model.config.directed``, and ``direction``,
-    by default ``model.config.neighbor_direction``.
+    """Embedding matrix for the given stocks, sampling their subgraphs in one
+    call (``sample_subgraphs``) as the model was trained:
+    ``model.config.directed``, and ``direction``, by default
+    ``model.config.neighbor_direction``.
 
     ``records`` holds one record per graph node, stock ``m`` at position
     ``m``; the records the subgraphs read are checked.
@@ -336,7 +337,8 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
     encoder's cache does not hold for its current parameters, so embedding
     in slices encodes each text once. Then the graph stage, and no head,
     runs once per batch of targets with the same number of text members:
-    their rows are gathered into one [B, n, d] stack, at most
+    their rows are gathered into one [B, n, d] stack by one index array,
+    their A + I filled by one scatter from the sampled edges, at most
     ``TEXT_BATCH_TOKENS`` member rows per batch (a larger subgraph runs
     alone), and each target's row is written back in request order. Each
     row equals ``model.embed_stock``, bit for bit.
@@ -350,18 +352,22 @@ def embed_universe(model, graph: StockGraph, records: Sequence[StockRecord],
         raise DataError("embed_universe needs at least one stock id, got an empty list")
     _index_ids(ids)
     direction = model.config.neighbor_direction if direction is None else direction
-    subs = [sample_subgraph(graph, sid, direction, directed=model.config.directed) for sid in ids]
-    members_of = [model.text_members(sub) for sub in subs]
-    members = sorted({m for sub_members in members_of for m in sub_members})
+    hoods = sample_subgraphs(graph, ids, direction, directed=model.config.directed)
+    if model.gnn is None:  # the text stage reads the target alone (``SetnModel.text_members``)
+        hoods = hoods.targets()
+    row = np.zeros(graph.n_nodes, dtype=np.intp)  # each member's text row
+    row[hoods.members] = 1
+    members = np.flatnonzero(row).tolist()
+    row[members] = range(len(members))
     _require_records(records, graph, members)
-    row_of = {m: i for i, m in enumerate(members)}
+    sizes = np.diff(hoods.offsets)
     vectors = np.empty((len(ids), model.dim))
     with no_grad():
         text = model.text_stage([records[m] for m in members])
-        for batch in size_batches([len(sub_members) for sub_members in members_of]):
-            rows = np.fromiter((row_of[m] for i in batch for m in members_of[i]), dtype=np.int64)
-            h = take_rows(text, rows.reshape(len(batch), -1))
-            vectors[batch] = model.graph_stage(h, [subs[i] for i in batch]).data[:, 0]
+        for batch in size_batches(sizes.tolist()):
+            rows = row[hoods.members[hoods.offsets[batch, None] + np.arange(sizes[batch[0]])]]
+            h = take_rows(text, rows)
+            vectors[batch] = model.graph_stage(h, hoods.adjacency(batch)).data[:, 0]
     zero = ~vectors.any(axis=1)
     vectors[zero] = 1.0
     if zero.any():

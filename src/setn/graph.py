@@ -7,10 +7,11 @@ Subgraphs are small (one hop), so all layer math is dense.
 Each layer is one recorded op on plain arrays, with the output and the
 gradients of the layer built from single ops (see ``setn.autodiff``). A layer
 takes one subgraph with its features [n, d], or a sequence of B subgraphs of
-n members each with their features stacked as [B, n, d]. Its math reads only
-the last two axes, so each slice of a stack gets the output of that subgraph
-on its own, bit for bit, and a parameter's gradient adds the slices' own in
-slice order.
+n members each with their features stacked as [B, n, d]; either may come as
+its A + I, [n, n] or [B, n, n] (``Neighborhoods.adjacency``). Its math reads
+only the last two axes, so each slice of a stack gets the output of that
+subgraph on its own, bit for bit, and a parameter's gradient adds the
+slices' own in slice order.
 """
 
 from __future__ import annotations
@@ -27,12 +28,18 @@ from .errors import DataError, ShapeError, is_int_type, require_int
 
 SUBGRAPH_HOPS = 1  # sampling depth is fixed by design
 DIRECTIONS = ("in", "out")
+# Entries of the (subgraph, node) table that ``sample_subgraphs`` fills for a
+# block of subgraphs at a time: it bounds the table whatever the target count.
+_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class StockGraph:
     """Immutable directed graph over dense integer node ids; undirected when
-    its edge set is symmetric (``to_undirected``)."""
+    its edge set is symmetric (``to_undirected``). Besides ``edges`` it keeps
+    its out- and in-adjacency as CSR arrays, ``_out`` and ``_in``: an index
+    pointer and the neighbour ids, each node's in ascending order. Only this
+    module reads them."""
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
@@ -53,21 +60,35 @@ class StockGraph:
         if kinds - {int}:
             edges = [(int(s), int(d)) for s, d in edges]
         object.__setattr__(self, "edges", tuple(edges))
-        seen = set()
-        out_adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        in_adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for s, d in self.edges:
-            if not (0 <= s < self.n_nodes and 0 <= d < self.n_nodes):
-                raise DataError(f"edge ({s}, {d}) outside node range [0, {self.n_nodes})")
+        n, count = self.n_nodes, len(edges)
+        try:
+            ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * count)
+        except OverflowError:  # an endpoint past int64 is outside the range, as its clamp is
+            ends = np.array([min(max(x, -1), n) for x in chain.from_iterable(edges)], np.int64)
+        src, dst = ends.reshape(count, 2).T
+        # the first edge that fails a check, in input order, named as a loop over them would
+        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst))
+        first = bad[0] if bad.size else count
+        keys = src[:first] * n + dst[:first]
+        order = np.argsort(keys, kind="stable")
+        first = min(first, order[1:][keys[order[1:]] == keys[order[:-1]]].min(initial=count))
+        if first < count:
+            s, d = edges[first]
+            if not (0 <= s < n and 0 <= d < n):
+                raise DataError(f"edge ({s}, {d}) outside node range [0, {n})")
             if s == d:
                 raise DataError(f"self-loop on node {s}; layers insert self-loops themselves")
-            if (s, d) in seen:
-                raise DataError(f"duplicate edge ({s}, {d})")
-            seen.add((s, d))
-            out_adj[s].append(d)
-            in_adj[d].append(s)
-        object.__setattr__(self, "_out", out_adj)
-        object.__setattr__(self, "_in", in_adj)
+            raise DataError(f"duplicate edge ({s}, {d})")
+        object.__setattr__(self, "_out", _csr(n, src, dst))
+        object.__setattr__(self, "_in", _csr(n, dst, src))
+
+
+def _csr(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The heads of each tail node u, ascending, as ``idx[ptr[u]:ptr[u + 1]]``:
+    returns (ptr, idx)."""
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tails, minlength=n), out=ptr[1:])
+    return ptr, heads[np.argsort(tails * n + heads)].astype(np.intp)
 
 
 def _pair(edge) -> tuple:
@@ -103,41 +124,164 @@ class Subgraph:
         return len(self.members)
 
 
-def sample_subgraph(g: StockGraph, target: int, direction: str = "in", *, directed: bool = True) -> Subgraph:
-    """1-hop neighborhood of ``target``: its in-neighbors, or its out-neighbors
-    with ``direction='out'``; with ``directed=False`` both, and the member edges
-    both ways, as either direction on ``to_undirected(g)``. ``target`` is a node
-    id: an integer by ``errors.require_int`` in [0, n_nodes)."""
-    target = require_int(target, "target node", 0, g.n_nodes - 1)
+@dataclass(frozen=True, eq=False)
+class Neighborhoods:
+    """The 1-hop subgraphs of several targets as flat arrays. Subgraph i has
+    the members ``members[offsets[i]:offsets[i + 1]]``, its target first, and
+    the local edges ``(src[j], dst[j])`` for each j with ``sub[j] == i``, in
+    the order of its ``Subgraph``; ``sub`` is ascending."""
+
+    members: np.ndarray
+    offsets: np.ndarray
+    sub: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+    def subgraphs(self) -> list[Subgraph]:
+        """One ``Subgraph`` per target, in target order."""
+        members, at = self.members.tolist(), self.offsets.tolist()
+        edges = list(zip(self.src.tolist(), self.dst.tolist()))
+        cut = self.sub.searchsorted(np.arange(len(at))).tolist()
+        return [Subgraph(members[lo], tuple(members[lo:hi]), tuple(edges[a:b]))
+                for lo, hi, a, b in zip(at, at[1:], cut, cut[1:])]
+
+    def targets(self) -> "Neighborhoods":
+        """Each target alone: one member and no edge per subgraph."""
+        none = self.sub[:0]
+        return Neighborhoods(self.members[self.offsets[:-1]], np.arange(len(self.offsets)),
+                             none, none, none)
+
+    def adjacency(self, batch: Sequence[int]) -> np.ndarray:
+        """A + I of the subgraphs that ``batch`` lists, which have one member
+        count n, stacked in that order as [B, n, n] (``_adjacency``)."""
+        slot = np.full(len(self.offsets) - 1, -1)
+        slot[batch] = range(len(batch))
+        at = slot[self.sub]
+        keep = at >= 0
+        n = self.offsets[batch[0] + 1] - self.offsets[batch[0]]
+        return _fill(len(batch), n, at[keep], self.dst[keep], self.src[keep])
+
+
+def _neighbors(adj: tuple[np.ndarray, np.ndarray], nodes: np.ndarray):
+    """The CSR neighbour lists of ``nodes`` end to end, and for each entry the
+    position in ``nodes`` of the node whose list holds it."""
+    ptr, idx = adj
+    lo = ptr[nodes]
+    counts = ptr[nodes + 1] - lo
+    owner = np.arange(len(nodes)).repeat(counts)
+    return owner, idx[(lo - counts.cumsum() + counts)[owner] + np.arange(len(owner))]
+
+
+def _require_targets(targets, n: int) -> np.ndarray:
+    """The targets as an intp array, each a node id by ``errors.require_int``
+    in [0, n); the first that is not one raises."""
+    targets = list(targets)
+    # the rule runs over the set of target types, which keeps a long list cheap
+    if not (all(map(is_int_type, set(map(type, targets))))
+            and 0 <= min(targets, default=0) and max(targets, default=-1) < n):
+        for target in targets:
+            require_int(target, "target node", 0, n - 1)
+    return np.array(targets, dtype=np.intp)
+
+
+def sample_subgraphs(g: StockGraph, targets: Sequence[int], direction: str = "in", *,
+                     directed: bool = True) -> Neighborhoods:
+    """The 1-hop subgraph of each target, all in one pass over the graph's
+    arrays: subgraph i is ``sample_subgraph(g, targets[i], direction,
+    directed=directed)``. The members are the target, then its in-neighbors
+    (out-neighbors with ``direction='out'``, both with ``directed=False``) in
+    ascending id. The local edges are the members' edges among themselves,
+    with ``directed=False`` both ways, in ascending (source, destination)
+    order, each once."""
+    n = g.n_nodes
+    targets = _require_targets(targets, n)
     if direction not in DIRECTIONS:
         raise DataError(f"direction must be 'in' or 'out', got {direction!r}")
     if not isinstance(directed, bool):
         raise DataError(f"directed must be a bool, got {directed!r}")
-    near = ((g._in[target] if direction == "in" else g._out[target]) if directed
-            else {*g._in[target], *g._out[target]})
-    members = (target, *sorted(near))
-    index = {node: i for i, node in enumerate(members)}
-    local = [(index[u], index[v]) for u in members for v in g._out[u] if v in index]
+    sides = (g._in, g._out) if not directed else (g._in,) if direction == "in" else (g._out,)
+    # each subgraph's neighbors, ascending; with ``directed=False`` the union of
+    # both sides, as keys ``subgraph * n + node``
+    lists = [_neighbors(side, targets) for side in sides]
+    owner, near = (lists[0] if directed else
+                   np.divmod(_distinct(np.concatenate([o * n + x for o, x in lists])), n))
+    counts = np.bincount(owner, minlength=len(targets)) + 1
+    offsets = np.zeros(len(targets) + 1, dtype=np.intp)
+    counts.cumsum(out=offsets[1:])
+    of = np.arange(len(targets)).repeat(counts)  # each member's subgraph
+    members = np.empty(offsets[-1], dtype=np.intp)
+    members[offsets[:-1]] = targets
+    members[np.arange(len(near)) + owner + 1] = near
+    local = np.arange(len(members)) - offsets[of]
+    # the member edges: each member's out-neighbors, looked up in a table of
+    # (subgraph, node) -> local index + 1 (0: not a member), built for a block
+    # of subgraphs at a time
+    tail, head = _neighbors(g._out, members)
+    keys, wanted = of * n + members, of[tail] * n + head
+    size = counts.max(initial=1)
+    found = np.empty(len(tail), dtype=np.min_scalar_type(size))
+    step = max(1, _TABLE_ENTRIES // max(n, 1))
+    for lo in range(0, len(targets), step):
+        hi = min(lo + step, len(targets))
+        table = np.zeros((hi - lo) * n, dtype=found.dtype)
+        block = slice(offsets[lo], offsets[hi])
+        table[keys[block] - lo * n] = local[block] + 1
+        block = slice(*tail.searchsorted((offsets[lo], offsets[hi])))
+        found[block] = table[wanted[block] - lo * n]
+    hit = found > 0
+    tail, head = tail[hit], found[hit].astype(np.intp) - 1
+    # (source, destination) as one key, and with ``directed=False`` its reverse
+    # too: ascending, and each once
+    pairs = tail * size + head
     if not directed:
-        local = {*local, *((v, u) for u, v in local)}
-    return Subgraph(target, members, tuple(sorted(local)))
+        pairs = np.concatenate([pairs, (offsets[of[tail]] + head) * size + local[tail]])
+    tail, dst = np.divmod(_distinct(pairs), size)
+    return Neighborhoods(members, offsets, of[tail], local[tail], dst)
 
 
-# One subgraph, or a sequence of subgraphs with one member count.
-Subgraphs = Union[Subgraph, Sequence[Subgraph]]
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending; sorts ``keys`` in place."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def sample_subgraph(g: StockGraph, target: int, direction: str = "in", *, directed: bool = True) -> Subgraph:
+    """1-hop neighborhood of ``target``: its in-neighbors, or its out-neighbors
+    with ``direction='out'``; with ``directed=False`` both, and the member edges
+    both ways, as either direction on ``to_undirected(g)``. ``target`` is a node
+    id: an integer by ``errors.require_int`` in [0, n_nodes). The one-target
+    case of ``sample_subgraphs``."""
+    return sample_subgraphs(g, [target], direction, directed=directed).subgraphs()[0]
+
+
+# One subgraph, a sequence of subgraphs with one member count, or their A + I
+# as an array ([n, n] or [B, n, n]).
+Subgraphs = Union[Subgraph, Sequence[Subgraph], np.ndarray]
+
+
+def _fill(b: int, n: int, slot: np.ndarray, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """A + I of b subgraphs of n members, [b, n, n]: 1 on each diagonal and at
+    [slot, d, s] for each local edge s -> d of the subgraph in slot ``slot``."""
+    a = np.zeros((b, n, n))
+    a[:, range(n), range(n)] = 1.0
+    a[slot, dst, src] = 1.0
+    return a
 
 
 def _adjacency(sub: Subgraphs) -> np.ndarray:
     """A + I as exact 0/1 values: 1 at [i, i] and at [d, s] for each edge
-    s -> d; [n, n] for one subgraph, [B, n, n] for a sequence of B."""
+    s -> d; [n, n] for one subgraph, [B, n, n] for a sequence of B. An array
+    is that A + I already."""
+    if isinstance(sub, np.ndarray):
+        return sub
     subs = (sub,) if isinstance(sub, Subgraph) else sub
-    n = subs[0].size
-    a = np.zeros((len(subs), n, n))
-    a[:, range(n), range(n)] = 1.0
     counts = [len(one.edges) for one in subs]
     edges = np.fromiter(chain.from_iterable(chain.from_iterable(one.edges for one in subs)),
                         dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
-    a[np.repeat(np.arange(len(subs)), counts), edges[:, 1], edges[:, 0]] = 1.0
+    a = _fill(len(subs), subs[0].size, np.repeat(np.arange(len(subs)), counts),
+              edges[:, 1], edges[:, 0])
     return a[0] if isinstance(sub, Subgraph) else a
 
 
@@ -185,8 +329,11 @@ def init_gnn_params(dim: int, rng: np.random.Generator, with_attention: bool = F
 
 def _check_layer_input(h: Tensor, sub: Subgraphs, params: GnnParams) -> None:
     """Features [n, d] for one subgraph of n members, or [B, n, d] for a
-    sequence of B subgraphs of n members each."""
-    if isinstance(sub, Subgraph):
+    sequence of B subgraphs of n members each, given as subgraphs or as their
+    A + I."""
+    if isinstance(sub, np.ndarray):
+        expected = sub.shape[:-1]
+    elif isinstance(sub, Subgraph):
         expected = (sub.size,)
     else:
         sizes = {one.size for one in sub}

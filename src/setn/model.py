@@ -152,7 +152,8 @@ class SetnModel:
         residual. One subgraph's rows [n, d] give [1, d]. A sequence of B
         subgraphs with n text members each, rows stacked as [B, n, d], gives
         [B, 1, d], every slice bit for bit that subgraph's own row: one
-        layer call serves the whole stack."""
+        layer call serves the whole stack. ``sub`` may be the subgraphs' A + I
+        (``graph.Subgraphs``)."""
         target_text = ad.take_rows(h_text, [0], axis=-2)
         if self.gnn is None:
             return target_text

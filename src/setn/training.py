@@ -26,7 +26,7 @@ from .data import Dataset, StockRecord, _parse_json
 from .errors import (CheckpointError, ContractError, DataError, NonFiniteError, SetnError,
                      TrainingError, is_finite_number, replacing, require_int)
 from .evaluation import _require_ks, _require_records, evaluate_map
-from .graph import DIRECTIONS, StockGraph, sample_subgraph, to_undirected
+from .graph import DIRECTIONS, StockGraph, sample_subgraphs, to_undirected
 from .model import GNN_KINDS, SetnModel, compute_loss, param_shapes
 from .text import ENCODER_POLICIES, POOLING_STRATEGIES, Vocab
 
@@ -92,6 +92,9 @@ class TrainConfig:
                 fail(name, f"{rule}, got {getattr(self, name)!r}")
         if self.encoder_train == "last" and self.encoder_depth == 0:
             fail("encoder_train", "policy 'last' needs encoder_depth of at least 1")
+        if not self.directed and self.neighbor_direction == "out":
+            fail("neighbor_direction", "'out' with 'directed' false samples the subgraphs "
+                                       "of 'in'; set it to 'in'")
         props = self.proportions
         if (not isinstance(props, (list, tuple)) or len(props) != 3
                 or not all(is_finite_number(p) and p > 0 for p in props)
@@ -230,8 +233,8 @@ def train(model: SetnModel, graph: StockGraph, records: Sequence[StockRecord],
                             "the config given differs from it")
     _check_split(split, graph)
     _require_records(records, graph, range(graph.n_nodes))
-    subs = {target: sample_subgraph(graph, target, config.neighbor_direction, directed=config.directed)
-            for target in split.train}
+    subs = dict(zip(split.train, sample_subgraphs(graph, split.train, config.neighbor_direction,
+                                                  directed=config.directed).subgraphs()))
     params = model.trainable_params()
     if not params:
         raise TrainingError("model has no trainable parameters")

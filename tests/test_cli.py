@@ -234,6 +234,8 @@ def test_gnn_kind_mismatch_on_eval(dataset_dir, checkpoint, capsys):
     ('{"epochs": "x"}', f"config field 'epochs': must be an integer in [1, {sys.maxsize}], got 'x'"),
     ('{"hidden_dim": 0}', "config field 'hidden_dim': must be an integer of at least 1, got 0"),
     ('{"neighbor_direction": "sideways"}', "unknown neighbor direction 'sideways'"),
+    ('{"directed": false, "neighbor_direction": "out"}',
+     "config field 'neighbor_direction': 'out' with 'directed' false samples the subgraphs of 'in'"),
     ('{"encoder_train": "most"}', "unknown encoder training policy 'most'"),
     ('{"gnn": "gin"}', "unknown GNN kind 'gin'"),
     # integers past the float range, and past Python's digit limit

@@ -11,7 +11,7 @@ from setn.errors import DataError
 from setn.evaluation import (EmbeddingMatrix, average_precision_at_k,
                              cosine_knn, embed_universe, evaluate_map,
                              format_map_table, map_at_k, theme_metric)
-from setn.graph import sample_subgraph
+from setn.graph import sample_subgraphs
 from setn.text import Vocab
 from setn.training import (TrainConfig, build_model, prepare_graph, run_ablation,
                            split_records, train)
@@ -161,14 +161,14 @@ def test_a_repeated_stock_id_is_named_by_the_first_id_that_occurs_again():
 
 
 def _count_samples(monkeypatch) -> list:
-    """Patch ``setn.evaluation.sample_subgraph`` to log each target it samples."""
+    """Patch ``setn.evaluation.sample_subgraphs`` to log each target it samples."""
     sampled = []
 
-    def counting(graph, target, *args, **kwargs):
-        sampled.append(target)
-        return sample_subgraph(graph, target, *args, **kwargs)
+    def counting(graph, targets, *args, **kwargs):
+        sampled.extend(targets)
+        return sample_subgraphs(graph, targets, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "sample_subgraph", counting)
+    monkeypatch.setattr(evaluation, "sample_subgraphs", counting)
     return sampled
 
 

@@ -6,9 +6,10 @@ import pytest
 from setn.autodiff import Tensor
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import DataError, ShapeError
+from setn import graph as graph_module
 from setn.graph import (GnnParams, StockGraph, Subgraph, _adjacency, gat_attention,
                         gat_layer, gcn_layer, gcn_normalize, init_gnn_params,
-                        sample_subgraph, to_undirected)
+                        sample_subgraph, sample_subgraphs, to_undirected)
 
 from gradcheck import grad_check_params
 from op_by_op import sum_all
@@ -58,6 +59,26 @@ def test_graph_validation():
         StockGraph(2, ((0, 0),))
     with pytest.raises(DataError):
         StockGraph(2, ((0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 1), (1, 1), (0, 9), (0, 1)),
+     "self-loop on node 1; layers insert self-loops themselves"),
+    (((0, 1), (0, 9), (1, 1), (0, 1)), "edge (0, 9) outside node range [0, 3)"),
+    (((0, 1), (2, 0), (0, 1), (1, 1), (0, 9)), "duplicate edge (0, 1)"),
+    (((1, 2), (-1, 0), (1, 2)), "edge (-1, 0) outside node range [0, 3)"),
+    # a repeated out-of-range edge is out of range first
+    (((0, 9), (0, 9)), "edge (0, 9) outside node range [0, 3)"),
+    (((2, 1), (1, 2), (0, 2**70), (2, 1)), f"edge (0, {2**70}) outside node range [0, 3)"),
+    (((0, 1), (2, 2**70), (2**70, 2**70)), f"edge (2, {2**70}) outside node range [0, 3)"),
+    (((2, 1), (2, 0), (2, 1), (0, 0), (2, 0)), "duplicate edge (2, 1)"),
+    (((1, 0), (2, 1), (0, 2), (2, 2)), "self-loop on node 2; layers insert self-loops themselves"),
+])
+def test_graph_names_the_first_bad_edge_in_input_order(edges, message):
+    # several bad edges of mixed kinds: the message names the earliest, by its kind
+    with pytest.raises(DataError) as exc:
+        StockGraph(3, edges)
+    assert str(exc.value) == message
 
 
 def test_to_undirected_symmetrizes():
@@ -136,6 +157,68 @@ def test_undirected_sampling_equals_sampling_the_symmetrized_graph(case):
             # the flag on either graph, in either direction, samples the same
             assert sample_subgraph(g, target, direction, directed=False) == sub
             assert sample_subgraph(sym, target, direction, directed=False) == sub
+
+
+def _walk_sampler(g):
+    """The per-target sampler that ``sample_subgraphs`` replaced, kept as its
+    oracle: adjacency lists in edge order, and for each target a dict of local
+    indices and a walk over every member's out-edges."""
+    out_adj = [[] for _ in range(g.n_nodes)]
+    in_adj = [[] for _ in range(g.n_nodes)]
+    for s, d in g.edges:
+        out_adj[s].append(d)
+        in_adj[d].append(s)
+
+    def sample(target, direction, directed):
+        near = ((in_adj[target] if direction == "in" else out_adj[target]) if directed
+                else {*in_adj[target], *out_adj[target]})
+        members = (target, *sorted(near))
+        index = {node: i for i, node in enumerate(members)}
+        local = [(index[u], index[v]) for u in members for v in out_adj[u] if v in index]
+        if not directed:
+            local = {*local, *((v, u) for u, v in local)}
+        return Subgraph(target, members, tuple(sorted(local)))
+
+    return sample
+
+
+@pytest.mark.parametrize("case", sorted(_UNDIRECTED_CASES))
+@pytest.mark.parametrize("direction, directed", [("in", True), ("out", True), ("in", False),
+                                                  ("out", False)])
+def test_the_batched_sampler_equals_the_list_walk_for_every_target(case, direction, directed):
+    g = _UNDIRECTED_CASES[case]()
+    walk = _walk_sampler(g)
+    targets = list(range(g.n_nodes))
+    expected = [walk(t, direction, directed) for t in targets]
+    # every target at once, a shuffled part, and one at a time
+    part = np.random.default_rng(g.n_nodes).permutation(g.n_nodes)[:g.n_nodes // 2 + 1].tolist()
+    for order in (targets, part):
+        hoods = sample_subgraphs(g, order, direction, directed=directed)
+        subs = hoods.subgraphs()
+        assert subs == [expected[t] for t in order]
+        assert np.array_equal(hoods.members, [m for sub in subs for m in sub.members])
+        assert np.array_equal(np.diff(hoods.offsets), [sub.size for sub in subs])
+        assert list(zip(hoods.sub.tolist(), hoods.src.tolist(), hoods.dst.tolist())) == [
+            (i, s, d) for i, sub in enumerate(subs) for s, d in sub.edges]
+        # the adjacency of a batch of one member count is the one its subgraphs give
+        by_size = {}
+        for i, sub in enumerate(subs):
+            by_size.setdefault(sub.size, []).append(i)
+        for batch in by_size.values():
+            assert np.array_equal(hoods.adjacency(batch), _adjacency([subs[i] for i in batch]))
+    for t in targets:
+        assert sample_subgraph(g, t, direction, directed=directed) == expected[t]
+
+
+def test_the_batched_sampler_bounds_its_table_by_blocks_of_targets(monkeypatch):
+    # a table of (subgraph, node) entries per block: blocks of one and of three
+    # subgraphs find the edges that one block for every target finds
+    g = _UNDIRECTED_CASES["synthetic n=300 seed=1"]()
+    targets = list(range(g.n_nodes))
+    whole = sample_subgraphs(g, targets, directed=False).subgraphs()
+    for entries in (1, 3 * g.n_nodes):
+        monkeypatch.setattr(graph_module, "_TABLE_ENTRIES", entries)
+        assert sample_subgraphs(g, targets, directed=False).subgraphs() == whole
 
 
 def test_sample_target_out_of_range():

@@ -272,6 +272,35 @@ def test_embed_universe_rows_equal_per_target_forward(monkeypatch, gnn, pooling)
             assert np.array_equal(cached.vectors, emb.vectors), (policy, residual)
 
 
+# an in-hub (node 0) and an out-hub (node 11), each of 10 members, past the
+# 8-row budget below; 1 <-> 2 and 5 <-> 11 run both ways
+HUB_EDGES = (*((i, 0) for i in range(1, 10)), *((11, i) for i in range(1, 10)),
+             (1, 2), (2, 1), (3, 4), (5, 11), (10, 3), (4, 10), (0, 10))
+
+
+@pytest.mark.parametrize("gnn", ["gcn", "gat"])
+@pytest.mark.parametrize("direction, directed", [("in", True), ("out", True), ("in", False)])
+def test_embed_universe_rows_equal_per_target_forward_in_every_sampling_mode(
+        monkeypatch, gnn, direction, directed):
+    monkeypatch.setattr(model_module, "TEXT_BATCH_TOKENS", 8)
+    records, _ = _mixed_length_universe()
+    graph = StockGraph(len(records), HUB_EDGES)
+    config = TrainConfig(hidden_dim=6, encoder_depth=2, gnn=gnn, max_tokens=16,
+                         neighbor_direction=direction, directed=directed)
+    model = SetnModel(config, Vocab.build(TEXTS), 3, 5, np.random.default_rng(0))
+    ids = list(range(len(records)))
+    subs = [sample_subgraph(graph, sid, direction, directed=directed) for sid in ids]
+    assert max(sub.size for sub in subs) > model_module.TEXT_BATCH_TOKENS  # a hub runs alone
+    # every target at once, and the odd ones in reverse order
+    for order in (ids, ids[::-2]):
+        emb = embed_universe(model, graph, records, order)
+        for row, sid in enumerate(order):
+            recs = [records[m] for m in subs[sid].members]
+            # recording on: the path training takes
+            expected = model.forward(subs[sid], recs).embedding.data
+            assert emb.vectors[row].tobytes() == expected.tobytes(), (order, sid)
+
+
 @pytest.mark.parametrize("gnn", ["gcn", "gat", "none"])
 def test_embed_universe_reads_the_fused_row_and_runs_no_head(chain, gnn):
     records, graph = chain

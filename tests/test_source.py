@@ -144,6 +144,15 @@ def test_no_caller_symmetrizes_the_graph_a_model_samples():
     assert _functions_where(_calls("to_undirected")) == ["training.prepare_graph"]
 
 
+def test_one_sampler_reads_the_graphs_arrays():
+    # ``sample_subgraph`` is the one-target case of ``sample_subgraphs``, which
+    # alone reads the CSR adjacency ``StockGraph`` keeps as ``_out`` and ``_in``
+    assert "graph.sample_subgraph" in _functions_where(_calls("sample_subgraphs"))
+    readers = _functions_where(lambda node: isinstance(node, ast.Attribute)
+                               and node.attr in ("_out", "_in") and isinstance(node.ctx, ast.Load))
+    assert set(readers) == {"graph.sample_subgraphs"}
+
+
 def test_only_the_block_ranking_partially_sorts():
     # the near-tie loop of ``EmbeddingMatrix._rank`` takes only a k-th value
     # (``np.partition``), so ``_sorted_top`` stays the one top-k partition

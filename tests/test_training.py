@@ -19,7 +19,7 @@ from setn import autodiff as ad, training as training_module
 from setn.data import GeneratorSpec, generate_synthetic
 from setn.errors import CheckpointError, ContractError, DataError, SetnError, TrainingError
 from setn.evaluation import embed_universe, map_at_k
-from setn.graph import StockGraph, sample_subgraph, to_undirected
+from setn.graph import StockGraph, sample_subgraph, sample_subgraphs, to_undirected
 from setn.model import compute_loss
 from setn.text import Vocab, tokenize
 from setn.training import (TrainConfig, build_model, epoch_order, load_model,
@@ -381,12 +381,12 @@ def test_train_tokenizes_each_text_and_samples_each_target_once_per_call(monkeyp
     ds, cfg, vocab, split, model = _small_setup(seed=12, epochs=3, depth=2)
     targets = Counter()
 
-    def counting_sample(graph, target, *args, **kwargs):
-        targets[target] += 1
-        return sample_subgraph(graph, target, *args, **kwargs)
+    def counting_sample(graph, sampled, *args, **kwargs):
+        targets.update(sampled)
+        return sample_subgraphs(graph, sampled, *args, **kwargs)
 
     misses = _count_memo_misses(vocab)
-    monkeypatch.setattr(training_module, "sample_subgraph", counting_sample)
+    monkeypatch.setattr(training_module, "sample_subgraphs", counting_sample)
     train(model, ds.graph, ds.records, split, cfg)
     # every epoch and the validation passes read the one memo
     assert misses and set(misses.values()) == {1}
@@ -702,6 +702,15 @@ def test_config_rejects_bad_values_naming_the_field(field, value):
         TrainConfig.from_dict({field: value})
 
 
+def test_config_refuses_an_undirected_out_direction_naming_both_fields():
+    # with directed false, 'out' samples exactly the subgraphs of 'in'
+    with pytest.raises(DataError, match=r"^config field 'neighbor_direction': 'out' with "
+                                        r"'directed' false samples the subgraphs of 'in'"):
+        TrainConfig(directed=False, neighbor_direction="out")
+    for directed, direction in ((False, "in"), (True, "out"), (True, "in")):
+        TrainConfig(directed=directed, neighbor_direction=direction)
+
+
 def test_config_takes_as_many_epochs_as_a_history_list_can_hold():
     assert TrainConfig.from_dict({"epochs": sys.maxsize}).epochs == sys.maxsize
 
@@ -874,6 +883,8 @@ def _non_finite_first_block(header, blocks):
     (lambda h, b: (dict(h, config=5), b), "invalid header"),
     (lambda h, b: (dict(h, config=dict(h["config"], epochs=0)), b),
      "invalid header: DataError: config field 'epochs'"),
+    (lambda h, b: (dict(h, config=dict(h["config"], directed=False, neighbor_direction="out")), b),
+     "invalid header: DataError: config field 'neighbor_direction': 'out' with 'directed' false"),
     (lambda h, b: (dict(h, params=[{"name": e["name"]} for e in h["params"]]), b),
      "invalid header"),
     (lambda h, b: (dict(h, model={"n_sectors": "3", "n_industries": 5}), b), "class counts"),
@@ -887,8 +898,9 @@ def _non_finite_first_block(header, blocks):
     (lambda h, b: (dict(h, vocab=h["vocab"][:-1] + ["a b"]), b),
      "invalid header: DataError: vocabulary token 'a b'"),
 ], ids=["non-json", "non-utf8", "not-an-object", "no-model", "config-5", "config-out-of-range",
-        "no-shape", "bad-class-count", "header-past-body", "missing-param", "non-finite-param",
-        "nested-too-deeply", "repeated-key", "vocab-token-with-a-space"])
+        "config-undirected-out", "no-shape", "bad-class-count", "header-past-body",
+        "missing-param", "non-finite-param", "nested-too-deeply", "repeated-key",
+        "vocab-token-with-a-space"])
 def test_malformed_checkpoint_is_a_checkpoint_error_naming_the_file(tmp_path, edit, expected):
     ds, cfg, vocab, split, model = _small_setup(seed=17, epochs=1)
     path = tmp_path / "model.setn"
